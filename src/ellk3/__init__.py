@@ -5,17 +5,14 @@ raising-operator oracle, and the Eisenstein q-series feeding the
 weight-132 Borcherds product.
 """
 
-from .binforms import BinaryForm, binary_partials, binary_substitute
+from .binforms import BinaryForm
 from .elimination import (
     CONVENTION_TAG,
-    SylvesterMatrix,
     binary_gcd,
-    det_bareiss,
     discriminant_binary,
     exact_divide,
     gcd_and_squarefree,
     resultant,
-    sylvester_matrix,
 )
 from .hilbert import (
     HilbertSeries,
@@ -38,7 +35,7 @@ from .invariants import (
     verify_bulk,
 )
 from .multipoly import MultiPoly, parse_poly
-from .qseries import QSeries, borcherds_input, eisenstein, series_arithmetic
+from .qseries import QSeries, borcherds_input, eisenstein
 from .scalars import DomainError, InexactDivision, ModP
 from .weierstrass import (
     FiberReport,

@@ -5,8 +5,6 @@ exact scalars or MultiPoly values (e.g. the generic octic with symbolic
 u-coefficients).  The zero form keeps its declared degree.
 """
 
-from fractions import Fraction
-
 from .multipoly import MultiPoly
 from .scalars import reduce_scalar_mod, scalar_to_str
 
@@ -86,10 +84,6 @@ class BinaryForm:
                 base = base * base
         return out
 
-    def scale_x(self, c):
-        """f(c*x, w) -- coefficient i picks up c^(n-i)."""
-        return BinaryForm(self.n, [a * c ** (self.n - i) for i, a in enumerate(self.coeffs)])
-
     def partials(self):
         """(df/dx, df/dw), both of degree n-1; Euler identity
         x f_x + w f_w = n f holds exactly."""
@@ -160,9 +154,6 @@ class BinaryForm:
     def reduce_mod(self, p):
         return BinaryForm(self.n, [reduce_scalar_mod(c, p) if not isinstance(c, MultiPoly) else c.reduce_mod(p) for c in self.coeffs])
 
-    def map_coeffs(self, fn):
-        return BinaryForm(self.n, [fn(c) for c in self.coeffs])
-
     def __str__(self):
         return self.to_str()
 
@@ -216,11 +207,3 @@ def _convolve(u, v):
                 out[i + j] = out[i + j] + a * b
     return out
 
-
-def binary_substitute(f, mat):
-    """Module-level alias for BinaryForm.substitute."""
-    return f.substitute(mat)
-
-
-def binary_partials(f):
-    return f.partials()

@@ -11,9 +11,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .elimination import CONVENTION_TAG
-from .hilbert import ORACLE_MAX_DEGREE, character_series, invariant_dimension_oracle, molien_series
-from .invariants import DEFAULTS, delta264, k552, r96, slice_divisibility, verify_bulk
+from .hilbert import ORACLE_MAX_DEGREE, character_series, invariant_dimension_oracle
+from .invariants import DEFAULTS, delta264, k552, r96, verify_bulk
 from .qseries import borcherds_input
 from .scalars import is_prime, scalar_to_str
 from .weierstrass import SurfaceParams, fiber_profile
@@ -36,7 +35,7 @@ def _load_surface(path):
         raise UsageError("cannot read surface parameters from %s: %s" % (path, e))
     try:
         return SurfaceParams.from_json_dict(raw)
-    except (ValueError, TypeError) as e:
+    except (ValueError, TypeError, ZeroDivisionError) as e:
         raise UsageError("malformed surface parameters in %s: %s" % (path, e))
 
 
@@ -63,6 +62,8 @@ def cmd_verify(args):
 
 def cmd_hilbert(args):
     N = args.max_degree
+    if N < 0:
+        raise UsageError("--max-degree must be >= 0")
     if args.oracle and N > ORACLE_MAX_DEGREE:
         raise UsageError(
             "--oracle refuses t-degrees above %d (got --max-degree %d)"
@@ -92,6 +93,8 @@ def cmd_hilbert(args):
 
 
 def cmd_qseries(args):
+    if args.terms < 1:
+        raise UsageError("--terms must be >= 1")
     N = args.terms - 2  # q^-1 and the constant term count as the first two
     series = borcherds_input(max(N, 0))
     data = {

@@ -1,173 +1,50 @@
-"""Sylvester matrices, resultants, discriminants, gcds and exact division.
+"""Resultants, discriminants, gcds and exact division.
 
-Determinants of integer or symbolic matrices use fraction-free Bareiss
-elimination; residue-field matrices use plain Gaussian elimination.  The
-row convention follows the displayed r96 matrix: for f of degree m and g
-of degree n, the matrix carries n shifted rows of f's coefficients and
-then m shifted rows of g's.
+Resultants of binary forms come from one dense subresultant polynomial
+remainder sequence (Collins 1967; Brown & Traub 1971; Cohen, Alg. 3.3.7)
+run on plain Python ints: integer forms after their contents are
+stripped, rational forms after their denominators are cleared, and
+residue forms on their residues mod p, with one modular inverse per
+remainder step.  The value is the Sylvester determinant in the row
+convention of the displayed r96 matrix: for f of degree m and g of
+degree n, n shifted rows of f's coefficients and then m shifted rows of
+g's.  When w divides a form its dense degree drops, and the place at
+infinity is put back by the homogeneous correction in ``_res_dense``.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .binforms import BinaryForm
-from .multipoly import MultiPoly
-from .scalars import InexactDivision, ModP, exact_scalar_div
+from .scalars import DomainError, InexactDivision, ModP, exact_scalar_div
 
 # sign/normalization conventions, fixed once and reported with Delta_264
 # values so cross-implementation comparisons can reconcile scale
 CONVENTION_TAG = "sylv=f-rows-then-g-rows;disc=res(df/dx,df/dw)"
 
 
-class SylvesterMatrix:
-    __slots__ = ("m", "n", "rows")
-
-    def __init__(self, m, n, rows):
-        self.m = m
-        self.n = n
-        self.rows = rows
-
-    @property
-    def size(self):
-        return self.m + self.n
-
-
-def sylvester_matrix(f, g):
-    """(m+n) x (m+n) Sylvester matrix of f (degree m) and g (degree n):
-    n shifted copies of f's coefficient row, then m shifted copies of g's."""
-    m, n = f.n, g.n
-    if m < 1 or n < 1:
-        raise ValueError("Sylvester matrix needs degrees >= 1")
-    size = m + n
-    rows = []
-    for k in range(n):
-        rows.append([0] * k + list(f.coeffs) + [0] * (n - 1 - k))
-    for k in range(m):
-        rows.append([0] * k + list(g.coeffs) + [0] * (m - 1 - k))
-    assert all(len(r) == size for r in rows)
-    return SylvesterMatrix(m, n, rows)
-
-
-# -- determinants ----------------------------------------------------
-
-
-def det_bareiss(rows):
-    """Fraction-free determinant; entries in any integral domain with
-    exact division (int, Fraction, MultiPoly, ModP)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if not M[k][k]:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0 * M[0][0] if isinstance(M[0][0], (MultiPoly, ModP)) else 0
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            ri = M[i]
-            rk = M[k]
-            mik = ri[k]
-            for j in range(k + 1, n):
-                num = pk * ri[j] - mik * rk[j]
-                ri[j] = num if prev == 1 else _exact_div(num, prev)
-            ri[k] = 0
-        prev = pk
-    d = M[n - 1][n - 1]
-    return d if sign == 1 else -d
-
-
-def _exact_div(a, b):
-    if isinstance(a, MultiPoly):
-        return multipoly_exact_divide(a, b if isinstance(b, MultiPoly) else MultiPoly.constant(b, a.vars, a.weights))
-    if isinstance(b, MultiPoly):
-        if b.is_constant():
-            return exact_scalar_div(a, b.constant_term())
-        raise InexactDivision("scalar %r not divisible by %r" % (a, b))
-    return exact_scalar_div(a, b)
-
-
-def det_bareiss_int(rows):
-    """Bareiss specialized to Python ints (no dispatch in the inner loop)."""
-    n = len(rows)
-    M = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k]:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = M[k][k]
-        for i in range(k + 1, n):
-            ri = M[i]
-            rk = M[k]
-            mik = ri[k]
-            if mik:
-                ri[k + 1:] = [(pk * a - mik * b) // prev for a, b in zip(ri[k + 1:], rk[k + 1:])]
-            elif prev != 1 or pk != 1:
-                ri[k + 1:] = [pk * a // prev for a in ri[k + 1:]]
-        prev = pk
-    return sign * M[n - 1][n - 1]
-
-
-def det_mod(rows, p):
-    """Determinant of an integer matrix mod p (Gaussian elimination)."""
-    n = len(rows)
-    M = [[a % p for a in r] for r in rows]
-    det = 1
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if M[i][k]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
-            det = p - det if det else 0
-        pk = M[k][k]
-        det = det * pk % p
-        inv = pow(pk, -1, p)
-        row = [a * inv % p for a in M[k]]
-        M[k] = row
-        for i in range(k + 1, n):
-            f = M[i][k]
-            if f:
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], row)]
-    return det
-
-
-def _det_dispatch(rows):
-    flat = [a for r in rows for a in r]
-    mod = next((a for a in flat if isinstance(a, ModP)), None)
-    if mod is not None:
-        p = mod.p
-        int_rows = [[a.v if isinstance(a, ModP) else int(a) for a in r] for r in rows]
-        return ModP(det_mod(int_rows, p), p)
-    if all(isinstance(a, int) for a in flat):
-        return det_bareiss_int(rows)
-    return det_bareiss(rows)
-
-
 # -- resultants and discriminants -----------------------------------
 
 
 def resultant(f, g):
-    """Res(f, g) as the Sylvester determinant.  Zero forms give 0."""
+    """Res(f, g) of binary forms of declared degrees m and n: the Sylvester
+    determinant, as an int, a Fraction or a ModP like the coefficients.
+    Zero forms give 0; a degree-0 form c gives c^(degree of the other)."""
     if f.is_zero() or g.is_zero():
         return 0
-    return _det_dispatch(sylvester_matrix(f, g).rows)
+    p, rational = _domain(f.coeffs + g.coeffs)
+    if p:
+        a = [c.v if isinstance(c, ModP) else c % p for c in f.coeffs]
+        b = [c.v if isinstance(c, ModP) else c % p for c in g.coeffs]
+        return ModP(_res_dense(a, b, p), p)
+    if rational:
+        # Res(da f, db g) = da^n db^m Res(f, g)
+        da = lcm(*(c.denominator for c in f.coeffs))
+        db = lcm(*(c.denominator for c in g.coeffs))
+        a = [int(c * da) for c in f.coeffs]
+        b = [int(c * db) for c in g.coeffs]
+        return Fraction(_res_dense(a, b, 0), da ** g.n * db ** f.n)
+    return _res_dense(list(f.coeffs), list(g.coeffs), 0)
 
 
 def discriminant_binary(f):
@@ -179,38 +56,125 @@ def discriminant_binary(f):
     return resultant(fx, fw)
 
 
+def _domain(coeffs):
+    """(p, rational): the modulus of any residue among the coefficients
+    (None if there is none) and whether any is a Fraction."""
+    p, rational = None, False
+    for c in coeffs:
+        if isinstance(c, ModP):
+            if p is None:
+                p = c.p
+            elif c.p != p:
+                raise DomainError("mixing residues mod %d and mod %d" % (p, c.p))
+        elif isinstance(c, Fraction):
+            rational = True
+        elif not isinstance(c, int):
+            raise DomainError("resultant of %s coefficients" % type(c).__name__)
+    if p and rational:
+        raise DomainError("cannot mix Fraction with mod-%d residues" % p)
+    return p, rational
+
+
+def _res_dense(a, b, p):
+    """Res of two nonzero forms given as high-to-low int coefficient lists
+    of their declared degrees, over Z (p = 0) or mod p."""
+    ka = next(i for i, c in enumerate(a) if c)
+    kb = next(i for i, c in enumerate(b) if c)
+    if ka and kb:
+        # w divides both forms: the Sylvester matrix's first column is zero
+        return 0
+    if ka:
+        # w^ka | f: Res(f, g) = (-1)^(n ka) lc(g)^ka Res(f / w^ka, g)
+        scale = (-1) ** ((len(b) - 1) * ka) * b[0] ** ka
+        a = a[ka:]
+    else:
+        # w^kb | g (kb may be 0): Res(f, g) = lc(f)^kb Res(f, g / w^kb)
+        scale = a[0] ** kb
+        b = b[kb:]
+    r = scale * _prs_resultant(a, b, p)
+    return r % p if p else r
+
+
+def _prs_resultant(A, B, p):
+    """Res(A, B) of dense polynomials (high-to-low int lists with nonzero
+    leading coefficients) by the subresultant PRS, over Z (p = 0) or mod p.
+    Over Z every division below is exact; mod p each is one inverse."""
+    dA, dB = len(A) - 1, len(B) - 1
+    if not dA or not dB:
+        return A[0] ** dB * B[0] ** dA
+    t = 1
+    if not p:
+        ca, cb = gcd(*A), gcd(*B)
+        if ca != 1:
+            A = [c // ca for c in A]
+        if cb != 1:
+            B = [c // cb for c in B]
+        t = ca ** dB * cb ** dA
+    s = 1
+    if dA < dB:
+        A, B, dA, dB = B, A, dB, dA
+        if dA & dB & 1:
+            s = -1
+    g = h = 1
+    while True:
+        delta = dA - dB
+        if dA & dB & 1:
+            s = -s
+        R = _prem(A, B, p)
+        if not R:
+            return 0
+        d = g * h ** delta
+        if d != 1:
+            if p:
+                inv = pow(d, -1, p)
+                R = [c * inv % p for c in R]
+            else:
+                R = [c // d for c in R]
+        A, B, dA, dB = B, R, dB, len(R) - 1
+        g = A[0]
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = _quo(g ** delta, h ** (delta - 1), p)
+        if not dB:
+            return s * t * _quo(B[0] ** dA, h ** (dA - 1), p)
+
+
+def _quo(a, b, p):
+    """a / b, an exact quotient in Z (p = 0) or a quotient in F_p."""
+    return a * pow(b, -1, p) % p if p else a // b
+
+
+def _prem(A, B, p):
+    """Pseudo-remainder lc(B)^(deg A - deg B + 1) A mod B of high-to-low
+    int lists, reduced mod p when p is nonzero."""
+    lb, tail, nb = B[0], B[1:], len(B)
+    e = len(A) - nb + 1
+    R = A
+    while len(R) >= nb:
+        c = R[0]
+        if p:
+            R = [(lb * r - c * t) % p for r, t in zip(R[1:nb], tail)] + [lb * r % p for r in R[nb:]]
+        else:
+            R = [lb * r - c * t for r, t in zip(R[1:nb], tail)] + [lb * r for r in R[nb:]]
+        e -= 1
+        k = 0
+        while k < len(R) and not R[k]:
+            k += 1
+        if k:
+            R = R[k:]
+    if e and R:
+        m = pow(lb, e, p) if p else lb ** e
+        R = [r * m % p for r in R] if p else [r * m for r in R]
+    return R
+
+
 # -- exact division --------------------------------------------------
 
 
-def multipoly_exact_divide(f, g):
-    """Quotient f/g when the division is exact; InexactDivision otherwise."""
-    if not g:
-        raise ZeroDivisionError("division by the zero polynomial")
-    f._compat(g)
-    q = MultiPoly.zero(f.vars, f.weights)
-    r = f
-    glt_exp, glt_c = g.sorted_terms()[0]
-    while r:
-        rlt_exp, rlt_c = r.sorted_terms()[0]
-        diff = tuple(a - b for a, b in zip(rlt_exp, glt_exp))
-        if any(e < 0 for e in diff):
-            raise InexactDivision("leading term %r not divisible" % (rlt_exp,))
-        c = exact_scalar_div(rlt_c, glt_c)
-        t = MultiPoly(f.vars, {diff: c}, f.weights)
-        q = q + t
-        r = r - t * g
-    return q
-
-
 def exact_divide(f, g):
-    """Exact division for MultiPoly, scalars, or univariate coefficient
-    lists (low-to-high)."""
-    if isinstance(f, MultiPoly) or isinstance(g, MultiPoly):
-        if not isinstance(f, MultiPoly):
-            f = MultiPoly.constant(f, g.vars, g.weights)
-        if not isinstance(g, MultiPoly):
-            g = MultiPoly.constant(g, f.vars, f.weights)
-        return multipoly_exact_divide(f, g)
+    """Exact division for scalars or univariate coefficient lists
+    (low-to-high)."""
     if isinstance(f, list) or isinstance(g, list):
         q, r = poly_divmod(f, g)
         if any(c for c in r):
@@ -311,7 +275,8 @@ def poly_primitive(a):
 
 def poly_gcd_subresultant(a, b):
     """gcd of integer univariate polynomials via the subresultant PRS
-    (primitive-part/content splitting keeps coefficients small)."""
+    (primitive-part/content splitting keeps coefficients small); the
+    sequence runs on high-to-low lists, sharing the resultant's _prem."""
     a = poly_primitive(a)
     b = poly_primitive(b)
     if not a:
@@ -320,42 +285,22 @@ def poly_gcd_subresultant(a, b):
         return a
     if len(a) < len(b):
         a, b = b, a
+    A, B = a[::-1], b[::-1]
     g, h = 1, 1
     while True:
-        d = len(a) - len(b)
-        r = _prem(a, b)
-        if not r:
-            return poly_primitive(b)
-        if len(r) == 1:
+        d = len(A) - len(B)
+        R = _prem(A, B, 0)
+        if not R:
+            return poly_primitive(B[::-1])
+        if len(R) == 1:
             return [1]
         divisor = g * h ** d
-        a, b = b, [c // divisor for c in r]
-        g = a[-1]
+        A, B = B, [c // divisor for c in R]
+        g = A[0]
         if d == 1:
             h = g
         elif d > 1:
             h = g ** d // h ** (d - 1)
-
-
-def _prem(a, b):
-    """Pseudo-remainder: lc(b)^(da-db+1) * a mod b, over Z."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    da = len(a) - 1
-    e = da - db + 1
-    while len(a) - 1 >= db and poly_trim(a):
-        da = len(a) - 1
-        la = a[-1]
-        a = [lb * c for c in a]
-        for i in range(db + 1):
-            a[da - db + i] -= la * b[i]
-        a.pop()
-        poly_trim(a)
-        e -= 1
-    if e > 0:
-        a = [c * lb ** e for c in a]
-    return poly_trim(a)
 
 
 def poly_deriv(a):

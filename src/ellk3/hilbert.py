@@ -14,11 +14,10 @@ parameter space, three ways:
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from math import gcd, isqrt
 
 from .binforms import BinaryForm
 from .multipoly import MultiPoly
-from .scalars import is_prime
 
 # the 22 ambient variables: octic coefficients then duodecic ones
 U8_VARS = tuple("u_{%d,%d}" % (8 - i, i) for i in range(9))
@@ -340,7 +339,7 @@ def _crt(residues, moduli):
 
 def _rat_reconstruct(a, m):
     """Rational p/q with |p|, q <= sqrt(m/2) congruent to a mod m."""
-    bound = int((m // 2) ** 0.5)
+    bound = isqrt(m // 2)
     r0, r1 = m, a % m
     s0, s1 = 0, 1
     while r1 > bound:
@@ -349,8 +348,6 @@ def _rat_reconstruct(a, m):
         s0, s1 = s1, s0 - q * s1
     if s1 == 0 or abs(s1) > bound:
         return None
-    from math import gcd
-
     if gcd(r1, abs(s1)) != 1 and gcd(abs(s1), m) != 1:
         return None
     return Fraction(r1, s1)

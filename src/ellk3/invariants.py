@@ -66,16 +66,15 @@ def gm_act(lam, u):
 def r96(u):
     """Resultant of (g2, g3): the 20 x 20 Sylvester determinant, weighted
     homogeneous of degree 12*4 + 8*6 = 96 and SL2-invariant."""
-    g2, g3, _ = assemble(u)
-    if g2.is_zero() or g3.is_zero():
-        return InvariantValue("r96", 0, 96)
+    g2 = BinaryForm(8, list(u.g2_coeffs))
+    g3 = BinaryForm(12, list(u.g3_coeffs))
     return InvariantValue("r96", resultant(g2, g3), 96)
 
 
 def k552(u):
-    """Discriminant of the degree-24 form h, a 46 x 46 determinant;
-    weighted homogeneous of degree 2*23*12 = 552, SL2-invariant, and zero
-    iff h has a repeated root."""
+    """Discriminant of the degree-24 form h, the 46 x 46 Sylvester
+    determinant Res(dh/dx, dh/dw); weighted homogeneous of degree
+    2*23*12 = 552, SL2-invariant, and zero iff h has a repeated root."""
     _, _, h = assemble(u)
     if h.is_zero():
         raise ValueError("degenerate family: h vanishes identically")
@@ -147,28 +146,29 @@ def slice_divisibility(u0, u1, modulus=None):
     if modulus is not None and not is_prime(modulus):
         raise ValueError("modulus must be prime")
     npts = K552_U_DEGREE + 1
+    # R3 has u-degree 3 * R96_U_DEGREE, so r96 is needed only at the points
+    # R3 is interpolated from; vanishing there means vanishing on the line
+    rpts = 3 * R96_U_DEGREE + 1
     kvals, r3vals = [], []
-    r_all_zero = True
     for s in range(npts):
         u = _eval_on_line(u0, u1, s, modulus)
-        rv = r96(u).value
-        rv = rv.v if isinstance(rv, ModP) else rv
-        if rv:
-            r_all_zero = False
+        if s < rpts:
+            rv = r96(u).value
+            rv = rv.v if isinstance(rv, ModP) else rv
+            r3vals.append(rv ** 3 if modulus is None else pow(rv, 3, modulus))
         kv = k552(u).value
         kvals.append(kv.v if isinstance(kv, ModP) else kv)
-        r3vals.append(rv ** 3 if modulus is None else pow(rv, 3, modulus))
-    if r_all_zero:
+    if not any(r3vals):
         raise ValueError("r96 vanishes identically on this line")
     xs = list(range(npts))
     if modulus is not None:
         K = _interp_mod(xs, kvals, modulus)
-        R3 = _interp_mod(xs[: 3 * R96_U_DEGREE + 1], r3vals[: 3 * R96_U_DEGREE + 1], modulus)
+        R3 = _interp_mod(xs[:rpts], r3vals, modulus)
         q, rem = _poly_divmod_mod(K, R3, modulus)
         ok = not rem
     else:
         K = _interp_q(xs, kvals)
-        R3 = _interp_q(xs[: 3 * R96_U_DEGREE + 1], r3vals[: 3 * R96_U_DEGREE + 1])
+        R3 = _interp_q(xs[:rpts], r3vals)
         from .elimination import poly_divmod
 
         q, rem = poly_divmod(K, R3)

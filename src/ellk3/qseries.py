@@ -176,19 +176,6 @@ def eisenstein(k, N):
     return QSeries(0, coeffs, N)
 
 
-def series_arithmetic(a, b, op):
-    """Thin named dispatcher over the QSeries operators."""
-    if op == "mul":
-        return a * b
-    if op == "pow":
-        return a ** b
-    if op == "reciprocal":
-        return a.reciprocal()
-    if op == "divide":
-        return a / b
-    raise ValueError("unknown series operation %r" % op)
-
-
 def borcherds_input(N):
     """1728 E4 / (E4^3 - E6^2), a Laurent series with leading term 1/q,
     truncated at q^N."""

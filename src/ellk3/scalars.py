@@ -62,8 +62,6 @@ class ModP:
         return ModP(-self.v, self.p)
 
     def __pow__(self, e):
-        if e < 0:
-            return ModP(pow(self.v, e, self.p), self.p)
         return ModP(pow(self.v, e, self.p), self.p)
 
     def inverse(self):

@@ -1,0 +1,90 @@
+"""Definitional reference oracle for the resultant engine: the Sylvester
+matrix and a fraction-free (Bareiss) determinant over any integral domain
+with exact division (int, Fraction, ModP, MultiPoly).  Slow by design;
+the tests cross-check ``ellk3.elimination.resultant`` against it.
+"""
+
+from ellk3.multipoly import MultiPoly
+from ellk3.scalars import InexactDivision, ModP, exact_scalar_div
+
+
+def sylvester_matrix(f, g):
+    """(m+n) x (m+n) Sylvester matrix of f (degree m) and g (degree n):
+    n shifted copies of f's coefficient row, then m shifted copies of g's."""
+    m, n = f.n, g.n
+    rows = []
+    for k in range(n):
+        rows.append([0] * k + list(f.coeffs) + [0] * (n - 1 - k))
+    for k in range(m):
+        rows.append([0] * k + list(g.coeffs) + [0] * (m - 1 - k))
+    assert all(len(r) == m + n for r in rows)
+    return rows
+
+
+def sylvester_resultant(f, g):
+    """Res(f, g) as the Sylvester determinant; zero forms give 0."""
+    if f.is_zero() or g.is_zero():
+        return 0
+    return det_bareiss(sylvester_matrix(f, g))
+
+
+def det_bareiss(rows):
+    """Fraction-free determinant; entries in any integral domain with
+    exact division (int, Fraction, MultiPoly, ModP)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    M = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not M[k][k]:
+            for i in range(k + 1, n):
+                if M[i][k]:
+                    M[k], M[i] = M[i], M[k]
+                    sign = -sign
+                    break
+            else:
+                return 0 * M[0][0] if isinstance(M[0][0], (MultiPoly, ModP)) else 0
+        pk = M[k][k]
+        for i in range(k + 1, n):
+            ri = M[i]
+            rk = M[k]
+            mik = ri[k]
+            for j in range(k + 1, n):
+                num = pk * ri[j] - mik * rk[j]
+                ri[j] = num if prev == 1 else _exact_div(num, prev)
+            ri[k] = 0
+        prev = pk
+    d = M[n - 1][n - 1]
+    return d if sign == 1 else -d
+
+
+def _exact_div(a, b):
+    if isinstance(a, MultiPoly):
+        return multipoly_exact_divide(a, b if isinstance(b, MultiPoly) else MultiPoly.constant(b, a.vars, a.weights))
+    if isinstance(b, MultiPoly):
+        if b.is_constant():
+            return exact_scalar_div(a, b.constant_term())
+        raise InexactDivision("scalar %r not divisible by %r" % (a, b))
+    return exact_scalar_div(a, b)
+
+
+def multipoly_exact_divide(f, g):
+    """Quotient f/g when the division is exact; InexactDivision otherwise."""
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    f._compat(g)
+    q = MultiPoly.zero(f.vars, f.weights)
+    r = f
+    glt_exp, glt_c = g.sorted_terms()[0]
+    while r:
+        rlt_exp, rlt_c = r.sorted_terms()[0]
+        diff = tuple(a - b for a, b in zip(rlt_exp, glt_exp))
+        if any(e < 0 for e in diff):
+            raise InexactDivision("leading term %r not divisible" % (rlt_exp,))
+        c = exact_scalar_div(rlt_c, glt_c)
+        t = MultiPoly(f.vars, {diff: c}, f.weights)
+        q = q + t
+        r = r - t * g
+    return q

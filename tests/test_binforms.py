@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from ellk3.binforms import BinaryForm, binary_partials, binary_substitute
+from ellk3.binforms import BinaryForm
 
 
 def rand_form(rng, n, bound=9):
@@ -69,7 +69,7 @@ def test_substitute_matches_pointwise():
     for _ in range(25):
         f = rand_form(rng, rng.choice([3, 4, 8]))
         mat = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
-        g = binary_substitute(f, mat)
+        g = f.substitute(mat)
         x0, w0 = rng.randint(-5, 5), rng.randint(-5, 5)
         a, b = mat[0]
         c, d = mat[1]
@@ -83,16 +83,16 @@ def test_substitute_composition_law():
         f = rand_form(rng, 6)
         g1 = rand_sl2(rng)
         g2 = rand_sl2(rng)
-        lhs = binary_substitute(binary_substitute(f, g1), g2)
-        assert lhs == binary_substitute(f, matmul(g1, g2))
+        lhs = f.substitute(g1).substitute(g2)
+        assert lhs == f.substitute(matmul(g1, g2))
     ident = [[1, 0], [0, 1]]
     f = rand_form(rng, 9)
-    assert binary_substitute(f, ident) == f
+    assert f.substitute(ident) == f
 
 
 def test_partials_of_monomial():
     f = BinaryForm.monomial(5, 2, 7)  # 7 x^3 w^2
-    fx, fw = binary_partials(f)
+    fx, fw = f.partials()
     assert fx == BinaryForm.monomial(4, 2, 21)
     assert fw == BinaryForm.monomial(4, 1, 14)
 

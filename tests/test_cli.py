@@ -129,3 +129,22 @@ def test_unknown_subcommand_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_classify_zero_denominator_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"g2": ["1/0"] + ["1"] * 8, "g3": ["1"] * 13}))
+    assert run(["classify", "--input", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_hilbert_negative_max_degree_exit_2(capsys):
+    assert run(["hilbert", "--max-degree", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("terms", ["0", "-3"])
+def test_qseries_nonpositive_terms_exit_2(terms, capsys):
+    assert run(["qseries", "--terms", terms]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""

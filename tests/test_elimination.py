@@ -1,25 +1,24 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from ellk3.binforms import BinaryForm, binary_substitute
+from ellk3.binforms import BinaryForm
 from ellk3.elimination import (
     CONVENTION_TAG,
     binary_gcd,
-    det_bareiss,
-    det_mod,
     discriminant_binary,
     exact_divide,
     factor_multiplicity,
     gcd_and_squarefree,
     resultant,
     squarefree_decomposition,
-    sylvester_matrix,
 )
 from ellk3.multipoly import MultiPoly
 from ellk3.scalars import InexactDivision, ModP
+from reference import det_bareiss, sylvester_matrix, sylvester_resultant
 
 
 def rand_form(rng, n, bound=9):
@@ -53,9 +52,9 @@ def test_convention_tag_frozen():
 def test_sylvester_shape():
     rng = random.Random(0)
     f, g = rand_form(rng, 8), rand_form(rng, 12)
-    m = sylvester_matrix(f, g)
-    assert m.size == 20 and len(m.rows) == 20
-    assert all(len(r) == 20 for r in m.rows)
+    rows = sylvester_matrix(f, g)
+    assert len(rows) == 20
+    assert all(len(r) == 20 for r in rows)
 
 
 def test_bareiss_matches_cofactor_expansion():
@@ -75,7 +74,7 @@ def test_det_mod_matches_exact():
     for n in (3, 5, 8):
         rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
         exact = det_bareiss(rows)
-        assert det_mod(rows, p) == exact % p
+        assert det_bareiss([[ModP(a, p) for a in r] for r in rows]) == exact % p
 
 
 def test_det_multivariate_entries():
@@ -142,7 +141,7 @@ def test_discriminant_substitution_covariance():
     for _ in range(10):
         f = rand_form(rng, 4)
         mat = [[1, rng.randint(-3, 3)], [0, 1]]
-        assert discriminant_binary(binary_substitute(f, mat)) == discriminant_binary(f)
+        assert discriminant_binary(f.substitute(mat)) == discriminant_binary(f)
 
 
 def test_discriminant_scaling_weight():
@@ -211,4 +210,100 @@ def test_resultant_sl2_invariance():
         f, g = rand_form(rng, 3, 4), rand_form(rng, 4, 4)
         s = rng.randint(-3, 3)
         mat = [[1, s], [0, 1]] if rng.random() < 0.5 else [[1, 0], [s, 1]]
-        assert resultant(binary_substitute(f, mat), binary_substitute(g, mat)) == resultant(f, g)
+        assert resultant(f.substitute(mat), g.substitute(mat)) == resultant(f, g)
+
+
+# -- the PRS engine against the Sylvester reference -------------------
+
+P62 = 4611686018427388039
+small_ints = st.integers(-9, 9)
+big_ints = st.tuples(st.sampled_from([-1, 1]), st.integers(2**64, 2**90)).map(lambda t: t[0] * t[1])
+fractions = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def forms(draw, coeff, min_degree=0, max_degree=6, w_power=0):
+    """A form of degree >= max(min_degree, w_power) whose first w_power
+    coefficients vanish, i.e. w^w_power divides it."""
+    n = draw(st.integers(max(min_degree, w_power), max_degree))
+    coeffs = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
+    return BinaryForm(n, [0] * w_power + coeffs[w_power:])
+
+
+def residues(p):
+    return st.integers(0, p - 1).map(lambda v: ModP(v, p))
+
+
+def assert_engine_matches(f, g, kind):
+    got, want = resultant(f, g), sylvester_resultant(f, g)
+    assert got == want
+    if not (f.is_zero() or g.is_zero()):
+        assert isinstance(got, kind)
+
+
+@given(forms(st.one_of(small_ints, big_ints)), forms(st.one_of(small_ints, big_ints)))
+def test_engine_matches_sylvester_over_z(f, g):
+    assert_engine_matches(f, g, int)
+
+
+@given(forms(big_ints, min_degree=1), forms(big_ints, min_degree=1))
+def test_engine_matches_sylvester_on_big_coefficients(f, g):
+    assert_engine_matches(f, g, int)
+
+
+@given(forms(st.one_of(fractions, small_ints)), forms(fractions))
+def test_engine_matches_sylvester_over_q(f, g):
+    assert_engine_matches(f, g, Fraction)
+
+
+@given(st.sampled_from([101, 10007, P62]).flatmap(
+    lambda p: st.tuples(forms(residues(p)), forms(residues(p)))))
+def test_engine_matches_sylvester_mod_p(fg):
+    assert_engine_matches(*fg, ModP)
+
+
+@given(forms(st.integers(-3, 3).map(lambda v: ModP(v, 101)), max_degree=8),
+       forms(st.integers(-3, 3).map(lambda v: ModP(v, 101)), max_degree=8))
+def test_engine_matches_sylvester_mod_small_prime_with_drops(f, g):
+    # small residues mod 101 make vanishing leading coefficients common
+    assert_engine_matches(f, g, ModP)
+
+
+@given(st.integers(1, 3).flatmap(lambda k: forms(small_ints, w_power=k)), forms(small_ints, min_degree=1))
+def test_engine_infinity_place_w_divides_f(f, g):
+    assert_engine_matches(f, g, int)
+    assert_engine_matches(f.reduce_mod(101), g.reduce_mod(101), ModP)
+
+
+@given(forms(small_ints, min_degree=1), st.integers(1, 3).flatmap(lambda k: forms(small_ints, w_power=k)))
+def test_engine_infinity_place_w_divides_g(f, g):
+    assert_engine_matches(f, g, int)
+    assert_engine_matches(f.reduce_mod(101), g.reduce_mod(101), ModP)
+
+
+@given(forms(st.one_of(small_ints, fractions), w_power=1), forms(small_ints, w_power=1))
+def test_engine_infinity_place_w_divides_both(f, g):
+    assert resultant(f, g) == 0 == sylvester_resultant(f, g)
+
+
+@given(forms(small_ints, max_degree=1), forms(st.one_of(small_ints, fractions), max_degree=1),
+       forms(small_ints, max_degree=1))
+def test_engine_zero_and_low_degree_forms(f, g, h):
+    assert resultant(f, g) == sylvester_resultant(f, g)
+    fp, hp = f.reduce_mod(101), h.reduce_mod(101)
+    assert resultant(fp, hp) == sylvester_resultant(fp, hp)
+
+
+def test_engine_zero_and_constant_forms_pinned():
+    zero3, c2 = BinaryForm.zero(3), BinaryForm(0, [5])
+    g = BinaryForm(2, [1, 2, 3])
+    assert resultant(zero3, g) == 0 and resultant(g, zero3) == 0
+    assert resultant(c2, g) == 25 and resultant(g, c2) == 25
+    assert resultant(c2, BinaryForm(0, [7])) == 1
+
+
+@given(st.one_of(small_ints, big_ints), st.one_of(small_ints, big_ints))
+def test_discriminant_cubic_scalar_property(p, q):
+    f = BinaryForm(3, [1, 0, p, q])
+    assert discriminant_binary(f) == 3 * (4 * p**3 + 27 * q**2) == sylvester_resultant(*f.partials())
+    assert discriminant_binary(f.reduce_mod(P62)) == 3 * (4 * p**3 + 27 * q**2)

@@ -1,16 +1,17 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
 from ellk3.binforms import BinaryForm
-from ellk3.elimination import det_bareiss_int, sylvester_matrix
 from ellk3.hilbert import (
     ORACLE_MAX_DEGREE,
     Q_WEIGHTS,
     U_VARS,
     U_WEIGHTS,
     FeasibilityError,
+    _rat_reconstruct,
     character_series,
     invariant_basis,
     invariant_dimension_oracle,
@@ -21,7 +22,7 @@ from ellk3.hilbert import (
     u_variable,
 )
 from ellk3.invariants import random_sl2, random_surface, sl2_act
-from ellk3.multipoly import MultiPoly
+from reference import det_bareiss, sylvester_matrix
 
 # graded dimensions of the invariant ring, low degrees (frozen)
 MOLIEN_LOW = [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 0, 3, 0, 7, 0, 6, 0, 16]
@@ -184,10 +185,27 @@ def test_raising_operator_annihilates_resultant_on_lines():
             x = BinaryForm(1, [1, 0])
             d2 = x * g2.partials()[1]
             d3 = x * g3.partials()[1]
-            M = sylvester_matrix(g2, g3).rows
-            N = sylvester_matrix(d2, d3).rows
+            M = sylvester_matrix(g2, g3)
+            N = sylvester_matrix(d2, d3)
             total = 0
             for k in range(20):
                 rows = [N[r] if r == k else M[r] for r in range(20)]
-                total += det_bareiss_int(rows)
+                total += det_bareiss(rows)
             assert total == 0
+
+
+def test_rat_reconstruct_huge_modulus():
+    # the bound sqrt(m/2) is taken exactly, so a modulus past the float
+    # range (about 2^1024) still reconstructs
+    m = 2**1100 + 1
+    assert _rat_reconstruct(3 * pow(7, -1, m) % m, m) == Fraction(3, 7)
+
+
+def test_rat_reconstruct_bound_is_exact():
+    # at m = 2^120 a float square root overshoots isqrt(m // 2) by 56; a
+    # numerator just above the exact bound must not be accepted
+    m = 2**120
+    bound = isqrt(m // 2)
+    assert _rat_reconstruct(bound, m) == bound
+    r = _rat_reconstruct(bound + 1, m)
+    assert r is None or (abs(r.numerator) <= bound and r.denominator <= bound)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ellk3.qseries import QSeries, borcherds_input, eisenstein, series_arithmetic, sigma
+from ellk3.qseries import QSeries, borcherds_input, eisenstein, sigma
 
 # 1728 E4 / (E4^3 - E6^2) = q^-1 + 264 + 8244 q + 139520 q^2 + ... (frozen)
 BORCHERDS_HEAD = [1, 264, 8244, 139520, 1672290, 15872256]
@@ -91,13 +91,11 @@ def test_pow_matches_repeated_mul():
         f ** (-1)
 
 
-def test_series_arithmetic_dispatch():
+def test_series_operators_agree():
     f = QSeries(0, [1, 1, 1], 2)
-    assert series_arithmetic(f, f, "mul") == f * f
-    assert series_arithmetic(f, 2, "pow") == f * f
-    assert series_arithmetic(f, None, "reciprocal") == f.reciprocal()
-    with pytest.raises(ValueError):
-        series_arithmetic(f, f, "compose")
+    assert f ** 2 == f * f
+    assert (f * f) / f == f
+    assert f / f == f * f.reciprocal()
 
 
 def test_borcherds_input_head_frozen():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ellk3.binforms import BinaryForm, binary_substitute
+from ellk3.binforms import BinaryForm
 from ellk3.weierstrass import (
     INFINITE_ORDER,
     FiberReport,
@@ -220,7 +220,7 @@ def test_profile_sl2_equivariant():
         s = rng.randint(1, 3)
         mat = [[1, s], [0, 1]]
         ut = SurfaceParams.make(
-            binary_substitute(g2, mat).coeffs, binary_substitute(g3, mat).coeffs
+            g2.substitute(mat).coeffs, g3.substitute(mat).coeffs
         )
         before = sorted(
             (r.residue_degree, r.m2, r.m3, r.d, r.kodaira) for r in fiber_profile(u).places
