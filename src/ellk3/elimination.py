@@ -215,26 +215,32 @@ def poly_add(a, b):
     return poly_trim(out)
 
 
-def poly_divmod(a, b):
-    """Division over a field (Fraction or ModP coefficients; ints are
-    promoted to Fraction)."""
+def poly_divmod(a, b, p=0):
+    """Quotient and remainder of low-to-high lists over a field: over Q
+    when p = 0 (ints are promoted to Fraction; Fraction or ModP
+    coefficients divide as they are), or mod a prime p on plain int
+    residues, with one modular inverse."""
+    if p:
+        a = [c % p for c in a]
+        b = [c % p for c in b]
     b = poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("univariate division by zero")
     a = poly_trim(list(a))
-    if _all_int(a) and _all_int(b):
+    if not p and _all_int(a) and _all_int(b):
         a = [Fraction(c) for c in a]
         b = [Fraction(c) for c in b]
     db = len(b) - 1
-    lb = b[-1]
+    inv = pow(b[-1], -1, p) if p else None
     q = [0] * max(0, len(a) - db)
-    r = list(a)
+    r = a
     while len(r) - 1 >= db and poly_trim(r):
         dr = len(r) - 1
-        c = r[-1] / lb if not isinstance(r[-1], ModP) else r[-1] / lb
+        c = r[-1] * inv % p if p else r[-1] / b[-1]
         q[dr - db] = c
         for i in range(db + 1):
-            r[dr - db + i] = r[dr - db + i] - c * b[i]
+            x = r[dr - db + i] - c * b[i]
+            r[dr - db + i] = x % p if p else x
         r.pop()
         poly_trim(r)
     return poly_trim(q), poly_trim(r)
@@ -245,8 +251,6 @@ def _all_int(a):
 
 
 def poly_content(a):
-    from math import gcd
-
     g = 0
     for c in a:
         g = gcd(g, c if isinstance(c, int) else 0)
@@ -260,8 +264,6 @@ def poly_primitive(a):
     if not a:
         return []
     if not _all_int(a):
-        from math import lcm
-
         den = 1
         for c in a:
             den = lcm(den, Fraction(c).denominator)

@@ -5,16 +5,15 @@ parameter space, three ways:
   carries a finite Laurent polynomial in q and the residue is the q^(-1)
   coefficient of (q^(-1) - q) times the product;
 * an independent oracle computing the exact kernel dimension of the
-  raising operator on the torus-weight-0 subspace (mod-p elimination as a
-  prefilter, with the final kernel certified over Q by rational
-  reconstruction and exact verification);
+  raising operator from the torus-weight-0 to the weight-2 subspace,
+  certified by full row rank mod a single prime (one sparse elimination,
+  which over Q also yields explicit invariants);
 * the character-extended series (1 + t^132) H(t) realizing the rank-2
   free extension with its weight-264 relation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
 
 from .binforms import BinaryForm
 from .multipoly import MultiPoly
@@ -28,7 +27,7 @@ U_WEIGHTS = (4,) * 9 + (6,) * 13
 # q-weights (torus weights) of the variables: 2i-8 and 2i-12
 Q_WEIGHTS = tuple(2 * i - 8 for i in range(9)) + tuple(2 * i - 12 for i in range(13))
 
-ORACLE_MAX_DEGREE = 24
+ORACLE_MAX_DEGREE = 30
 
 
 @dataclass
@@ -186,8 +185,13 @@ def monomial_basis(tdegree, qweight):
 
 def _raising_matrix(tdegree):
     """Sparse matrix of the raising operator from the q-weight-0 basis to
-    the q-weight-2 basis at one t-degree.  Returns (cols, rows, entries)
-    where entries maps (row, col) -> int."""
+    the q-weight-2 basis at one t-degree: (v0, v2, rows), where rows[i]
+    maps each column with a nonzero integer entry in row i to that entry.
+    Refuses t-degrees above ORACLE_MAX_DEGREE."""
+    if tdegree > ORACLE_MAX_DEGREE:
+        raise FeasibilityError(
+            "t-degree %d exceeds the oracle feasibility bound %d" % (tdegree, ORACLE_MAX_DEGREE)
+        )
     table = raising_table()
     shift = {}
     for k, name in enumerate(U_VARS):
@@ -198,7 +202,7 @@ def _raising_matrix(tdegree):
     v0 = monomial_basis(tdegree, 0)
     v2 = monomial_basis(tdegree, 2)
     index2 = {m: i for i, m in enumerate(v2)}
-    entries = {}
+    rows = [{} for _ in v2]
     for col, mono in enumerate(v0):
         for k, e in enumerate(mono):
             if not e or k not in shift:
@@ -207,10 +211,9 @@ def _raising_matrix(tdegree):
             out = list(mono)
             out[k] -= 1
             out[tgt] += 1
-            row = index2[tuple(out)]
-            key = (row, col)
-            entries[key] = entries.get(key, 0) + e * c
-    return v0, v2, entries
+            row = rows[index2[tuple(out)]]
+            row[col] = row.get(col, 0) + e * c
+    return v0, v2, rows
 
 
 _ORACLE_PRIMES = (2147483629, 2147483587, 2147483563, 2147483549, 2147483543, 2147483497)
@@ -220,161 +223,86 @@ class FeasibilityError(ValueError):
     pass
 
 
-def invariant_dimension_oracle(d, max_degree=ORACLE_MAX_DEGREE, return_kernel=False):
+def _echelon(rows, p):
+    """Row-reduce sparse rows (dicts column -> int) over F_p, or over Q on
+    Fractions when p = 0.  Each row is reduced by the pivot rows found so
+    far and, if anything is left, becomes a pivot row on its rightmost
+    nonzero column, divided by that entry.  Returns {pivot column: the
+    rest of its row}; every column of a pivot row lies left of its pivot,
+    so the number of pivots is the rank."""
+    pivots = {}
+    for row in rows:
+        row = {j: v % p for j, v in row.items() if v % p} if p else dict(row)
+        while row:
+            c = max(row)
+            f = row.pop(c)
+            prow = pivots.get(c)
+            if prow is None:
+                if p:
+                    inv = pow(f, -1, p)
+                    pivots[c] = {j: v * inv % p for j, v in row.items()}
+                else:
+                    pivots[c] = {j: Fraction(v) / f for j, v in row.items()}
+                break
+            for j, v in prow.items():
+                x = (row.get(j, 0) - f * v) % p if p else row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return pivots
+
+
+def _kernel(pivots, ncols):
+    """Basis of the kernel over Q of the echelon form ``_echelon(rows, 0)``
+    of a matrix with ncols columns, one sparse vector (dict column ->
+    Fraction) per free column, which it sets to 1."""
+    reduced = {}
+    for c in sorted(pivots):
+        # every pivot column left of c is already reduced to free columns
+        row = dict(pivots[c])
+        for j in [j for j in row if j in pivots]:
+            f = row.pop(j)
+            for k, v in reduced[j].items():
+                x = row.get(k, 0) - f * v
+                if x:
+                    row[k] = x
+                else:
+                    row.pop(k, None)
+        reduced[c] = row
+    vecs = {j: {j: Fraction(1)} for j in range(ncols) if j not in pivots}
+    for c, row in reduced.items():
+        for j, v in row.items():
+            vecs[j][c] = -v
+    return list(vecs.values())
+
+
+def invariant_dimension_oracle(d):
     """Exact dimension of the SL2-invariants at t-degree d, as the kernel
-    of the raising operator on the torus-weight-0 subspace.
+    of the raising operator D: V0 -> V2 on the torus-weight-0 subspace.
 
-    Elimination runs mod 31-bit primes for speed; the kernel basis is then
-    lifted to Q by CRT plus rational reconstruction and certified by exact
-    sparse multiplication, so the returned dimension is proved over Q
-    (rank mod p bounds the rational kernel from above, the verified
-    vectors bound it from below).
+    The certificate is one rank computation mod a prime: D has integer
+    entries, so rank_p(D) <= rank_Q(D) <= dim V2, and full row rank mod p
+    proves dim ker_Q D = dim V0 - dim V2.  A prime short of full rank is
+    skipped; if every prime falls short the oracle raises ArithmeticError
+    rather than guess.
     """
-    if d > max_degree:
-        raise FeasibilityError(
-            "t-degree %d exceeds the oracle feasibility bound %d" % (d, max_degree)
-        )
-    if d < 0 or d % 2:
-        return ([], []) if return_kernel else 0
-    v0, v2, entries = _raising_matrix(d)
-    if not v0:
-        return ([], []) if return_kernel else 0
-    if not entries:
-        return (v0, [_unit_vec(len(v0), j) for j in range(len(v0))]) if return_kernel else len(v0)
-
-    kernels = []
-    moduli = []
+    v0, v2, rows = _raising_matrix(d)
     for p in _ORACLE_PRIMES:
-        kb = _kernel_mod_p(entries, len(v2), len(v0), p)
-        kernels.append(kb)
-        moduli.append(p)
-        if len(moduli) >= 2:
-            dims = {len(k[1]) for k in kernels}
-            frees = {tuple(k[0]) for k in kernels}
-            if len(dims) == 1 and len(frees) == 1:
-                vecs = _reconstruct_kernel(kernels, moduli)
-                if vecs is not None and _verify_kernel(entries, vecs):
-                    if return_kernel:
-                        return v0, vecs
-                    return len(vecs)
-    raise ArithmeticError("kernel certification failed after %d primes" % len(moduli))
-
-
-def _unit_vec(n, j):
-    v = [Fraction(0)] * n
-    v[j] = Fraction(1)
-    return v
-
-
-def _kernel_mod_p(entries, nrows, ncols, p):
-    """(free columns, kernel basis vectors mod p) via numpy elimination."""
-    import numpy as np
-
-    M = np.zeros((nrows, ncols), dtype=np.int64)
-    for (r, c), v in entries.items():
-        M[r, c] = v % p
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        nz = np.nonzero(M[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            M[[r, i]] = M[[i, r]]
-        inv = pow(int(M[r, c]), -1, p)
-        M[r] = M[r] * inv % p
-        col = M[r + 1:, c].copy()
-        if col.any():
-            M[r + 1:] = (M[r + 1:] - np.outer(col, M[r])) % p
-        pivots.append(c)
-        r += 1
-    # back-substitute to reduced form on the pivot rows
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        col = M[:i, c].copy()
-        if col.any():
-            M[:i] = (M[:i] - np.outer(col, M[i])) % p
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-int(M[i, f])) % p
-        basis.append(v)
-    return free, basis
-
-
-def _reconstruct_kernel(kernels, moduli):
-    free = kernels[0][0]
-    dim = len(kernels[0][1])
-    M = 1
-    for p in moduli:
-        M *= p
-    vecs = []
-    for j in range(dim):
-        vec = []
-        for i in range(len(kernels[0][1][j])):
-            residues = [k[1][j][i] for k in kernels]
-            x = _crt(residues, moduli)
-            r = _rat_reconstruct(x, M)
-            if r is None:
-                return None
-            vec.append(r)
-        vecs.append(vec)
-    return vecs
-
-
-def _crt(residues, moduli):
-    x, m = 0, 1
-    for r, p in zip(residues, moduli):
-        t = (r - x) * pow(m, -1, p) % p
-        x += m * t
-        m *= p
-    return x % m
-
-
-def _rat_reconstruct(a, m):
-    """Rational p/q with |p|, q <= sqrt(m/2) congruent to a mod m."""
-    bound = isqrt(m // 2)
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    if gcd(r1, abs(s1)) != 1 and gcd(abs(s1), m) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
-def _verify_kernel(entries, vecs):
-    """Exact check over Q that each candidate vector is killed by the
-    operator (sparse accumulation of Fractions)."""
-    for v in vecs:
-        sums = {}
-        for (r, c), val in entries.items():
-            if v[c]:
-                sums[r] = sums.get(r, 0) + val * v[c]
-        if any(s for s in sums.values()):
-            return False
-    return True
+        if len(_echelon(rows, p)) == len(v2):
+            return len(v0) - len(v2)
+    raise ArithmeticError(
+        "raising operator at t-degree %d lacks full row rank mod all %d oracle primes"
+        % (d, len(_ORACLE_PRIMES))
+    )
 
 
 def invariant_basis(d):
-    """Exact rational invariants at t-degree d as MultiPoly values (the
-    certified kernel vectors translated back to polynomials)."""
-    v0, vecs = invariant_dimension_oracle(d, return_kernel=True)
-    polys = []
-    for v in vecs:
-        poly = MultiPoly.zero(U_VARS, U_WEIGHTS)
-        for mono, c in zip(v0, v):
-            if c:
-                poly = poly + u_poly_from_exponents(mono, c)
-        polys.append(poly)
-    return polys
+    """Exact rational invariants at t-degree d as MultiPoly values: the
+    kernel of the raising operator, eliminated over Q and read back as
+    polynomials in the u-variables."""
+    v0, _, rows = _raising_matrix(d)
+    return [
+        MultiPoly(U_VARS, {v0[j]: c for j, c in vec.items()}, U_WEIGHTS)
+        for vec in _kernel(_echelon(rows, 0), len(v0))
+    ]

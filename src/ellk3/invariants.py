@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .binforms import BinaryForm
-from .elimination import CONVENTION_TAG, discriminant_binary, resultant
+from .elimination import CONVENTION_TAG, discriminant_binary, poly_divmod, poly_trim, resultant
 from .scalars import InexactDivision, ModP, exact_scalar_div, is_prime
 from .weierstrass import SurfaceParams, assemble
 
@@ -161,20 +161,12 @@ def slice_divisibility(u0, u1, modulus=None):
     if not any(r3vals):
         raise ValueError("r96 vanishes identically on this line")
     xs = list(range(npts))
-    if modulus is not None:
-        K = _interp_mod(xs, kvals, modulus)
-        R3 = _interp_mod(xs[:rpts], r3vals, modulus)
-        q, rem = _poly_divmod_mod(K, R3, modulus)
-        ok = not rem
-    else:
-        K = _interp_q(xs, kvals)
-        R3 = _interp_q(xs[:rpts], r3vals)
-        from .elimination import poly_divmod
-
-        q, rem = poly_divmod(K, R3)
-        ok = not rem
+    p = modulus or 0
+    K = _interp(xs, kvals, p)
+    R3 = _interp(xs[:rpts], r3vals, p)
+    q, rem = poly_divmod(K, R3, p)
     return SliceWitness(
-        success=ok,
+        success=not rem,
         quotient_degree=len(q) - 1 if q else -1,
         k_degree=len(K) - 1 if K else -1,
         r3_degree=len(R3) - 1 if R3 else -1,
@@ -183,67 +175,28 @@ def slice_divisibility(u0, u1, modulus=None):
     )
 
 
-def _interp_mod(xs, ys, p):
-    """Newton interpolation mod p; coefficients low-to-high."""
+def _interp(xs, ys, p):
+    """Newton interpolation through the points (xs, ys) at distinct
+    integers xs, over Q on Fractions (p = 0) or mod p on plain int
+    residues; coefficients low-to-high, trimmed."""
+    coeffs = [y % p for y in ys] if p else [Fraction(y) for y in ys]
     n = len(xs)
-    coeffs = [y % p for y in ys]
     # divided differences
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            inv = pow((xs[i] - xs[i - j]) % p, -1, p)
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * inv % p
-    # expand the Newton form
-    poly = [0]
-    for i in range(n - 1, -1, -1):
-        # poly = poly * (x - xs[i]) + coeffs[i]
-        shifted = [0] + poly
-        poly = [(b - xs[i] * a) % p for a, b in zip(poly + [0], shifted)]
-        poly[0] = (poly[0] + coeffs[i]) % p
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _interp_q(xs, ys):
-    n = len(xs)
-    coeffs = [Fraction(y) for y in ys]
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)]
-    for i in range(n - 1, -1, -1):
-        shifted = [Fraction(0)] + poly
-        poly = [b - xs[i] * a for a, b in zip(poly + [Fraction(0)], shifted)]
-        poly[0] = poly[0] + coeffs[i]
-    while poly and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_divmod_mod(a, b, p):
-    a = [c % p for c in a]
-    b = [c % p for c in b]
-    while b and not b[-1]:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError
-    inv = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b):
-        while r and not r[-1]:
-            r.pop()
-        if len(r) < len(b):
-            break
-        c = r[-1] * inv % p
-        k = len(r) - len(b)
-        q[k] = c
-        for i in range(len(b)):
-            r[k + i] = (r[k + i] - c * b[i]) % p
-        r.pop()
-    while r and not r[-1]:
-        r.pop()
-    return q, r
+            if p:
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
+            else:
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    # expand the Newton form by Horner: poly = poly * (x - xs[i]) + coeffs[i]
+    poly = coeffs[-1:]
+    for i in range(n - 2, -1, -1):
+        poly = [coeffs[i] - xs[i] * poly[0]] + [
+            a - xs[i] * b for a, b in zip(poly, poly[1:])
+        ] + [poly[-1]]
+        if p:
+            poly = [c % p for c in poly]
+    return poly_trim(poly)
 
 
 # -- reproducible verification harness -------------------------------
@@ -297,6 +250,8 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS,
     """Run the bulk identity checks behind the divisibility and invariance
     claims; returns a deterministic report dict.  ``k552_fn`` is injectable
     so the harness's sensitivity can itself be tested."""
+    if modulus is not None and not is_prime(modulus):
+        raise ValueError("modulus must be prime")
     rng = random.Random(seed)
     trials = defaults.pointwise_trials if trials is None else trials
     p = defaults.homogeneity_prime if modulus is None else modulus

@@ -1,8 +1,14 @@
-"""Definitional reference oracle for the resultant engine: the Sylvester
-matrix and a fraction-free (Bareiss) determinant over any integral domain
-with exact division (int, Fraction, ModP, MultiPoly).  Slow by design;
-the tests cross-check ``ellk3.elimination.resultant`` against it.
+"""Definitional reference oracles, slow by design, that the tests
+cross-check the fast paths against:
+
+* for the resultant engine, the Sylvester matrix and a fraction-free
+  (Bareiss) determinant over any integral domain with exact division
+  (int, Fraction, ModP, MultiPoly);
+* for the Hilbert oracle, dense Gaussian elimination over Q on Fractions
+  and the kernel it yields.
 """
+
+from fractions import Fraction
 
 from ellk3.multipoly import MultiPoly
 from ellk3.scalars import InexactDivision, ModP, exact_scalar_div
@@ -88,3 +94,39 @@ def multipoly_exact_divide(f, g):
         q = q + t
         r = r - t * g
     return q
+
+
+def row_reduce(rows):
+    """Reduced row echelon form over Q of a dense matrix (a list of rows):
+    (the nonzero reduced rows, their pivot columns), by exact Gaussian
+    elimination on Fractions with the leftmost pivot."""
+    rows = [[Fraction(a) for a in r] for r in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = [a / rows[rank][col] for a in rows[rank]]
+        rows[rank] = prow
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        pivots.append(col)
+    return rows[:len(pivots)], pivots
+
+
+def dense_kernel(rows, ncols):
+    """Basis of the right kernel over Q of a dense matrix with ncols
+    columns: one vector per free column of ``row_reduce``, set to 1."""
+    reduced, pivots = row_reduce(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in zip(reduced, pivots):
+            v[c] = -r[free]
+        basis.append(v)
+    return basis

@@ -114,7 +114,7 @@ def test_hilbert_csv_output(tmp_path):
 
 
 def test_hilbert_oracle_feasibility_exit_2(capsys):
-    assert run(["hilbert", "--max-degree", "30", "--oracle"]) == 2
+    assert run(["hilbert", "--max-degree", "32", "--oracle"]) == 2
     capsys.readouterr()
 
 

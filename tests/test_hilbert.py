@@ -1,6 +1,4 @@
 import random
-from fractions import Fraction
-from math import isqrt
 
 import pytest
 
@@ -11,7 +9,7 @@ from ellk3.hilbert import (
     U_VARS,
     U_WEIGHTS,
     FeasibilityError,
-    _rat_reconstruct,
+    _raising_matrix,
     character_series,
     invariant_basis,
     invariant_dimension_oracle,
@@ -22,7 +20,7 @@ from ellk3.hilbert import (
     u_variable,
 )
 from ellk3.invariants import random_sl2, random_surface, sl2_act
-from reference import det_bareiss, sylvester_matrix
+from reference import dense_kernel, det_bareiss, row_reduce, sylvester_matrix
 
 # graded dimensions of the invariant ring, low degrees (frozen)
 MOLIEN_LOW = [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 0, 3, 0, 7, 0, 6, 0, 16]
@@ -112,46 +110,59 @@ def test_oracle_matches_molien_small_degrees():
         assert invariant_dimension_oracle(d) == H[d], "degree %d" % d
 
 
+def _dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 def test_oracle_matches_independent_fraction_elimination():
     """Re-run the kernel computation with dense exact Gaussian elimination
-    over Q (no primes, no reconstruction) at small degrees."""
-    from ellk3.hilbert import _raising_matrix
-
+    over Q (no primes, no sparse pivoting) at small degrees."""
     for d in (8, 12, 14, 16):
-        v0, v2, entries = _raising_matrix(d)
-        rows = [[Fraction(0)] * len(v0) for _ in range(len(v2))]
-        for (i, j), c in entries.items():
-            rows[i][j] += c
-        # exact row reduction
-        rank = 0
-        ncols = len(v0)
-        for col in range(ncols):
-            piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            prow = [a / rows[rank][col] for a in rows[rank]]
-            rows[rank] = prow
-            for r in range(len(rows)):
-                if r != rank and rows[r][col]:
-                    f = rows[r][col]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-            rank += 1
-        assert invariant_dimension_oracle(d) == len(v0) - rank
+        v0, _, rows = _raising_matrix(d)
+        assert invariant_dimension_oracle(d) == len(dense_kernel(_dense(rows, len(v0)), len(v0)))
+
+
+def test_oracle_matches_molien_degree_26():
+    assert invariant_dimension_oracle(26) == molien_series(26)[26] == 16
 
 
 def test_oracle_feasibility_guard():
+    assert ORACLE_MAX_DEGREE == 30
     with pytest.raises(FeasibilityError):
         invariant_dimension_oracle(ORACLE_MAX_DEGREE + 2)
 
 
+def test_oracle_refuses_when_no_prime_gives_full_rank(monkeypatch):
+    # mod 3 the raising matrix at t-degree 8 is rank-deficient, so the
+    # rank certificate fails and the oracle must not return a dimension
+    monkeypatch.setattr("ellk3.hilbert._ORACLE_PRIMES", (3,))
+    with pytest.raises(ArithmeticError):
+        invariant_dimension_oracle(8)
+
+
+def test_oracle_skips_a_rank_deficient_prime(monkeypatch):
+    monkeypatch.setattr("ellk3.hilbert._ORACLE_PRIMES", (3, 2147483629))
+    assert invariant_dimension_oracle(8) == 1
+
+
 def test_invariant_basis_killed_by_raising_operator():
-    for d in (8, 12):
+    for d in (8, 12, 16):
         basis = invariant_basis(d)
         assert len(basis) == molien_series(d)[d]
         for b in basis:
             assert raising_operator(b) == 0
             assert b.weighted_degree() == (True, d)
+
+
+def test_invariant_basis_spans_reference_kernel():
+    def rank(vecs):
+        return len(row_reduce(vecs)[1])
+
+    for d in (8, 12, 14, 16):
+        v0, _, rows = _raising_matrix(d)
+        ref = dense_kernel(_dense(rows, len(v0)), len(v0))
+        basis = [[b.terms.get(m, 0) for m in v0] for b in invariant_basis(d)]
+        assert len(basis) == rank(basis) == rank(ref) == rank(basis + ref), "degree %d" % d
 
 
 def test_degree8_invariant_is_sl2_invariant_on_surfaces():
@@ -192,20 +203,3 @@ def test_raising_operator_annihilates_resultant_on_lines():
                 rows = [N[r] if r == k else M[r] for r in range(20)]
                 total += det_bareiss(rows)
             assert total == 0
-
-
-def test_rat_reconstruct_huge_modulus():
-    # the bound sqrt(m/2) is taken exactly, so a modulus past the float
-    # range (about 2^1024) still reconstructs
-    m = 2**1100 + 1
-    assert _rat_reconstruct(3 * pow(7, -1, m) % m, m) == Fraction(3, 7)
-
-
-def test_rat_reconstruct_bound_is_exact():
-    # at m = 2^120 a float square root overshoots isqrt(m // 2) by 56; a
-    # numerator just above the exact bound must not be accepted
-    m = 2**120
-    bound = isqrt(m // 2)
-    assert _rat_reconstruct(bound, m) == bound
-    r = _rat_reconstruct(bound + 1, m)
-    assert r is None or (abs(r.numerator) <= bound and r.denominator <= bound)

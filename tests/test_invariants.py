@@ -185,3 +185,9 @@ def test_verify_bulk_catches_corrupted_invariant():
     rep = verify_bulk(seed=9, defaults=opts, k552_fn=bad_k552)
     assert rep["failures"] != []
     assert all(kind == "pointwise" for kind, _ in rep["failures"])
+
+
+def test_verify_bulk_refuses_composite_modulus():
+    # refused at entry, before any draw reaches the mod-p resultant engine
+    with pytest.raises(ValueError, match="modulus must be prime"):
+        verify_bulk(0, trials=1, modulus=15)
