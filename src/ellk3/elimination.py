@@ -1,4 +1,4 @@
-"""Resultants, discriminants, gcds and exact division.
+"""Resultants, discriminants, exact division, gcds and factorization.
 
 Resultants of binary forms come from one dense subresultant polynomial
 remainder sequence (Collins 1967; Brown & Traub 1971; Cohen, Alg. 3.3.7)
@@ -10,6 +10,10 @@ convention of the displayed r96 matrix: for f of degree m and g of
 degree n, n shifted rows of f's coefficients and then m shifted rows of
 g's.  When w divides a form its dense degree drops, and the place at
 infinity is put back by the homogeneous correction in ``_res_dense``.
+
+Univariate gcds, squarefree decompositions and irreducible splits are
+sympy's, over ZZ on primitive integer polynomials; sympy is imported on
+first use only.
 """
 
 from fractions import Fraction
@@ -29,10 +33,11 @@ CONVENTION_TAG = "sylv=f-rows-then-g-rows;disc=res(df/dx,df/dw)"
 def resultant(f, g):
     """Res(f, g) of binary forms of declared degrees m and n: the Sylvester
     determinant, as an int, a Fraction or a ModP like the coefficients.
-    Zero forms give 0; a degree-0 form c gives c^(degree of the other)."""
-    if f.is_zero() or g.is_zero():
-        return 0
+    A zero form gives the zero of that domain; a degree-0 form c gives
+    c^(degree of the other)."""
     p, rational = _domain(f.coeffs + g.coeffs)
+    if f.is_zero() or g.is_zero():
+        return ModP(0, p) if p else Fraction(0) if rational else 0
     if p:
         a = [c.v if isinstance(c, ModP) else c % p for c in f.coeffs]
         b = [c.v if isinstance(c, ModP) else c % p for c in g.coeffs]
@@ -147,7 +152,8 @@ def _quo(a, b, p):
 
 def _prem(A, B, p):
     """Pseudo-remainder lc(B)^(deg A - deg B + 1) A mod B of high-to-low
-    int lists, reduced mod p when p is nonzero."""
+    int lists, reduced mod p when p is nonzero: one step of the
+    resultant's PRS."""
     lb, tail, nb = B[0], B[1:], len(B)
     e = len(A) - nb + 1
     R = A
@@ -192,29 +198,6 @@ def poly_trim(a):
     return a
 
 
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = out[i] + x
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return poly_trim(out)
-
-
 def poly_divmod(a, b, p=0):
     """Quotient and remainder of low-to-high lists over a field: over Q
     when p = 0 (ints are promoted to Fraction; Fraction or ModP
@@ -250,13 +233,6 @@ def _all_int(a):
     return all(isinstance(c, int) for c in a)
 
 
-def poly_content(a):
-    g = 0
-    for c in a:
-        g = gcd(g, c if isinstance(c, int) else 0)
-    return g or 1
-
-
 def poly_primitive(a):
     """Primitive integer polynomial proportional to a (a over Q or Z),
     with positive leading coefficient."""
@@ -268,85 +244,46 @@ def poly_primitive(a):
         for c in a:
             den = lcm(den, Fraction(c).denominator)
         a = [int(Fraction(c) * den) for c in a]
-    g = poly_content(a)
+    g = gcd(*a)
     a = [c // g for c in a]
     if a[-1] < 0:
         a = [-c for c in a]
     return a
 
 
-def poly_gcd_subresultant(a, b):
-    """gcd of integer univariate polynomials via the subresultant PRS
-    (primitive-part/content splitting keeps coefficients small); the
-    sequence runs on high-to-low lists, sharing the resultant's _prem."""
-    a = poly_primitive(a)
-    b = poly_primitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) < len(b):
-        a, b = b, a
-    A, B = a[::-1], b[::-1]
-    g, h = 1, 1
-    while True:
-        d = len(A) - len(B)
-        R = _prem(A, B, 0)
-        if not R:
-            return poly_primitive(B[::-1])
-        if len(R) == 1:
-            return [1]
-        divisor = g * h ** d
-        A, B = B, [c // divisor for c in R]
-        g = A[0]
-        if d == 1:
-            h = g
-        elif d > 1:
-            h = g ** d // h ** (d - 1)
+# -- gcds, squarefree and irreducible splitting (sympy over ZZ) ------
 
 
-def poly_deriv(a):
-    return poly_trim([i * c for i, c in enumerate(a)][1:])
+def _zz(a):
+    """sympy Poly over ZZ of a low-to-high int list.  sympy is imported
+    here, on first use, so that importing ellk3 does not load it."""
+    import sympy
+
+    return sympy.Poly(a[::-1], sympy.Symbol("x"), domain="ZZ")
 
 
-def _gcd_monic_q(u, v):
-    """Monic gcd over Q; gcd(u, 0) is monic u."""
-    u = poly_trim(list(u))
-    v = poly_trim(list(v))
-    if not v:
-        g = u
-    elif not u:
-        g = v
-    else:
-        g = poly_gcd_subresultant(poly_primitive(u), poly_primitive(v))
-    lc = Fraction(g[-1])
-    return [Fraction(c) / lc for c in g]
+def _ints(poly):
+    """Low-to-high int coefficients of a sympy Poly over ZZ."""
+    return [int(c) for c in reversed(poly.all_coeffs())]
 
 
 def squarefree_decomposition(a):
-    """Yun's algorithm over Q: returns [(primitive integer factor,
-    multiplicity)]; gcds go through the subresultant PRS."""
+    """Squarefree decomposition over Q: [(primitive integer factor,
+    multiplicity)] with pairwise coprime squarefree factors, each
+    low-to-high with positive leading coefficient."""
     a = poly_primitive(a)
     if len(a) <= 1:
         return []
-    aq = [Fraction(c) for c in a]
-    ap = poly_deriv(aq)
-    g = _gcd_monic_q(aq, ap)
-    if len(g) == 1:
-        return [(a, 1)]
-    w, _ = poly_divmod(aq, g)
-    y, _ = poly_divmod(ap, g)
-    out = []
-    i = 1
-    while len(w) > 1:
-        z = poly_add(y, [-c for c in poly_deriv(w)])
-        fac = _gcd_monic_q(w, z)
-        if len(fac) > 1:
-            out.append((poly_primitive(fac), i))
-        w, _ = poly_divmod(w, fac)
-        y, _ = poly_divmod(z, fac)
-        i += 1
-    return out
+    _, parts = _zz(a).sqf_list()
+    return [(_ints(part), mult) for part, mult in parts]
+
+
+def _irreducible_split(prim):
+    """Split a squarefree primitive integer polynomial into its
+    irreducible primitive integer factors."""
+    _, parts = _zz(prim).factor_list()
+    assert all(mult == 1 for _, mult in parts), "input was squarefree"
+    return [_ints(fac) for fac, _ in parts]
 
 
 # -- gcd and factor bookkeeping for binary forms ---------------------
@@ -361,7 +298,7 @@ def binary_gcd(f, g):
         return f
     pf, wf = f.dehomogenize()
     pg, wg = g.dehomogenize()
-    d = poly_gcd_subresultant(poly_primitive(pf), poly_primitive(pg))
+    d = _ints(_zz(poly_primitive(pf)).gcd(_zz(poly_primitive(pg))))
     wcom = min(wf, wg)
     return BinaryForm.homogenize(d, len(d) - 1 + wcom, wcom)
 
@@ -373,9 +310,8 @@ def gcd_and_squarefree(f):
 
     with p_i monic irreducible in the dehomogenized variable.  Returns
     (unit, [(BinaryForm factor, multiplicity)]); the place at infinity
-    [1:0] appears as the factor w like any other.  Squarefree structure
-    comes from Yun's algorithm; each squarefree part is split into
-    irreducibles over Q.
+    [1:0] appears as the factor w like any other.  The squarefree parts
+    of f(x, 1) are each split into irreducibles over Q.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero form")
@@ -383,36 +319,18 @@ def gcd_and_squarefree(f):
     factors = []
     if winf:
         factors.append((BinaryForm.homogenize([1], 1, 1), winf))
-    prim = poly_primitive(dense)
-    if len(prim) > 1:
-        for part, mult in squarefree_decomposition(prim):
-            for irr in _irreducible_split(part):
-                k = len(irr) - 1
-                lc = Fraction(irr[-1])
-                monic = [Fraction(c) / lc for c in irr]
-                factors.append((BinaryForm.homogenize(monic, k), mult))
+    for part, mult in squarefree_decomposition(dense):
+        for irr in _irreducible_split(part):
+            k = len(irr) - 1
+            lc = Fraction(irr[-1])
+            monic = [Fraction(c) / lc for c in irr]
+            factors.append((BinaryForm.homogenize(monic, k), mult))
     # monic factors absorb everything but the leading coefficient of f(x, 1)
     unit = Fraction(dense[-1])
     total = sum(form.n * mult for form, mult in factors)
     if total != f.n:
         raise AssertionError("factor degrees sum to %d, expected %d" % (total, f.n))
     return unit, factors
-
-
-def _irreducible_split(prim):
-    """Split a squarefree primitive integer polynomial into irreducible
-    integer factors over Q (delegated to sympy's univariate factoriser)."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(list(reversed(prim)), x, domain="QQ")
-    _, parts = poly.factor_list()
-    out = []
-    for fac, mult in parts:
-        assert mult == 1, "input was squarefree"
-        coeffs = [Fraction(c.p, c.q) for c in reversed(fac.all_coeffs())]
-        out.append(poly_primitive(coeffs))
-    return out
 
 
 def factor_multiplicity(f, factor):

@@ -148,10 +148,6 @@ def u_variable(name):
     return MultiPoly.variable(name, U_VARS, U_WEIGHTS)
 
 
-def u_poly_from_exponents(exp, coeff=1):
-    return MultiPoly(U_VARS, {tuple(exp): coeff}, U_WEIGHTS)
-
-
 # -- monomial bases and the kernel oracle ----------------------------
 
 

@@ -245,8 +245,7 @@ def _matmul(a, b):
     )
 
 
-def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS,
-                k552_fn=k552, progress=None):
+def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552):
     """Run the bulk identity checks behind the divisibility and invariance
     claims; returns a deterministic report dict.  ``k552_fn`` is injectable
     so the harness's sensitivity can itself be tested."""
@@ -270,8 +269,6 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS,
             exact_scalar_div(kv, rv ** 3)
         except InexactDivision:
             failures.append(("pointwise", u.to_json_dict()))
-        if progress:
-            progress("pointwise", done)
 
     # (b) weighted homogeneity mod p
     for _ in range(defaults.homogeneity_trials):

@@ -204,11 +204,6 @@ class MultiPoly:
             return True, degs.pop()
         return False, None
 
-    def total_degree(self):
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def reduce_mod(self, p):
         out = MultiPoly(self.vars, None, self.weights)
         terms = {}

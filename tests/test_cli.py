@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -148,3 +151,17 @@ def test_qseries_nonpositive_terms_exit_2(terms, capsys):
     assert run(["qseries", "--terms", terms]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_cli_import_and_oracle_load_neither_sympy_nor_numpy():
+    # sympy is imported lazily by the factorization; numpy is not a dependency
+    import ellk3
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ellk3.__file__)))
+    code = (
+        "import sys, ellk3.cli, ellk3; ellk3.invariant_dimension_oracle(8); "
+        "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

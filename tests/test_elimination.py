@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ellk3.binforms import BinaryForm
@@ -13,11 +13,14 @@ from ellk3.elimination import (
     exact_divide,
     factor_multiplicity,
     gcd_and_squarefree,
+    poly_primitive,
     resultant,
     squarefree_decomposition,
 )
+from ellk3.invariants import r96
 from ellk3.multipoly import MultiPoly
 from ellk3.scalars import InexactDivision, ModP
+from ellk3.weierstrass import SurfaceParams
 from reference import det_bareiss, sylvester_matrix, sylvester_resultant
 
 
@@ -156,9 +159,8 @@ def test_exact_divide_and_inexact_error():
     # univariate dense lists, low-to-high
     f = [2, -1, 3]
     g = [1, 4]
-    from ellk3.elimination import poly_mul
-
-    assert exact_divide(poly_mul(f, g), g) == f
+    # f * g = 2 + 7x - x^2 + 12x^3
+    assert exact_divide([2, 7, -1, 12], g) == f
     with pytest.raises(InexactDivision):
         exact_divide([1, 1], [0, 1])
     with pytest.raises(InexactDivision):
@@ -307,3 +309,79 @@ def test_discriminant_cubic_scalar_property(p, q):
     f = BinaryForm(3, [1, 0, p, q])
     assert discriminant_binary(f) == 3 * (4 * p**3 + 27 * q**2) == sylvester_resultant(*f.partials())
     assert discriminant_binary(f.reduce_mod(P62)) == 3 * (4 * p**3 + 27 * q**2)
+
+
+def test_zero_resultant_is_the_zero_of_the_coefficient_domain():
+    # g2 = 7 * (...) vanishes mod 7, so r96 is the zero of F_7, not int 0
+    u = SurfaceParams.make([7] * 9, range(1, 14)).reduce_mod(7)
+    rv = r96(u).value
+    assert isinstance(rv, ModP) and rv == ModP(0, 7)
+    zero2 = BinaryForm.zero(2)
+    assert resultant(zero2, BinaryForm(1, [ModP(1, 7), ModP(3, 7)])) == ModP(0, 7)
+    assert type(resultant(zero2, BinaryForm(1, [Fraction(1, 2), 1]))) is Fraction
+    assert type(resultant(zero2, BinaryForm(1, [1, 2]))) is int
+
+
+# -- the factorization against the PRS engine --------------------------
+
+
+@st.composite
+def factored_forms(draw):
+    """(f, unit, w-power, [(monic dense factor, multiplicity)]) with
+    f = c * w^e0 * prod L_i^e_i * (x^2 + k w^2)^e, the L_i distinct monic
+    linear forms x - r w, k > 0, and degree f <= 12."""
+    c = draw(st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool))
+    e0 = draw(st.integers(0, 3))
+    roots = draw(st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4),
+                          max_size=4, unique=True))
+    mults = [draw(st.integers(1, 3)) for _ in roots]
+    k = draw(st.integers(1, 9))
+    e = draw(st.integers(0, 2))
+    factors = [([-r, 1], m) for r, m in zip(roots, mults)]
+    if e:
+        factors.append(([k, 0, 1], e))
+    total = e0 + sum((len(d) - 1) * m for d, m in factors)
+    assume(total <= 12)
+    f = BinaryForm(0, [c]) * BinaryForm.monomial(e0, e0)
+    for dense, m in factors:
+        f = f * BinaryForm.homogenize(dense, len(dense) - 1) ** m
+    return f, c, e0, factors
+
+
+@given(factored_forms())
+def test_factorization_rebuilds_constructed_form(case):
+    f, c, e0, built = case
+    unit, factors = gcd_and_squarefree(f)
+    rebuilt = BinaryForm(0, [unit])
+    for fac, mult in factors:
+        rebuilt = rebuilt * fac**mult
+    assert rebuilt == f
+    want = sorted([(1, e0)] * bool(e0) + [(len(d) - 1, m) for d, m in built])
+    assert sorted((fac.n, m) for fac, m in factors) == want
+    assert unit == c
+    # distinct places are coprime, and no place has a repeated root
+    for i, (a, _) in enumerate(factors):
+        for b, _ in factors[i + 1:]:
+            assert resultant(a, b) != 0
+        if a.n >= 2:
+            assert discriminant_binary(a) != 0
+    assert (BinaryForm.monomial(1, 1) in [fac for fac, _ in factors]) == bool(e0)
+
+
+@given(factored_forms())
+def test_squarefree_parts_are_coprime_squarefree_and_multiply_back(case):
+    f, _, _, _ = case
+    dense, _ = f.dehomogenize()
+    parts = squarefree_decomposition(dense)
+    sq_forms = [(BinaryForm.homogenize(a, len(a) - 1), m) for a, m in parts]
+    product = BinaryForm(0, [1])
+    for form, m in sq_forms:
+        assert form.n >= 1
+        if form.n >= 2:
+            assert discriminant_binary(form) != 0
+        product = product * form**m
+    for i, (a, _) in enumerate(sq_forms):
+        for b, _ in sq_forms[i + 1:]:
+            assert resultant(a, b) != 0
+    assert len({m for _, m in parts}) == len(parts)
+    assert product == BinaryForm.homogenize(poly_primitive(dense), len(dense) - 1)
