@@ -58,14 +58,9 @@ class BinaryForm:
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            out = [0] * (self.n + other.n + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-            return BinaryForm(self.n + other.n, out)
+            # slots no product reaches get the domain's zero, e.g. ModP(0, p)
+            zero = next((c - c for c in self.coeffs + other.coeffs if not isinstance(c, int)), 0)
+            return BinaryForm(self.n + other.n, _convolve(self.coeffs, other.coeffs, zero))
         return BinaryForm(self.n, [c * other for c in self.coeffs])
 
     def __rmul__(self, other):
@@ -197,8 +192,8 @@ def _lin_mul(coeffs, a, b):
     return out
 
 
-def _convolve(u, v):
-    out = [0] * (len(u) + len(v) - 1)
+def _convolve(u, v, zero=0):
+    out = [zero] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
         if not a:
             continue

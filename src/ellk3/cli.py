@@ -12,9 +12,9 @@ import sys
 from fractions import Fraction
 
 from .hilbert import ORACLE_MAX_DEGREE, character_series, invariant_dimension_oracle
-from .invariants import DEFAULTS, delta264, k552, r96, verify_bulk
+from .invariants import DEFAULTS, check_modulus, delta264, k552, r96, verify_bulk
 from .qseries import borcherds_input
-from .scalars import is_prime, scalar_to_str
+from .scalars import scalar_to_str
 from .weierstrass import SurfaceParams, fiber_profile
 
 
@@ -53,8 +53,10 @@ def cmd_classify(args):
 def cmd_verify(args):
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if args.modulus is not None and not is_prime(args.modulus):
-        raise UsageError("--modulus must be prime")
+    try:
+        check_modulus(args.modulus)
+    except ValueError as e:
+        raise UsageError("--%s" % e)
     report = verify_bulk(args.seed, trials=args.trials, modulus=args.modulus)
     _emit(report, args.output)
     return 0 if not report["failures"] else 1

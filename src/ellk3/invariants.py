@@ -139,12 +139,19 @@ def _eval_on_line(u0, u1, s, p=None):
     return u
 
 
+def check_modulus(modulus):
+    """ValueError unless modulus is None or a prime above K552_U_DEGREE, so
+    that the slice points s = 0, ..., K552_U_DEGREE stay distinct mod p."""
+    if modulus is not None and (modulus <= K552_U_DEGREE or not is_prime(modulus)):
+        raise ValueError("modulus must be prime and exceed %d" % K552_U_DEGREE)
+
+
 def slice_divisibility(u0, u1, modulus=None):
     """Polynomial-level divisibility witness on the line u(s) = u0 + s u1:
-    interpolates K(s) = k552(u(s)) and R3(s) = r96(u(s))^3 from evaluations
-    and divides exactly (mod a prime when given, else over Q)."""
-    if modulus is not None and not is_prime(modulus):
-        raise ValueError("modulus must be prime")
+    interpolates K(s) = k552(u(s)) and R3(s) = r96(u(s))^3 at s = 0, 1, ...
+    by forward differences and divides exactly, over Q or mod a prime
+    modulus above K552_U_DEGREE (a smaller one raises ValueError)."""
+    check_modulus(modulus)
     npts = K552_U_DEGREE + 1
     # R3 has u-degree 3 * R96_U_DEGREE, so r96 is needed only at the points
     # R3 is interpolated from; vanishing there means vanishing on the line
@@ -153,17 +160,15 @@ def slice_divisibility(u0, u1, modulus=None):
     for s in range(npts):
         u = _eval_on_line(u0, u1, s, modulus)
         if s < rpts:
-            rv = r96(u).value
-            rv = rv.v if isinstance(rv, ModP) else rv
-            r3vals.append(rv ** 3 if modulus is None else pow(rv, 3, modulus))
-        kv = k552(u).value
-        kvals.append(kv.v if isinstance(kv, ModP) else kv)
+            r3vals.append(r96(u).value ** 3)
+        kvals.append(k552(u).value)
     if not any(r3vals):
         raise ValueError("r96 vanishes identically on this line")
-    xs = list(range(npts))
+    if modulus:
+        kvals, r3vals = [v.v for v in kvals], [v.v for v in r3vals]
     p = modulus or 0
-    K = _interp(xs, kvals, p)
-    R3 = _interp(xs[:rpts], r3vals, p)
+    K = _interp(kvals, p)
+    R3 = _interp(r3vals, p)
     q, rem = poly_divmod(K, R3, p)
     return SliceWitness(
         success=not rem,
@@ -175,28 +180,25 @@ def slice_divisibility(u0, u1, modulus=None):
     )
 
 
-def _interp(xs, ys, p):
-    """Newton interpolation through the points (xs, ys) at distinct
-    integers xs, over Q on Fractions (p = 0) or mod p on plain int
-    residues; coefficients low-to-high, trimmed."""
-    coeffs = [y % p for y in ys] if p else [Fraction(y) for y in ys]
-    n = len(xs)
-    # divided differences
+def _interp(ys, p):
+    """Interpolant of the values ys at s = 0, ..., n - 1, low-to-high and
+    trimmed: over Q on ints or Fractions (p = 0, Fraction coefficients) or
+    mod a prime p >= n on int residues.  The forward differences d_j give
+    (n-1)! times it as sum_j d_j ((n-1)!/j!) s(s-1)...(s-j+1), expanded
+    exactly; (n-1)! is divided out once at the end."""
+    d, n = list(ys), len(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            if p:
-                coeffs[i] = (coeffs[i] - coeffs[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
-            else:
-                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    # expand the Newton form by Horner: poly = poly * (x - xs[i]) + coeffs[i]
-    poly = coeffs[-1:]
-    for i in range(n - 2, -1, -1):
-        poly = [coeffs[i] - xs[i] * poly[0]] + [
-            a - xs[i] * b for a, b in zip(poly, poly[1:])
-        ] + [poly[-1]]
+            d[i] = (d[i] - d[i - 1]) % p if p else d[i] - d[i - 1]
+    # Horner on the falling factorials: poly = poly * (s - j) + d_j (n-1)!/j!
+    poly, scale = d[-1:], 1
+    for j in range(n - 2, -1, -1):
+        scale *= j + 1
+        poly = [d[j] * scale - j * poly[0]] + [a - j * b for a, b in zip(poly, poly[1:])] + poly[-1:]
         if p:
             poly = [c % p for c in poly]
-    return poly_trim(poly)
+    inv = pow(scale, -1, p) if p else None
+    return poly_trim([c * inv % p if p else Fraction(c, scale) for c in poly])
 
 
 # -- reproducible verification harness -------------------------------
@@ -249,11 +251,10 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552
     """Run the bulk identity checks behind the divisibility and invariance
     claims; returns a deterministic report dict.  ``k552_fn`` is injectable
     so the harness's sensitivity can itself be tested."""
-    if modulus is not None and not is_prime(modulus):
-        raise ValueError("modulus must be prime")
+    p = defaults.homogeneity_prime if modulus is None else modulus
+    check_modulus(p)
     rng = random.Random(seed)
     trials = defaults.pointwise_trials if trials is None else trials
-    p = defaults.homogeneity_prime if modulus is None else modulus
     failures = []
 
     # (a) pointwise integer factorization k552 = r96^3 * delta264

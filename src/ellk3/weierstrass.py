@@ -6,8 +6,8 @@ fibers from vanishing orders, and the at-worst-RDP membership flag.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .binforms import BinaryForm
-from .elimination import factor_multiplicity, gcd_and_squarefree
+from .binforms import BinaryForm, _convolve
+from .elimination import _domain, factor_multiplicity, gcd_and_squarefree
 from .scalars import ModP, reduce_scalar_mod, scalar_from_str, scalar_to_str
 
 # order of vanishing of the zero form at any place
@@ -54,11 +54,18 @@ class SurfaceParams:
 
 def assemble(u):
     """(g2, g3, h) with h = 4 g2^3 + 27 g3^2, the discriminant of the
-    Weierstrass cubic; h has degree 24 in (x, w) and may be the zero form."""
+    Weierstrass cubic; h has degree 24 in (x, w) and may be the zero form.
+    Residues are convolved as plain ints and h's coefficients wrapped once."""
     g2 = BinaryForm(8, list(u.g2_coeffs))
     g3 = BinaryForm(12, list(u.g3_coeffs))
-    h = 4 * (g2 ** 3) + 27 * (g3 ** 2)
-    return g2, g3, h
+    p = next((c.p for c in g2.coeffs + g3.coeffs if isinstance(c, ModP)), None)
+    if p:
+        _domain(g2.coeffs + g3.coeffs)  # one modulus and no Fractions, or DomainError
+    a, b = ([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3))
+    h = [4 * s + 27 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]
+    if p:
+        h = [ModP(c, p) for c in h]
+    return g2, g3, BinaryForm(24, h)
 
 
 def kodaira_type(m2, m3, d):

@@ -5,11 +5,14 @@ cross-check the fast paths against:
   (Bareiss) determinant over any integral domain with exact division
   (int, Fraction, ModP, MultiPoly);
 * for the Hilbert oracle, dense Gaussian elimination over Q on Fractions
-  and the kernel it yields.
+  and the kernel it yields;
+* for slice interpolation, Newton divided differences at arbitrary
+  distinct integer points, over Q on Fractions or mod p.
 """
 
 from fractions import Fraction
 
+from ellk3.elimination import poly_trim
 from ellk3.multipoly import MultiPoly
 from ellk3.scalars import InexactDivision, ModP, exact_scalar_div
 
@@ -130,3 +133,27 @@ def dense_kernel(rows, ncols):
             v[c] = -r[free]
         basis.append(v)
     return basis
+
+
+def newton_interp(xs, ys, p):
+    """Newton interpolation through the points (xs, ys) at distinct
+    integers xs, over Q on Fractions (p = 0) or mod p on plain int
+    residues; coefficients low-to-high, trimmed."""
+    coeffs = [y % p for y in ys] if p else [Fraction(y) for y in ys]
+    n = len(xs)
+    # divided differences
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            if p:
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) * pow(xs[i] - xs[i - j], -1, p) % p
+            else:
+                coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    # expand the Newton form by Horner: poly = poly * (x - xs[i]) + coeffs[i]
+    poly = coeffs[-1:]
+    for i in range(n - 2, -1, -1):
+        poly = [coeffs[i] - xs[i] * poly[0]] + [
+            a - xs[i] * b for a, b in zip(poly, poly[1:])
+        ] + [poly[-1]]
+        if p:
+            poly = [c % p for c in poly]
+    return poly_trim(poly)

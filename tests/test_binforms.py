@@ -5,6 +5,8 @@ from math import comb
 import pytest
 
 from ellk3.binforms import BinaryForm
+from ellk3.elimination import resultant
+from ellk3.scalars import ModP
 
 
 def rand_form(rng, n, bound=9):
@@ -120,3 +122,15 @@ def test_reduce_mod():
     f = BinaryForm(2, [103, -1, 7])
     g = f.reduce_mod(101)
     assert [c.v for c in g.coeffs] == [2, 100, 7]
+
+
+def test_product_of_residue_forms_has_only_residues():
+    # w * x reaches only the middle slot; the end slots are the zero mod 7
+    w = BinaryForm(1, [ModP(0, 7), ModP(1, 7)])
+    x = BinaryForm(1, [ModP(1, 7), ModP(0, 7)])
+    zero = BinaryForm(1, [ModP(0, 7), ModP(0, 7)])
+    for prod in (w * x, zero * x, x ** 3 * w):
+        assert all(isinstance(c, ModP) and c.p == 7 for c in prod.coeffs)
+    assert w * x == BinaryForm(2, [0, 1, 0])
+    for res in (resultant(w * x, w), resultant(zero * x, zero * w)):
+        assert isinstance(res, ModP) and res == ModP(0, 7)

@@ -101,6 +101,19 @@ def test_verify_rejects_bad_options(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("modulus", ["2", "3", "137"])
+def test_verify_refuses_modulus_at_most_138(modulus, capsys):
+    assert run(["verify", "--trials", "1", "--modulus", modulus]) == 2
+    assert "error: --modulus must be prime and exceed 138" in capsys.readouterr().err
+
+
+def test_verify_accepts_modulus_139(tmp_path):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--trials", "1", "--modulus", "139", "--output", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["modulus"] == 139 and rep["failures"] == []
+
+
 def test_hilbert_json_and_oracle(tmp_path, capsys):
     assert run(["hilbert", "--max-degree", "12", "--oracle"]) == 0
     rows = json.loads(capsys.readouterr().out)

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellk3.invariants import (
     DEFAULTS,
+    K552_U_DEGREE,
     InvariantValue,
     SliceWitness,
     VerifyDefaults,
@@ -18,9 +21,12 @@ from ellk3.invariants import (
     sl2_act,
     slice_divisibility,
     verify_bulk,
+    _interp,
 )
-from ellk3.elimination import CONVENTION_TAG
+from ellk3.elimination import CONVENTION_TAG, poly_trim
+from ellk3.scalars import reduce_scalar_mod
 from ellk3.weierstrass import SurfaceParams
+from reference import newton_interp
 
 # smallest interesting surface: g2 = x^8 + w^8, g3 = x^12 + w^12
 BASE = SurfaceParams.make([1] + [0] * 7 + [1], [1] + [0] * 11 + [1])
@@ -191,3 +197,44 @@ def test_verify_bulk_refuses_composite_modulus():
     # refused at entry, before any draw reaches the mod-p resultant engine
     with pytest.raises(ValueError, match="modulus must be prime"):
         verify_bulk(0, trials=1, modulus=15)
+
+
+@pytest.mark.parametrize("modulus", [2, 3, 137])
+def test_modulus_at_most_k552_degree_refused(modulus):
+    # the slice points s = 0..138 are not distinct mod any prime below 139
+    rng = random.Random(8)
+    u0, u1 = random_surface(rng), random_surface(rng)
+    with pytest.raises(ValueError, match="exceed %d" % K552_U_DEGREE):
+        slice_divisibility(u0, u1, modulus=modulus)
+    with pytest.raises(ValueError, match="exceed %d" % K552_U_DEGREE):
+        verify_bulk(0, trials=1, modulus=modulus)
+
+
+def test_modulus_139_certifies_the_reduced_rational_quotient():
+    rng = random.Random(8)
+    u0, u1 = random_surface(rng), random_surface(rng)
+    wit = slice_divisibility(u0, u1, modulus=139)
+    wq = slice_divisibility(u0, u1)
+    assert wit.success and wq.success
+    assert wit.quotient == poly_trim([reduce_scalar_mod(c, 139).v for c in wq.quotient])
+    opts = VerifyDefaults(pointwise_trials=2, homogeneity_trials=3, sl2_trials=3)
+    assert verify_bulk(0, modulus=139, defaults=opts)["failures"] == []
+
+
+INTERP_VALUES = {
+    "Z": (0, st.integers(-10**40, 10**40)),
+    "Q": (0, st.fractions(-10**6, 10**6, max_denominator=100)),
+    "P62": (DEFAULTS.homogeneity_prime, st.integers(0, DEFAULTS.homogeneity_prime - 1)),
+    "139": (139, st.integers(-10**6, 10**6)),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(INTERP_VALUES))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_interp_matches_divided_differences(domain, data):
+    p, values = INTERP_VALUES[domain]
+    n = data.draw(st.sampled_from([1, 2, K552_U_DEGREE + 1]) | st.integers(1, K552_U_DEGREE + 1))
+    ys = data.draw(st.lists(values, min_size=n, max_size=n))
+    # bit-identical: same values and same types (Fractions over Q, ints mod p)
+    assert repr(_interp(ys, p)) == repr(newton_interp(list(range(n)), ys, p))

@@ -1,9 +1,14 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellk3.binforms import BinaryForm
+from ellk3.invariants import DEFAULTS, k552
+from ellk3.scalars import DomainError, ModP, reduce_scalar_mod
 from ellk3.weierstrass import (
     INFINITE_ORDER,
     FiberReport,
@@ -120,6 +125,32 @@ def test_assemble_degrees_and_discriminant():
     g2, g3, h = assemble(u)
     assert (g2.n, g3.n, h.n) == (8, 12, 24)
     assert h == 4 * g2**3 + 27 * g3**2
+
+
+small_or_zero = st.one_of(st.just(0), st.integers(-9, 9))
+int_coeffs = st.one_of(small_or_zero, st.integers(-10**6, 10**6))
+rational_coeffs = st.one_of(small_or_zero, st.fractions(-9, 9, max_denominator=7))
+
+
+@settings(max_examples=60)
+@given(st.sampled_from([139, 10007, DEFAULTS.homogeneity_prime]),
+       st.one_of(st.lists(int_coeffs, min_size=22, max_size=22),
+                 st.lists(rational_coeffs, min_size=22, max_size=22)))
+def test_residue_assembly_is_the_reduction(p, coeffs):
+    u = SurfaceParams.make(coeffs[:9], coeffs[9:])
+    up = u.reduce_mod(p)
+    hp, h = assemble(up)[2], assemble(u)[2]
+    assert all(isinstance(c, ModP) and c.p == p for c in hp.coeffs)
+    assert hp == h.reduce_mod(p)
+    if not hp.is_zero():
+        assert k552(up).value == reduce_scalar_mod(k552(u).value, p)
+
+
+def test_residue_assembly_refuses_mixed_domains():
+    with pytest.raises(DomainError):
+        assemble(SurfaceParams.make([ModP(1, 7)] * 9, [ModP(1, 11)] * 13))
+    with pytest.raises(DomainError):
+        assemble(SurfaceParams.make([ModP(1, 7)] * 9, [Fraction(1, 2)] * 13))
 
 
 def test_generic_surface_profile():
