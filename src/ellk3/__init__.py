@@ -8,9 +8,7 @@ weight-132 Borcherds product.
 from .binforms import BinaryForm
 from .elimination import (
     CONVENTION_TAG,
-    binary_gcd,
     discriminant_binary,
-    exact_divide,
     gcd_and_squarefree,
     resultant,
 )
@@ -34,7 +32,7 @@ from .invariants import (
     slice_divisibility,
     verify_bulk,
 )
-from .multipoly import MultiPoly, parse_poly
+from .multipoly import MultiPoly
 from .qseries import QSeries, borcherds_input, eisenstein
 from .scalars import DomainError, InexactDivision, ModP
 from .weierstrass import (

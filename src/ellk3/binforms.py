@@ -1,11 +1,11 @@
 """Homogeneous bivariate forms of declared degree in (x, w).
 
-Coefficient entry i is the coefficient of x^(n-i) w^i; entries may be
-exact scalars or MultiPoly values (e.g. the generic octic with symbolic
-u-coefficients).  The zero form keeps its declared degree.
+Coefficient entry i is the coefficient of x^(n-i) w^i.  Entries are exact
+scalars, or any ring elements with +, * and truthiness (the raising
+table substitutes into generic forms with MultiPoly entries).  The zero
+form keeps its declared degree.
 """
 
-from .multipoly import MultiPoly
 from .scalars import reduce_scalar_mod, scalar_to_str
 
 
@@ -47,14 +47,6 @@ class BinaryForm:
         if self.n != other.n:
             raise ValueError("cannot add forms of degrees %d and %d" % (self.n, other.n))
         return BinaryForm(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if self.n != other.n:
-            raise ValueError("cannot subtract forms of degrees %d and %d" % (self.n, other.n))
-        return BinaryForm(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return BinaryForm(self.n, [-a for a in self.coeffs])
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
@@ -147,7 +139,7 @@ class BinaryForm:
         return cls(n, out)
 
     def reduce_mod(self, p):
-        return BinaryForm(self.n, [reduce_scalar_mod(c, p) if not isinstance(c, MultiPoly) else c.reduce_mod(p) for c in self.coeffs])
+        return BinaryForm(self.n, [reduce_scalar_mod(c, p) for c in self.coeffs])
 
     def __str__(self):
         return self.to_str()
@@ -162,11 +154,7 @@ class BinaryForm:
         for i, c in enumerate(self.coeffs):
             if not c:
                 continue
-            factors = []
-            if isinstance(c, MultiPoly):
-                factors.append("(%s)" % c.to_str())
-            else:
-                factors.append(scalar_to_str(c))
+            factors = [scalar_to_str(c)]
             if self.n - i == 1:
                 factors.append(xname)
             elif self.n - i > 1:

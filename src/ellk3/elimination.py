@@ -1,4 +1,4 @@
-"""Resultants, discriminants, exact division, gcds and factorization.
+"""Resultants, discriminants, univariate division, gcds and factorization.
 
 Resultants of binary forms come from one dense subresultant polynomial
 remainder sequence (Collins 1967; Brown & Traub 1971; Cohen, Alg. 3.3.7)
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .binforms import BinaryForm
-from .scalars import DomainError, InexactDivision, ModP, exact_scalar_div
+from .scalars import DomainError, ModP
 
 # sign/normalization conventions, fixed once and reported with Delta_264
 # values so cross-implementation comparisons can reconcile scale
@@ -175,20 +175,6 @@ def _prem(A, B, p):
     return R
 
 
-# -- exact division --------------------------------------------------
-
-
-def exact_divide(f, g):
-    """Exact division for scalars or univariate coefficient lists
-    (low-to-high)."""
-    if isinstance(f, list) or isinstance(g, list):
-        q, r = poly_divmod(f, g)
-        if any(c for c in r):
-            raise InexactDivision("univariate division leaves a nonzero remainder")
-        return q
-    return exact_scalar_div(f, g)
-
-
 # -- univariate helpers (dense low-to-high lists) --------------------
 
 
@@ -287,20 +273,6 @@ def _irreducible_split(prim):
 
 
 # -- gcd and factor bookkeeping for binary forms ---------------------
-
-
-def binary_gcd(f, g):
-    """Monic-primitive gcd over Q of two binary forms, including any common
-    power of w (the infinity place)."""
-    if f.is_zero():
-        return g
-    if g.is_zero():
-        return f
-    pf, wf = f.dehomogenize()
-    pg, wg = g.dehomogenize()
-    d = _ints(_zz(poly_primitive(pf)).gcd(_zz(poly_primitive(pg))))
-    wcom = min(wf, wg)
-    return BinaryForm.homogenize(d, len(d) - 1 + wcom, wcom)
 
 
 def gcd_and_squarefree(f):

@@ -96,12 +96,11 @@ def _raising_table():
     by hand)."""
     table = {}
     vars_eps = U_VARS + ("eps",)
-    weights_eps = U_WEIGHTS + (0,)
-    eps = MultiPoly.variable("eps", vars_eps, weights_eps)
-    one = MultiPoly.constant(1, vars_eps, weights_eps)
-    zero = MultiPoly.zero(vars_eps, weights_eps)
+    eps = MultiPoly.variable("eps", vars_eps)
+    one = MultiPoly.constant(1, vars_eps)
+    zero = MultiPoly.zero(vars_eps)
     for n, names in ((8, U8_VARS), (12, U12_VARS)):
-        generic = BinaryForm(n, [MultiPoly.variable(v, vars_eps, weights_eps) for v in names])
+        generic = BinaryForm(n, [MultiPoly.variable(v, vars_eps) for v in names])
         moved = generic.substitute([[one, zero], [eps, one]])
         for i, name in enumerate(names):
             linear = moved.coeffs[i].deriv("eps").substitute_var("eps", 0)
@@ -129,7 +128,7 @@ def raising_operator(p):
     """Apply the raising derivation to a polynomial in the 22 u-variables;
     raises torus weight by 2 and annihilates every invariant."""
     table = raising_table()
-    out = MultiPoly.zero(p.vars, p.weights)
+    out = MultiPoly.zero(p.vars)
     for name in p.vars:
         if name not in table:
             raise ValueError("unknown variable %r for the raising operator" % name)
@@ -140,12 +139,8 @@ def raising_operator(p):
         if not d:
             continue
         for target, c in img:
-            out = out + d * (c * MultiPoly.variable(target, p.vars, p.weights))
+            out = out + d * (c * MultiPoly.variable(target, p.vars))
     return out
-
-
-def u_variable(name):
-    return MultiPoly.variable(name, U_VARS, U_WEIGHTS)
 
 
 # -- monomial bases and the kernel oracle ----------------------------
@@ -299,6 +294,6 @@ def invariant_basis(d):
     polynomials in the u-variables."""
     v0, _, rows = _raising_matrix(d)
     return [
-        MultiPoly(U_VARS, {v0[j]: c for j, c in vec.items()}, U_WEIGHTS)
+        MultiPoly(U_VARS, {v0[j]: c for j, c in vec.items()})
         for vec in _kernel(_echelon(rows, 0), len(v0))
     ]

@@ -11,6 +11,7 @@ one-parameter slices.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .binforms import BinaryForm
 from .elimination import CONVENTION_TAG, discriminant_binary, poly_divmod, poly_trim, resultant
@@ -183,10 +184,13 @@ def slice_divisibility(u0, u1, modulus=None):
 def _interp(ys, p):
     """Interpolant of the values ys at s = 0, ..., n - 1, low-to-high and
     trimmed: over Q on ints or Fractions (p = 0, Fraction coefficients) or
-    mod a prime p >= n on int residues.  The forward differences d_j give
-    (n-1)! times it as sum_j d_j ((n-1)!/j!) s(s-1)...(s-j+1), expanded
-    exactly; (n-1)! is divided out once at the end."""
-    d, n = list(ys), len(ys)
+    mod a prime p >= n on int residues.  Over Q the values' common
+    denominator den is cleared first, so all the work is on ints.  The
+    forward differences d_j give den (n-1)! times it as
+    sum_j d_j ((n-1)!/j!) s(s-1)...(s-j+1), expanded exactly; den (n-1)!
+    is divided out once at the end."""
+    den = lcm(*(y.denominator for y in ys))
+    d, n = [y.numerator * (den // y.denominator) for y in ys], len(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             d[i] = (d[i] - d[i - 1]) % p if p else d[i] - d[i - 1]
@@ -198,7 +202,7 @@ def _interp(ys, p):
         if p:
             poly = [c % p for c in poly]
     inv = pow(scale, -1, p) if p else None
-    return poly_trim([c * inv % p if p else Fraction(c, scale) for c in poly])
+    return poly_trim([c * inv % p if p else Fraction(c, scale * den) for c in poly])
 
 
 # -- reproducible verification harness -------------------------------

@@ -102,7 +102,7 @@ def exact_scalar_div(a, b):
     if isinstance(a, ModP) or isinstance(b, ModP):
         if isinstance(b, ModP):
             return b._coerce(a) * b.inverse()
-        return a * a._coerce(b).inverse()  # pragma: no cover - b int handled above
+        return a * a._coerce(b).inverse()
     if isinstance(a, Fraction) or isinstance(b, Fraction):
         return Fraction(a) / Fraction(b)
     q, r = divmod(a, b)

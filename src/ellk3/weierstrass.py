@@ -4,7 +4,6 @@ fibers from vanishing orders, and the at-worst-RDP membership flag.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .binforms import BinaryForm, _convolve
 from .elimination import _domain, factor_multiplicity, gcd_and_squarefree

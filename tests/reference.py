@@ -71,7 +71,7 @@ def det_bareiss(rows):
 
 def _exact_div(a, b):
     if isinstance(a, MultiPoly):
-        return multipoly_exact_divide(a, b if isinstance(b, MultiPoly) else MultiPoly.constant(b, a.vars, a.weights))
+        return multipoly_exact_divide(a, b if isinstance(b, MultiPoly) else MultiPoly.constant(b, a.vars))
     if isinstance(b, MultiPoly):
         if b.is_constant():
             return exact_scalar_div(a, b.constant_term())
@@ -84,7 +84,7 @@ def multipoly_exact_divide(f, g):
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     f._compat(g)
-    q = MultiPoly.zero(f.vars, f.weights)
+    q = MultiPoly.zero(f.vars)
     r = f
     glt_exp, glt_c = g.sorted_terms()[0]
     while r:
@@ -93,7 +93,7 @@ def multipoly_exact_divide(f, g):
         if any(e < 0 for e in diff):
             raise InexactDivision("leading term %r not divisible" % (rlt_exp,))
         c = exact_scalar_div(rlt_c, glt_c)
-        t = MultiPoly(f.vars, {diff: c}, f.weights)
+        t = MultiPoly(f.vars, {diff: c})
         q = q + t
         r = r - t * g
     return q

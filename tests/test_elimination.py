@@ -1,16 +1,13 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import (
     CONVENTION_TAG,
-    binary_gcd,
     discriminant_binary,
-    exact_divide,
     factor_multiplicity,
     gcd_and_squarefree,
     poly_primitive,
@@ -19,7 +16,7 @@ from ellk3.elimination import (
 )
 from ellk3.invariants import r96
 from ellk3.multipoly import MultiPoly
-from ellk3.scalars import InexactDivision, ModP
+from ellk3.scalars import ModP
 from ellk3.weierstrass import SurfaceParams
 from reference import det_bareiss, sylvester_matrix, sylvester_resultant
 
@@ -153,29 +150,6 @@ def test_discriminant_scaling_weight():
         f = rand_form(rng, n)
         lam = 5
         assert discriminant_binary(lam * f) == lam ** (2 * (n - 1)) * discriminant_binary(f)
-
-
-def test_exact_divide_and_inexact_error():
-    # univariate dense lists, low-to-high
-    f = [2, -1, 3]
-    g = [1, 4]
-    # f * g = 2 + 7x - x^2 + 12x^3
-    assert exact_divide([2, 7, -1, 12], g) == f
-    with pytest.raises(InexactDivision):
-        exact_divide([1, 1], [0, 1])
-    with pytest.raises(InexactDivision):
-        exact_divide(3, 2)
-
-
-def test_binary_gcd():
-    f = split_form([1, 2, 3])
-    g = split_form([2, 3, 5])
-    d = binary_gcd(f, g)
-    assert d == split_form([2, 3])
-    assert binary_gcd(split_form([1]), split_form([2])).n == 0
-    # common power of w is part of the gcd
-    w2 = BinaryForm.monomial(2, 2)
-    assert binary_gcd(f * w2, g * w2 * BinaryForm.monomial(1, 1)) == split_form([2, 3]) * w2
 
 
 def test_squarefree_decomposition_univariate():

@@ -1,4 +1,5 @@
 import random
+from math import prod
 
 import pytest
 
@@ -17,9 +18,9 @@ from ellk3.hilbert import (
     monomial_basis,
     raising_operator,
     raising_table,
-    u_variable,
 )
 from ellk3.invariants import random_sl2, random_surface, sl2_act
+from ellk3.multipoly import MultiPoly
 from reference import dense_kernel, det_bareiss, row_reduce, sylvester_matrix
 
 # graded dimensions of the invariant ring, low degrees (frozen)
@@ -76,8 +77,8 @@ def test_raising_table_derived_images():
 def test_raising_operator_is_a_derivation():
     rng = random.Random(0)
     for _ in range(5):
-        f = u_variable(rng.choice(U_VARS)) * u_variable(rng.choice(U_VARS))
-        g = u_variable(rng.choice(U_VARS)) + rng.randint(-3, 3)
+        f = MultiPoly.variable(rng.choice(U_VARS), U_VARS) * MultiPoly.variable(rng.choice(U_VARS), U_VARS)
+        g = MultiPoly.variable(rng.choice(U_VARS), U_VARS) + rng.randint(-3, 3)
         lhs = raising_operator(f * g)
         rhs = raising_operator(f) * g + f * raising_operator(g)
         assert lhs == rhs
@@ -87,7 +88,7 @@ def test_raising_operator_shifts_q_weight():
     def q_weight(mono):
         return sum(e * qw for e, qw in zip(mono, Q_WEIGHTS))
 
-    v = u_variable(U_VARS[3]) * u_variable(U_VARS[12])
+    v = MultiPoly.variable(U_VARS[3], U_VARS) * MultiPoly.variable(U_VARS[12], U_VARS)
     img = raising_operator(v)
     (base_exp,) = [e for e, _ in v.terms.items()]
     for exp in img.terms:
@@ -151,7 +152,7 @@ def test_invariant_basis_killed_by_raising_operator():
         assert len(basis) == molien_series(d)[d]
         for b in basis:
             assert raising_operator(b) == 0
-            assert b.weighted_degree() == (True, d)
+            assert b and all(sum(w * e for w, e in zip(U_WEIGHTS, exp)) == d for exp in b.terms)
 
 
 def test_invariant_basis_spans_reference_kernel():
@@ -167,6 +168,10 @@ def test_invariant_basis_spans_reference_kernel():
 
 def test_degree8_invariant_is_sl2_invariant_on_surfaces():
     (b,) = invariant_basis(8)
+
+    def value(pt):
+        return sum(c * prod(x ** e for x, e in zip(pt, exp)) for exp, c in b.terms.items())
+
     rng = random.Random(1)
     for _ in range(5):
         u = random_surface(rng, 5)
@@ -174,7 +179,7 @@ def test_degree8_invariant_is_sl2_invariant_on_surfaces():
         pt = list(u.g2_coeffs) + list(u.g3_coeffs)
         v = sl2_act(g, u)
         pt2 = list(v.g2_coeffs) + list(v.g3_coeffs)
-        assert b.evaluate(pt) == b.evaluate(pt2)
+        assert value(pt) == value(pt2)
 
 
 def test_raising_operator_annihilates_resultant_on_lines():

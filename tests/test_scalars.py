@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ellk3.scalars import (
     DomainError,
@@ -49,6 +51,7 @@ def test_exact_scalar_div():
     assert exact_scalar_div(12, 4) == 3
     assert isinstance(exact_scalar_div(12, 4), int)
     assert exact_scalar_div(Fraction(1, 2), Fraction(3, 4)) == Fraction(2, 3)
+    assert exact_scalar_div(ModP(3, 7), 2) == ModP(5, 7)
     with pytest.raises(InexactDivision):
         exact_scalar_div(7, 2)
     with pytest.raises(ZeroDivisionError):
@@ -63,7 +66,19 @@ def test_reduce_scalar_mod():
         reduce_scalar_mod(Fraction(1, 7), 7)
 
 
-def test_scalar_str_roundtrip():
+@example(Fraction(-3, 7))
+@example(Fraction(4, 2))
+@example(-(2**64) - 1)
+@given(st.one_of(st.integers(), st.integers(-2**200, 2**200),
+                 st.fractions(max_denominator=2**80), st.fractions(max_value=-1)))
+def test_scalar_str_roundtrip(x):
+    # ints and integral Fractions both come back as int
+    y = scalar_from_str(scalar_to_str(x))
+    assert y == x
+    assert type(y) is (int if x.denominator == 1 else Fraction)
+
+
+def test_scalar_str_pinned():
     rng = random.Random(0)
     for _ in range(30):
         x = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellk3.binforms import BinaryForm
@@ -111,9 +111,15 @@ def test_surface_params_validation():
         SurfaceParams.make([0] * 9, [0] * 12)
 
 
-def test_surface_params_json_roundtrip():
-    rng = random.Random(0)
-    u = rand_surface(rng, 10**30)  # big entries must survive as strings
+# ints beyond 2**64 and negative Fractions, mixed within one surface
+json_coeffs = st.one_of(st.integers(), st.integers(-2**200, 2**200),
+                        st.fractions(max_denominator=2**80), st.fractions(max_value=-1))
+
+
+@example(rand_surface(random.Random(0), 10**30))  # big entries must survive as strings
+@given(st.builds(SurfaceParams.make, st.lists(json_coeffs, min_size=9, max_size=9),
+                 st.lists(json_coeffs, min_size=13, max_size=13)))
+def test_surface_params_json_roundtrip(u):
     d = u.to_json_dict()
     assert all(isinstance(s, str) for s in d["g2"] + d["g3"])
     assert SurfaceParams.from_json_dict(json.loads(json.dumps(d))) == u
