@@ -37,37 +37,40 @@ def resultant(f, g):
     c^(degree of the other)."""
     p, rational = _domain(f.coeffs + g.coeffs)
     if f.is_zero() or g.is_zero():
-        return ModP(0, p) if p else Fraction(0) if rational else 0
-    if p:
-        a = [c.v if isinstance(c, ModP) else c % p for c in f.coeffs]
-        b = [c.v if isinstance(c, ModP) else c % p for c in g.coeffs]
-        return ModP(_res_dense(a, b, p), p)
-    if rational:
-        # Res(da f, db g) = da^n db^m Res(f, g)
-        da = lcm(*(c.denominator for c in f.coeffs))
-        db = lcm(*(c.denominator for c in g.coeffs))
-        a = [int(c * da) for c in f.coeffs]
-        b = [int(c * db) for c in g.coeffs]
-        return Fraction(_res_dense(a, b, 0), da ** g.n * db ** f.n)
-    return _res_dense(list(f.coeffs), list(g.coeffs), 0)
+        return _value(0, p, rational, 1)
+    a, da = _plain(f.coeffs, p, rational)
+    b, db = _plain(g.coeffs, p, rational)
+    # Res(da f, db g) = da^n db^m Res(f, g)
+    return _value(_res_dense(a, b, p), p, rational, da ** g.n * db ** f.n)
 
 
 def discriminant_binary(f):
     """disc(f) := Res(df/dx, df/dw); homogeneous of coefficient-degree
-    2(n-1), vanishing iff f has a repeated root."""
+    2(n-1), vanishing iff f has a repeated root.  The partials are taken
+    on f's plain int coefficients (residues, or numerators over the common
+    denominator d), and Res(d fx, d fw) = d^(2(n-1)) disc(f)."""
     if f.n < 2:
         raise ValueError("discriminant needs degree >= 2")
-    fx, fw = f.partials()
-    return resultant(fx, fw)
+    p, rational = _domain(f.coeffs)
+    a, d = _plain(f.coeffs, p, rational)
+    n = f.n
+    fx = [c * (n - i) for i, c in enumerate(a[:-1])]
+    fw = [c * (i + 1) for i, c in enumerate(a[1:])]
+    if p:
+        fx = [c % p for c in fx]
+        fw = [c % p for c in fw]
+    if not any(fx) or not any(fw):
+        return _value(0, p, rational, 1)
+    return _value(_res_dense(fx, fw, p), p, rational, d ** (2 * n - 2))
 
 
 def _domain(coeffs):
     """(p, rational): the modulus of any residue among the coefficients
-    (None if there is none) and whether any is a Fraction."""
-    p, rational = None, False
+    (0 if there is none) and whether any is a Fraction."""
+    p, rational = 0, False
     for c in coeffs:
         if isinstance(c, ModP):
-            if p is None:
+            if not p:
                 p = c.p
             elif c.p != p:
                 raise DomainError("mixing residues mod %d and mod %d" % (p, c.p))
@@ -78,6 +81,23 @@ def _domain(coeffs):
     if p and rational:
         raise DomainError("cannot mix Fraction with mod-%d residues" % p)
     return p, rational
+
+
+def _plain(coeffs, p, rational):
+    """(ints, d): the coefficients of one form as plain ints, with d the
+    factor they were scaled by: residues mod p, or over Q the numerators
+    over d, the lcm of the denominators; d = 1 but over Q."""
+    if p:
+        return [c.v if isinstance(c, ModP) else c % p for c in coeffs], 1
+    if rational:
+        d = lcm(*(c.denominator for c in coeffs))
+        return [int(c * d) for c in coeffs], d
+    return list(coeffs), 1
+
+
+def _value(r, p, rational, d):
+    """r / d in the coefficients' domain: a ModP, a Fraction or an int."""
+    return ModP(r, p) if p else Fraction(r, d) if rational else r
 
 
 def _res_dense(a, b, p):

@@ -147,30 +147,40 @@ def raising_operator(p):
 
 
 def _compositions(total, parts):
-    """All tuples of `parts` nonnegative integers summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order.  Built one part at a time from the front: each
+    round turns the compositions of every sum up to `total` into those
+    with one more part, by prepending the first part."""
+    level = [[(s,)] for s in range(total + 1)]
+    for _ in range(parts - 1):
+        level = [[(first,) + rest for first in range(s + 1) for rest in level[s - first]]
+                 for s in range(total + 1)]
+    return level[total]
 
 
 def monomial_basis(tdegree, qweight):
     """Exponent vectors of the u-monomials with the given weighted
-    t-degree and torus q-weight."""
+    t-degree and torus q-weight, ordered by the octic degree a8, then by
+    the octic exponents and then the duodecic ones (compositions in
+    lexicographic order).
+
+    For each split of the t-degree into octic and duodecic parts the
+    duodecic compositions are bucketed by q-weight once; each octic
+    composition of q-weight q8 then takes the bucket at qweight - q8
+    whole, so a split costs |octic| + |duodecic| steps rather than their
+    product."""
     out = []
     for a8 in range(tdegree // 4 + 1):
         rem = tdegree - 4 * a8
         if rem % 6:
             continue
-        a12 = rem // 6
+        buckets = {}
+        for e12 in _compositions(rem // 6, 13):
+            q12 = sum(e * qw for e, qw in zip(e12, Q_WEIGHTS[9:]))
+            buckets.setdefault(q12, []).append(e12)
         for e8 in _compositions(a8, 9):
             q8 = sum(e * qw for e, qw in zip(e8, Q_WEIGHTS[:9]))
-            for e12 in _compositions(a12, 13):
-                q = q8 + sum(e * qw for e, qw in zip(e12, Q_WEIGHTS[9:]))
-                if q == qweight:
-                    out.append(e8 + e12)
+            out.extend(e8 + e12 for e12 in buckets.get(qweight - q8, ()))
     return out
 
 

@@ -9,6 +9,7 @@ one published display of this coefficient.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 class QSeries:
@@ -112,17 +113,21 @@ class QSeries:
 
     def reciprocal(self):
         """1/f for f with nonzero leading coefficient; the result is
-        truncated so that f * (1/f) = 1 holds up to its order."""
+        truncated so that f * (1/f) = 1 holds up to its order.  An int
+        leader of +-1 is its own inverse, so each step multiplies by it and
+        an integer series with such a leader keeps an integer reciprocal;
+        any other leader is divided on Fractions."""
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of the zero series")
         c0 = self.coeffs[0]
+        unit = isinstance(c0, int) and c0 in (1, -1)
         n = self.N - self.e0  # number of known terms past the leading one
-        inv = [Fraction(1, 1) / c0]
+        inv = [c0 if unit else Fraction(1, 1) / c0]
         for k in range(1, n + 1):
             s = 0
             for j in range(1, min(k, len(self.coeffs) - 1) + 1):
                 s += self.coeffs[j] * inv[k - j]
-            inv.append(-s / c0)
+            inv.append(-s * c0 if unit else -s / c0)
         e0 = -self.e0
         return QSeries(e0, inv, e0 + n)
 
@@ -178,13 +183,20 @@ def eisenstein(k, N):
 
 def borcherds_input(N):
     """1728 E4 / (E4^3 - E6^2), a Laurent series with leading term 1/q,
-    truncated at q^N."""
+    truncated at q^N.
+
+    The denominator is split into its integer content c and a primitive
+    part with leading coefficient 1 (c = 1728 and the part is Delta), so
+    the reciprocal and the product with 1728 E4 run on ints; each
+    coefficient is divided by c once at the end, leaving ints."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     M = N + 2
     e4 = eisenstein(4, M)
     e6 = eisenstein(6, M)
     den = e4 ** 3 - e6 ** 2  # = 1728 q - 41472 q^2 + ...
-    num = 1728 * e4
-    out = num / den
-    return out.truncate(N)
+    c = gcd(*den.coeffs)
+    prim = QSeries(den.e0, [a // c for a in den.coeffs], den.N)
+    out = (1728 * e4 * prim.reciprocal()).truncate(N)
+    # exact: the quotient is E4 / Delta, whose coefficients are integers
+    return QSeries(out.e0, [a // c for a in out.coeffs], N)

@@ -5,7 +5,9 @@ cross-check the fast paths against:
   (Bareiss) determinant over any integral domain with exact division
   (int, Fraction, ModP, MultiPoly);
 * for the Hilbert oracle, dense Gaussian elimination over Q on Fractions
-  and the kernel it yields;
+  and the kernel it yields, and the weight spaces by enumerating every
+  monomial of a t-degree and filing it under its q-weight;
+* for the Borcherds input, the power-series reciprocal on Fractions;
 * for slice interpolation, Newton divided differences at arbitrary
   distinct integer points, over Q on Fractions or mod p.
 """
@@ -13,7 +15,9 @@ cross-check the fast paths against:
 from fractions import Fraction
 
 from ellk3.elimination import poly_trim
+from ellk3.hilbert import Q_WEIGHTS
 from ellk3.multipoly import MultiPoly
+from ellk3.qseries import QSeries, eisenstein
 from ellk3.scalars import InexactDivision, ModP, exact_scalar_div
 
 
@@ -133,6 +137,55 @@ def dense_kernel(rows, ncols):
             v[c] = -r[free]
         basis.append(v)
     return basis
+
+
+def compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to `total`, in
+    lexicographic order."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def filtered_weight_spaces(tdegree):
+    """{q-weight: exponent vectors} of the u-monomials of weighted t-degree
+    tdegree, by visiting every octic and duodecic composition pair of each
+    split and keeping the monomial under its q-weight, in visiting order;
+    ``hilbert.monomial_basis(tdegree, q)`` must equal the list at q."""
+    spaces = {}
+    for a8 in range(tdegree // 4 + 1):
+        rem = tdegree - 4 * a8
+        if rem % 6:
+            continue
+        for e8 in compositions(a8, 9):
+            q8 = sum(e * qw for e, qw in zip(e8, Q_WEIGHTS[:9]))
+            for e12 in compositions(rem // 6, 13):
+                q = q8 + sum(e * qw for e, qw in zip(e12, Q_WEIGHTS[9:]))
+                spaces.setdefault(q, []).append(e8 + e12)
+    return spaces
+
+
+def fraction_reciprocal(f):
+    """1/f of a nonzero QSeries by the power-series recurrence, dividing
+    by the leading coefficient on Fractions at every step."""
+    c0 = Fraction(f.coeffs[0])
+    n = f.N - f.e0
+    inv = [1 / c0]
+    for k in range(1, n + 1):
+        s = sum(f.coeffs[j] * inv[k - j] for j in range(1, min(k, len(f.coeffs) - 1) + 1))
+        inv.append(-s / c0)
+    return QSeries(-f.e0, inv, n - f.e0)
+
+
+def borcherds_reference(N):
+    """1728 E4 * (E4^3 - E6^2)^(-1) truncated at q^N, with the reciprocal
+    of the denominator itself (leading coefficient 1728) on Fractions."""
+    e4 = eisenstein(4, N + 2)
+    e6 = eisenstein(6, N + 2)
+    return (1728 * e4 * fraction_reciprocal(e4 ** 3 - e6 ** 2)).truncate(N)
 
 
 def newton_interp(xs, ys, p):

@@ -21,7 +21,7 @@ from ellk3.hilbert import (
 )
 from ellk3.invariants import random_sl2, random_surface, sl2_act
 from ellk3.multipoly import MultiPoly
-from reference import dense_kernel, det_bareiss, row_reduce, sylvester_matrix
+from reference import dense_kernel, det_bareiss, filtered_weight_spaces, row_reduce, sylvester_matrix
 
 # graded dimensions of the invariant ring, low degrees (frozen)
 MOLIEN_LOW = [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 1, 0, 3, 0, 3, 0, 7, 0, 6, 0, 16]
@@ -105,6 +105,15 @@ def test_monomial_basis_counts_match_molien():
         assert len(v0) - len(v2) <= molien_series(d)[d] <= len(v0)
 
 
+def test_monomial_basis_matches_filter_reference():
+    # same monomials in the same order, so columns, pivots and
+    # invariant_basis do not depend on how the weight spaces are built
+    for d in range(31):
+        spaces = filtered_weight_spaces(d)
+        for q in (-2, 0, 2, 4):
+            assert monomial_basis(d, q) == spaces.get(q, []), "degree %d, q-weight %d" % (d, q)
+
+
 def test_oracle_matches_molien_small_degrees():
     H = molien_series(16)
     for d in range(0, 17):
@@ -125,6 +134,10 @@ def test_oracle_matches_independent_fraction_elimination():
 
 def test_oracle_matches_molien_degree_26():
     assert invariant_dimension_oracle(26) == molien_series(26)[26] == 16
+
+
+def test_oracle_matches_molien_degree_28():
+    assert invariant_dimension_oracle(28) == molien_series(28)[28] == 32
 
 
 def test_oracle_feasibility_guard():

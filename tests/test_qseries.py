@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ellk3.qseries import QSeries, borcherds_input, eisenstein, sigma
+from reference import borcherds_reference, fraction_reciprocal
 
 # 1728 E4 / (E4^3 - E6^2) = q^-1 + 264 + 8244 q + 139520 q^2 + ... (frozen)
 BORCHERDS_HEAD = [1, 264, 8244, 139520, 1672290, 15872256]
@@ -70,6 +71,18 @@ def test_reciprocal_roundtrip():
     assert all(c == 0 for c in prod.coeffs[1:])
 
 
+def test_reciprocal_of_unit_leader_stays_on_ints():
+    rng = random.Random(3)
+    for lead in (1, -1):
+        for e0 in (-2, 0, 3):
+            f = QSeries(e0, [lead] + [rng.randint(-99, 99) for _ in range(20)], e0 + 20)
+            g = f.reciprocal()
+            assert all(type(c) is int for c in g.coeffs)
+            assert g == fraction_reciprocal(f)
+            prod = f * g
+            assert prod.e0 == 0 and prod.coeffs == [1] + [0] * prod.N
+
+
 def test_reciprocal_of_laurent_leader():
     f = QSeries(-1, [1, 2, 3], 1)
     g = f.reciprocal()
@@ -118,3 +131,12 @@ def test_borcherds_input_satisfies_defining_equation():
     rhs = 1728 * e4
     upto = lhs.N
     assert all(lhs[k] == rhs[k] for k in range(0, upto + 1))
+
+
+def test_borcherds_input_matches_fraction_reference():
+    b = borcherds_input(150)
+    ref = borcherds_reference(150)
+    assert (b.e0, b.N) == (ref.e0, ref.N) == (-1, 150)
+    assert len(b.coeffs) == len(ref.coeffs)
+    assert all(x == y for x, y in zip(b.coeffs, ref.coeffs))
+    assert all(type(c) is int for c in b.coeffs)
