@@ -11,16 +11,21 @@ degree n, n shifted rows of f's coefficients and then m shifted rows of
 g's.  When w divides a form its dense degree drops, and the place at
 infinity is put back by the homogeneous correction in ``_res_dense``.
 
-Univariate gcds, squarefree decompositions and irreducible splits are
-sympy's, over ZZ on primitive integer polynomials; sympy is imported on
-first use only.
+Before a polynomial is factored over Q, an exact certificate on plain
+ints tries to prove its primitive part irreducible: distinct-degree
+factorizations mod small primes whose factor degrees leave no room for a
+proper factor over Z (Musser 1978; Gathen & Gerhard, ch. 14-15).  The
+generic h = 4 g2^3 + 27 g3^2 passes.  Only a polynomial the certificate
+gives up on goes to sympy, whose univariate gcds, squarefree
+decompositions and irreducible splits over ZZ handle every other case;
+sympy is imported on first use only.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
 from .binforms import BinaryForm
-from .scalars import DomainError, ModP
+from .scalars import DomainError, ModP, is_prime
 
 # sign/normalization conventions, fixed once and reported with Delta_264
 # values so cross-implementation comparisons can reconcile scale
@@ -257,6 +262,144 @@ def poly_primitive(a):
     return a
 
 
+# -- irreducibility from mod-p factor-degree patterns (plain ints) -----
+
+# primes the certificate tries, in order: 2 is left out, since h = 4 g2^3
+# + 27 g3^2 is the square g3^2 mod 2
+CERT_PRIMES = tuple(q for q in range(3, 400) if is_prime(q))
+# the certificate gives up after this many degree patterns, or when f is
+# not squarefree modulo this many primes before the first pattern: a square
+# factor over Q stays one mod every prime, while h is g2^3 mod 3 and often
+# singular mod 5 or 7 too
+CERT_MAX_PATTERNS = 10
+CERT_MAX_SINGULAR = 5
+
+IRREDUCIBLE = "irreducible"
+
+
+def degree_pattern(f, p):
+    """Degrees of the irreducible factors mod p of a monic squarefree
+    polynomial f, given as low-to-high residues, in ascending order: its
+    distinct-degree factorization (Gathen & Gerhard, Alg. 14.3).
+
+    A residue polynomial of degree < n = deg f is packed into one int, the
+    coefficient of x^i in the b-bit slot i, so that a combination of such
+    polynomials is a handful of big-int products.  The Frobenius rows
+    x^(p j) mod f, j < n, come from stepping x^k to x^(k+1) by a shift and
+    one multiple of x^n mod f, so their cost grows like p n^2: this is
+    meant for small p.  Each x^(p^i) mod f is then one combination of the
+    rows, and the factors of degree i are gcd(g, x^(p^i) - x), with g what
+    is left of f."""
+    n = len(f) - 1
+    # slot bound: p steps from residues add < p^2 each, a combination of
+    # n rows sums n products of residues
+    b = (max(p, n) * p * p).bit_length()
+    shifts = [b * i for i in range(n)]
+    mask = (1 << b) - 1
+
+    def pack(cs):
+        return sum(c << s for c, s in zip(cs, shifts))
+
+    def unpack(X):
+        return [(X >> s & mask) % p for s in shifts]
+
+    tail = pack([-c % p for c in f[:-1]])  # x^n = tail mod f
+    top, low = b * (n - 1), (1 << b * (n - 1)) - 1
+    X = 1
+    rows = [X]
+    for _ in range(n - 1):
+        for _ in range(p):
+            X = ((X & low) << b) + (X >> top) % p * tail
+        X = pack(unpack(X))
+        rows.append(X)
+    pattern = []
+    g, h, i = f, [0, 1] + [0] * (n - 2), 0
+    while 2 * (i + 1) < len(g):
+        i += 1
+        h = unpack(sum(c * row for c, row in zip(h, rows) if c))
+        d = _gcd_mod(g, [h[0], h[1] - 1] + h[2:], p)  # x^(p^i) - x
+        if len(d) > 1:
+            pattern += [i] * ((len(d) - 1) // i)
+            g = poly_divmod(g, d, p)[0]
+    if len(g) > 1:
+        pattern.append(len(g) - 1)
+    return pattern
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd mod p of two residue lists (low-to-high), by Euclid on
+    high-to-low lists; [] if both are zero."""
+    a = poly_trim([c % p for c in a])[::-1]
+    b = poly_trim([c % p for c in b])[::-1]
+    while b:
+        inv = pow(b[0], -1, p)
+        nb, tail = len(b), b[1:]
+        while len(a) >= nb:
+            c = a[0] * inv % p
+            a = [(x - c * y) % p for x, y in zip(a[1:nb], tail)] + a[nb:]
+            while a and not a[0]:
+                del a[0]
+        a, b = b, a
+    inv = pow(a[0], -1, p) if a else 0
+    return [c * inv % p for c in reversed(a)]
+
+
+def irreducibility_certificate(f):
+    """Try to prove a primitive integer polynomial f of degree n >= 1
+    (low-to-high) irreducible over Q from its factor-degree patterns mod
+    the primes in CERT_PRIMES (Musser 1978).  Returns (verdict, trail):
+    the verdict is IRREDUCIBLE or the reason the certificate gave up, and
+    the trail has one (p, outcome) per prime tried, the outcome being the
+    pattern or the reason p was skipped:
+
+    * "lc": p divides the leading coefficient, so f's degree drops mod p;
+    * "singular": f is not squarefree mod p.
+
+    Why a pattern proves something: if f = g k over Z with 0 < deg g < n
+    (Gauss), then mod a prime p not dividing lc(f) the reduction of g
+    keeps its degree and divides f mod p, so when f mod p is squarefree
+    deg g is a sum of some of that prime's factor degrees.  The
+    certificate intersects the achievable sums of every pattern; once only
+    0 and n are left, f is irreducible.  Any one prime that passes both
+    checks also proves f squarefree over Q, since a square factor of f
+    would stay a square factor mod p.  Reducible f are never certified;
+    they and the unlucky ones end in "pattern bound" (CERT_MAX_PATTERNS
+    patterns), "singular bound" (CERT_MAX_SINGULAR singular primes before
+    any pattern; after one, f is known squarefree and a singular prime is
+    only skipped) or "primes exhausted"."""
+    n = len(f) - 1
+    full = 1 | 1 << n
+    sums = (1 << n + 1) - 1
+    trail = []
+    patterns = singular = 0
+    for p in CERT_PRIMES:
+        lc = f[-1] % p
+        if not lc:
+            trail.append((p, "lc"))
+            continue
+        inv = pow(lc, -1, p)
+        fp = [c * inv % p for c in f]
+        if len(_gcd_mod(fp, [c * i for i, c in enumerate(fp)][1:], p)) > 1:
+            trail.append((p, "singular"))
+            if not patterns:
+                singular += 1
+                if singular == CERT_MAX_SINGULAR:
+                    return "singular bound", trail
+            continue
+        pattern = degree_pattern(fp, p)
+        trail.append((p, tuple(pattern)))
+        reach = 1
+        for d in pattern:
+            reach |= reach << d
+        sums &= reach
+        if sums == full:
+            return IRREDUCIBLE, trail
+        patterns += 1
+        if patterns == CERT_MAX_PATTERNS:
+            return "pattern bound", trail
+    return "primes exhausted", trail
+
+
 # -- gcds, squarefree and irreducible splitting (sympy over ZZ) ------
 
 
@@ -292,6 +435,17 @@ def _irreducible_split(prim):
     return [_ints(fac) for fac, _ in parts]
 
 
+def _irreducible_factors(dense):
+    """[(irreducible primitive integer factor, multiplicity)] of a nonzero
+    polynomial over Q: its primitive part alone when the mod-p certificate
+    proves that irreducible, and otherwise sympy's squarefree parts, each
+    split into irreducibles."""
+    prim = poly_primitive(dense)
+    if len(prim) > 1 and irreducibility_certificate(prim)[0] == IRREDUCIBLE:
+        return [(prim, 1)]
+    return [(irr, mult) for part, mult in squarefree_decomposition(dense) for irr in _irreducible_split(part)]
+
+
 # -- gcd and factor bookkeeping for binary forms ---------------------
 
 
@@ -302,8 +456,9 @@ def gcd_and_squarefree(f):
 
     with p_i monic irreducible in the dehomogenized variable.  Returns
     (unit, [(BinaryForm factor, multiplicity)]); the place at infinity
-    [1:0] appears as the factor w like any other.  The squarefree parts
-    of f(x, 1) are each split into irreducibles over Q.
+    [1:0] appears as the factor w like any other.  f(x, 1) is one place
+    when ``irreducibility_certificate`` proves it irreducible; otherwise
+    sympy splits its squarefree parts into irreducibles over Q.
     """
     if f.is_zero():
         raise ValueError("cannot factor the zero form")
@@ -311,12 +466,11 @@ def gcd_and_squarefree(f):
     factors = []
     if winf:
         factors.append((BinaryForm.homogenize([1], 1, 1), winf))
-    for part, mult in squarefree_decomposition(dense):
-        for irr in _irreducible_split(part):
-            k = len(irr) - 1
-            lc = Fraction(irr[-1])
-            monic = [Fraction(c) / lc for c in irr]
-            factors.append((BinaryForm.homogenize(monic, k), mult))
+    for irr, mult in _irreducible_factors(dense):
+        k = len(irr) - 1
+        lc = Fraction(irr[-1])
+        monic = [Fraction(c) / lc for c in irr]
+        factors.append((BinaryForm.homogenize(monic, k), mult))
     # monic factors absorb everything but the leading coefficient of f(x, 1)
     unit = Fraction(dense[-1])
     total = sum(form.n * mult for form, mult in factors)

@@ -7,6 +7,7 @@ the rationals, so they may mix freely).  Mod-p residues are wrapped in
 characteristic, is a :class:`DomainError` rather than a silent coercion.
 """
 
+import re
 from fractions import Fraction
 
 
@@ -134,13 +135,18 @@ def scalar_to_str(c):
     return str(c)
 
 
+# the two written forms of a scalar: an integer and a fraction of integers
+_SCALAR_FORM = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def scalar_from_str(s, p=None):
-    s = s.strip()
-    if "/" in s:
-        num, den = s.split("/")
-        c = Fraction(int(num), int(den))
-    else:
-        c = int(s)
+    """An int from "-?digits" or a Fraction from "-?digits/digits" (ASCII
+    digits, nothing around them), reduced mod p when p is given; any other
+    string is a ValueError, and a zero denominator a ZeroDivisionError."""
+    if not _SCALAR_FORM.fullmatch(s):
+        raise ValueError("not an integer or p/q fraction: %r" % (s,))
+    num, _, den = s.partition("/")
+    c = Fraction(int(num), int(den)) if den else int(num)
     if p is not None:
         return reduce_scalar_mod(c, p)
     return c

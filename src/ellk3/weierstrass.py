@@ -44,8 +44,9 @@ class SurfaceParams:
 
     @classmethod
     def from_json_dict(cls, d):
-        if not isinstance(d, dict) or "g2" not in d or "g3" not in d:
+        if not isinstance(d, dict) or not all(isinstance(d.get(k), list) for k in ("g2", "g3")):
             raise ValueError("surface parameters need 'g2' and 'g3' arrays")
+        # JSON integers are read through their decimal form
         g2 = [scalar_from_str(str(c)) for c in d["g2"]]
         g3 = [scalar_from_str(str(c)) for c in d["g3"]]
         return cls.make(g2, g3)

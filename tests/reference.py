@@ -9,10 +9,14 @@ cross-check the fast paths against:
   monomial of a t-degree and filing it under its q-weight;
 * for the Borcherds input, the power-series reciprocal on Fractions;
 * for slice interpolation, Newton divided differences at arbitrary
-  distinct integer points, over Q on Fractions or mod p.
+  distinct integer points, over Q on Fractions or mod p;
+* for the degree patterns behind the irreducibility certificate, sympy's
+  factorization over GF(p).
 """
 
 from fractions import Fraction
+
+import sympy
 
 from ellk3.elimination import poly_trim
 from ellk3.hilbert import Q_WEIGHTS
@@ -210,3 +214,19 @@ def newton_interp(xs, ys, p):
         if p:
             poly = [c % p for c in poly]
     return poly_trim(poly)
+
+
+def modp_factor_degrees(f, p):
+    """Degrees of the irreducible factors of f mod p, repeated by
+    multiplicity, in ascending order; f is a low-to-high int list whose
+    leading coefficient p does not divide.  Taken from sympy's
+    factorization over GF(p)."""
+    _, parts = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p).factor_list()
+    return sorted(fac.degree() for fac, mult in parts for _ in range(mult))
+
+
+def is_squarefree_mod(f, p):
+    """Whether f (low-to-high ints) is squarefree mod p, by sympy's gcd
+    of f and its derivative over GF(p)."""
+    fp = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p)
+    return fp.gcd(fp.diff()).degree() == 0

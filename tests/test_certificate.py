@@ -1,0 +1,181 @@
+"""The irreducibility certificate in ``elimination``: mod-p degree
+patterns against sympy's factorization over GF(p), soundness (a
+reducible polynomial is never certified), one test per way a prime is
+skipped or the certificate gives up, and reports that do not depend on
+whether the certificate or sympy split h."""
+
+import json
+import random
+
+import sympy
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from ellk3 import elimination
+from ellk3.binforms import BinaryForm
+from ellk3.elimination import (
+    CERT_MAX_PATTERNS,
+    CERT_MAX_SINGULAR,
+    CERT_PRIMES,
+    IRREDUCIBLE,
+    degree_pattern,
+    gcd_and_squarefree,
+    irreducibility_certificate,
+    poly_primitive,
+)
+from ellk3.invariants import random_surface
+from ellk3.weierstrass import SurfaceParams, assemble, fiber_profile
+from reference import is_squarefree_mod, modp_factor_degrees
+
+
+def h_dense(u):
+    """Primitive part of h(x, 1), low-to-high."""
+    return poly_primitive(assemble(u)[2].dehomogenize()[0])
+
+
+def mul(a, b):
+    """Product of two low-to-high int lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def monic_squarefree(draw, primes):
+    """(f, p): a monic polynomial of degree 2..24 that is squarefree mod
+    p, as low-to-high residues."""
+    p = draw(st.sampled_from(primes))
+    n = draw(st.integers(2, 24))
+    f = draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)) + [1]
+    assume(is_squarefree_mod(f, p))
+    return f, p
+
+
+@given(monic_squarefree(CERT_PRIMES))
+def test_degree_pattern_matches_sympy_over_the_certificate_primes(case):
+    f, p = case
+    assert degree_pattern(f, p) == modp_factor_degrees(f, p)
+
+
+@given(monic_squarefree((139, 149)))
+def test_degree_pattern_matches_sympy_above_138(case):
+    f, p = case
+    assert degree_pattern(f, p) == modp_factor_degrees(f, p)
+
+
+def test_degree_pattern_pinned():
+    # (x + 1)(x^2 + 1)(x^3 + 2x + 1) mod 3: x^2 + 1 and x^3 + 2x + 1 have no root mod 3
+    f = [c % 3 for c in mul(mul([1, 1], [1, 0, 1]), [1, 2, 0, 1])]
+    assert degree_pattern([1, 1], 3) == [1]
+    assert degree_pattern([1, 0, 1], 3) == [2]
+    assert degree_pattern([1, 0, 1], 5) == [1, 1]
+    assert degree_pattern([1, 0, 0, 0, 1], 3) == [2, 2]
+    assert degree_pattern(f, 3) == modp_factor_degrees(f, 3) == [1, 2, 3]
+
+
+# degree 1..12, leading coefficient 1..6 (so some primes divide lc(f))
+polys = st.tuples(st.integers(1, 12).flatmap(lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)),
+                  st.integers(1, 6)).map(lambda t: t[0] + [t[1]])
+
+
+@given(polys, polys)
+def test_a_product_of_two_nonconstant_polynomials_is_never_certified(a, b):
+    f = poly_primitive(mul(a, b))
+    verdict, trail = irreducibility_certificate(f)
+    assert verdict != IRREDUCIBLE
+    assert verdict in ("pattern bound", "singular bound", "primes exhausted")
+    # the factor's degree survives at every prime that gave a pattern
+    k = len(a) - 1
+    for _, outcome in trail:
+        if isinstance(outcome, tuple):
+            reach = 1
+            for d in outcome:
+                reach |= reach << d
+            assert reach >> k & 1
+
+
+def test_x4_plus_1_reaches_the_pattern_bound_and_sympy_keeps_it_whole(monkeypatch):
+    # irreducible over Q, yet it splits mod every prime: no pattern can rule out degree 2
+    f = [1, 0, 0, 0, 1]
+    verdict, trail = irreducibility_certificate(f)
+    patterns = [o for _, o in trail if isinstance(o, tuple)]
+    assert verdict == "pattern bound" and len(patterns) == CERT_MAX_PATTERNS
+    assert all(o in ((1, 1, 1, 1), (1, 1, 2), (2, 2)) for o in patterns)
+    calls = []
+    split = elimination._irreducible_split
+    monkeypatch.setattr(elimination, "_irreducible_split", lambda prim: calls.append(prim) or split(prim))
+    unit, factors = gcd_and_squarefree(BinaryForm(4, [1, 0, 0, 0, 1]))
+    assert calls == [f]
+    assert unit == 1 and [(g.coeffs, m) for g, m in factors] == [([1, 0, 0, 0, 1], 1)]
+
+
+def test_certified_h_is_irreducible_for_sympy_too():
+    rng = random.Random(8)
+    certified = 0
+    x = sympy.Symbol("x")
+    for _ in range(30):
+        f = h_dense(random_surface(rng))
+        if irreducibility_certificate(f)[0] == IRREDUCIBLE:
+            certified += 1
+            _, parts = sympy.Poly(f[::-1], x, domain="ZZ").factor_list()
+            assert parts == [(sympy.Poly(f[::-1], x, domain="ZZ"), 1)]
+    # the certificate is not vacuous: most generic h are proved irreducible
+    assert certified >= 25
+
+
+# g2 and g3 lead with 2, so h(x, 1) leads with 4 * 8 + 27 * 4 = 140 = 2^2 * 5 * 7
+LC_140 = SurfaceParams.make([2, 3, 3, -3, -3, -3, -1, 3, -2], [2, 2, 3, 2, 3, -1, -1, 1, -2, 1, -3, 1, 2])
+
+
+def test_a_prime_dividing_the_leading_coefficient_is_skipped():
+    f = h_dense(LC_140)
+    assert f[-1] == 140
+    verdict, trail = irreducibility_certificate(f)
+    assert verdict == IRREDUCIBLE
+    assert trail[1:3] == [(5, "lc"), (7, "lc")]
+
+
+def test_a_prime_modulo_which_f_is_not_squarefree_is_skipped():
+    # h = 4 g2^3 + 27 g3^2 is g2^3 mod 3, a cube
+    f = h_dense(LC_140)
+    verdict, trail = irreducibility_certificate(f)
+    assert trail[0] == (3, "singular") and verdict == IRREDUCIBLE
+    # once a pattern has proved f squarefree, singular primes are skipped
+    # without limit: x^2 - D splits mod 3 and is singular mod each prime of D
+    D = 5 * 7 * 11 * 13 * 17 * 19 * 23
+    verdict, trail = irreducibility_certificate([-D, 0, 1])
+    assert verdict == IRREDUCIBLE
+    assert trail == [(3, (1, 1))] + [(p, "singular") for p in (5, 7, 11, 13, 17, 19, 23)] + [(29, (2,))]
+    assert len(trail) - 2 > CERT_MAX_SINGULAR
+
+
+def test_a_square_factor_reaches_the_singular_bound():
+    # (x^2 - 2)^2 (x + 3): singular mod every prime
+    f = mul(mul([-2, 0, 1], [-2, 0, 1]), [3, 1])
+    verdict, trail = irreducibility_certificate(f)
+    assert verdict == "singular bound"
+    assert [o for _, o in trail] == ["singular"] * CERT_MAX_SINGULAR
+    unit, factors = gcd_and_squarefree(BinaryForm.homogenize(f, 5))
+    assert sorted((g.n, m) for g, m in factors) == [(1, 1), (2, 2)]
+
+
+def test_every_prime_dividing_the_leading_coefficient_exhausts_the_primes():
+    lc = 1
+    for p in CERT_PRIMES:
+        lc *= p
+    f = [1, 0, lc]  # lc x^2 + 1 has no real root
+    verdict, trail = irreducibility_certificate(f)
+    assert verdict == "primes exhausted"
+    assert trail == [(p, "lc") for p in CERT_PRIMES]
+    unit, factors = gcd_and_squarefree(BinaryForm(2, [lc, 0, 1]))
+    assert unit == lc and [(g.n, m) for g, m in factors] == [(2, 1)]
+
+
+def test_reports_do_not_depend_on_who_splits_h(monkeypatch):
+    rng = random.Random(11)
+    surfaces = [random_surface(rng, b) for b in [9] * 10 + [10 ** 6] * 2] + [LC_140]
+    certified = [json.dumps(fiber_profile(u).to_json_dict(), sort_keys=True) for u in surfaces]
+    monkeypatch.setattr(elimination, "irreducibility_certificate", lambda f: ("off", []))
+    assert [json.dumps(fiber_profile(u).to_json_dict(), sort_keys=True) for u in surfaces] == certified

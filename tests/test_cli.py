@@ -166,15 +166,81 @@ def test_qseries_nonpositive_terms_exit_2(terms, capsys):
     assert captured.err.startswith("error:") and captured.out == ""
 
 
-def test_cli_import_and_oracle_load_neither_sympy_nor_numpy():
-    # sympy is imported lazily by the factorization; numpy is not a dependency
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"g2": "123456789", "g3": "1234567890123"},  # strings of the right lengths
+        {"g2": ["1_0"] + ["1"] * 8, "g3": ["1"] * 13},  # a Python literal, not a decimal
+    ],
+)
+def test_classify_malformed_coefficients_exit_2(tmp_path, capsys, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    assert run(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_classify_accepts_json_integers(tmp_path, capsys):
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps({"g2": [3, -1, 4, 1, -5, 9, 2, -6, 5],
+                                "g3": [3, 5, -8, 9, 7, -9, 3, 2, -3, 8, 4, -6, 2]}))
+    assert run(["classify", "--input", str(path)]) == 0
+    inp = write_surface(tmp_path, GENERIC)
+    first = capsys.readouterr().out
+    assert run(["classify", "--input", inp]) == 0
+    assert capsys.readouterr().out == first
+
+
+def _fresh_python(code):
+    """stdout of code run in a new interpreter that imports ellk3 from this tree."""
     import ellk3
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ellk3.__file__)))
-    code = (
-        "import sys, ellk3.cli, ellk3; ellk3.invariant_dimension_oracle(8); "
-        "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))"
-    )
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+LOADED = "print(sorted(m for m in ('sympy', 'numpy') if m in sys.modules))"
+
+
+def test_cli_import_and_oracle_load_neither_sympy_nor_numpy():
+    # sympy is imported lazily by the factorization; numpy is not a dependency
+    code = "import sys, ellk3.cli, ellk3; ellk3.invariant_dimension_oracle(8); " + LOADED
+    assert _fresh_python(code) == "[]"
+
+
+def test_generic_fiber_profile_leaves_sympy_unloaded():
+    # the mod-p certificate proves the generic h irreducible on its own
+    code = (
+        "import sys, ellk3; u = ellk3.SurfaceParams.make(%r, %r); "
+        "assert ellk3.fiber_profile(u).places[0].residue_degree == 24; " % (
+            list(GENERIC.g2_coeffs), list(GENERIC.g3_coeffs)) + LOADED
+    )
+    assert _fresh_python(code) == "[]"
+
+
+# the type-II fixture's report, as the sympy-only factorization gave it
+II_REPORT = {
+    "euler_sum": 24, "h_is_zero": False, "in_U": False,
+    "places": [
+        {"d": 21, "kodaira": "NON-MINIMAL", "m2": 7, "m3": 11, "place": "1 * w", "residue_degree": 1},
+        {"d": 2, "kodaira": "II", "m2": 1, "m3": 1, "place": "1 * x", "residue_degree": 1},
+        {"d": 1, "kodaira": "I1", "m2": 0, "m3": 0, "place": "1 * x + 27/4 * w", "residue_degree": 1},
+    ],
+}
+
+
+def test_type_ii_fiber_profile_loads_sympy_and_keeps_its_report():
+    # h(x, 1) = x^2 (4 x + 27) is not squarefree, so sympy splits it
+    from test_weierstrass import II_SURFACE
+
+    code = (
+        "import sys, json, ellk3; u = ellk3.SurfaceParams.make(%r, %r); "
+        "print(json.dumps(ellk3.fiber_profile(u).to_json_dict())); " % (
+            list(II_SURFACE.g2_coeffs), list(II_SURFACE.g3_coeffs)) + LOADED
+    )
+    report, loaded = _fresh_python(code).splitlines()
+    assert json.loads(report) == II_REPORT
+    assert loaded == "['sympy']"

@@ -88,6 +88,25 @@ def test_scalar_str_pinned():
     assert scalar_to_str(Fraction(4, 2)) == "2"
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", " 1", "1 ", "+1", "1.0", "1e3", "0x10", "1/2/3", "1/-2", "", "-", "/2",
+     "\u0661\u0662", "True", "None"],
+)
+def test_scalar_from_str_refuses_other_forms(text):
+    # only -?digits and -?digits/digits, in ASCII digits
+    with pytest.raises(ValueError):
+        scalar_from_str(text)
+
+
+def test_scalar_from_str_forms():
+    assert scalar_from_str("10") == 10 and scalar_from_str("-007") == -7
+    assert scalar_from_str("-6/4") == Fraction(-3, 2)
+    assert scalar_from_str("3/2", 7) == ModP(5, 7)
+    with pytest.raises(ZeroDivisionError):
+        scalar_from_str("1/0")
+
+
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(2147483629)
     assert is_prime(4611686018427388039)  # the default 62-bit slice prime

@@ -125,6 +125,20 @@ def test_surface_params_json_roundtrip(u):
     assert SurfaceParams.from_json_dict(json.loads(json.dumps(d))) == u
 
 
+def test_surface_params_json_needs_arrays_of_decimals():
+    # a string of the right length is not an array of coefficients
+    with pytest.raises(ValueError):
+        SurfaceParams.from_json_dict({"g2": "123456789", "g3": "1234567890123"})
+    good = {"g2": ["1"] * 9, "g3": ["1"] * 13}
+    for key, bad in (("g2", ["1_0"] + ["1"] * 8), ("g3", ["1"] * 12 + [1.0]),
+                     ("g3", ["1"] * 12 + [True]), ("g2", None)):
+        with pytest.raises(ValueError):
+            SurfaceParams.from_json_dict(dict(good, **{key: bad}))
+    # JSON integers are read through their decimal form
+    u = SurfaceParams.from_json_dict({"g2": [1] * 9, "g3": [-2**70] + ["1/3"] * 12})
+    assert u == SurfaceParams.make([1] * 9, [-2**70] + [Fraction(1, 3)] * 12)
+
+
 def test_assemble_degrees_and_discriminant():
     rng = random.Random(1)
     u = rand_surface(rng)
