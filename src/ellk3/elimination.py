@@ -1,15 +1,19 @@
 """Resultants, discriminants, univariate division, gcds and factorization.
 
-Resultants of binary forms come from one dense subresultant polynomial
-remainder sequence (Collins 1967; Brown & Traub 1971; Cohen, Alg. 3.3.7)
-run on plain Python ints: integer forms after their contents are
-stripped, rational forms after their denominators are cleared, and
-residue forms on their residues mod p, with one modular inverse per
-remainder step.  The value is the Sylvester determinant in the row
-convention of the displayed r96 matrix: for f of degree m and g of
-degree n, n shifted rows of f's coefficients and then m shifted rows of
-g's.  When w divides a form its dense degree drops, and the place at
-infinity is put back by the homogeneous correction in ``_res_dense``.
+Resultants of binary forms come from one dense polynomial remainder
+sequence on plain Python ints, built on one pseudo-remainder step
+(``_prem``).  Over Z and Q it is the subresultant PRS (Collins 1967;
+Brown & Traub 1971; Cohen, Alg. 3.3.7), whose exact divisions keep the
+integers small: integer forms after their contents are stripped, rational
+forms after their denominators are cleared.  Over F_p the coefficients
+cannot grow, so residue forms run Euclid's sequence on the same
+pseudo-remainders and collect the powers of the leading coefficients
+that Res picks up, paying one modular inverse in all.  The value is the
+Sylvester determinant in the row convention of the displayed r96 matrix:
+for f of degree m and g of degree n, n shifted rows of f's coefficients
+and then m shifted rows of g's.  When w divides a form its dense degree
+drops, and the place at infinity is put back by the homogeneous
+correction in ``_res_dense``.
 
 Before a polynomial is factored over Q, an exact certificate on plain
 ints tries to prove its primitive part irreducible: distinct-degree
@@ -107,7 +111,7 @@ def _value(r, p, rational, d):
 
 def _res_dense(a, b, p):
     """Res of two nonzero forms given as high-to-low int coefficient lists
-    of their declared degrees, over Z (p = 0) or mod p."""
+    of their declared degrees, over Z (p = 0) or mod a prime p."""
     ka = next(i for i, c in enumerate(a) if c)
     kb = next(i for i, c in enumerate(b) if c)
     if ka and kb:
@@ -121,25 +125,24 @@ def _res_dense(a, b, p):
         # w^kb | g (kb may be 0): Res(f, g) = lc(f)^kb Res(f, g / w^kb)
         scale = a[0] ** kb
         b = b[kb:]
-    r = scale * _prs_resultant(a, b, p)
-    return r % p if p else r
+    if p:
+        return scale * _euclid_resultant(a, b, p) % p
+    return scale * _prs_resultant(a, b)
 
 
-def _prs_resultant(A, B, p):
-    """Res(A, B) of dense polynomials (high-to-low int lists with nonzero
-    leading coefficients) by the subresultant PRS, over Z (p = 0) or mod p.
-    Over Z every division below is exact; mod p each is one inverse."""
+def _prs_resultant(A, B):
+    """Res(A, B) over Z of dense polynomials (high-to-low int lists with
+    nonzero leading coefficients) by the subresultant PRS; every division
+    below is exact."""
     dA, dB = len(A) - 1, len(B) - 1
     if not dA or not dB:
         return A[0] ** dB * B[0] ** dA
-    t = 1
-    if not p:
-        ca, cb = gcd(*A), gcd(*B)
-        if ca != 1:
-            A = [c // ca for c in A]
-        if cb != 1:
-            B = [c // cb for c in B]
-        t = ca ** dB * cb ** dA
+    ca, cb = gcd(*A), gcd(*B)
+    if ca != 1:
+        A = [c // ca for c in A]
+    if cb != 1:
+        B = [c // cb for c in B]
+    t = ca ** dB * cb ** dA
     s = 1
     if dA < dB:
         A, B, dA, dB = B, A, dB, dA
@@ -150,29 +153,53 @@ def _prs_resultant(A, B, p):
         delta = dA - dB
         if dA & dB & 1:
             s = -s
-        R = _prem(A, B, p)
+        R = _prem(A, B, 0)
         if not R:
             return 0
         d = g * h ** delta
         if d != 1:
-            if p:
-                inv = pow(d, -1, p)
-                R = [c * inv % p for c in R]
-            else:
-                R = [c // d for c in R]
+            R = [c // d for c in R]
         A, B, dA, dB = B, R, dB, len(R) - 1
         g = A[0]
         if delta == 1:
             h = g
         elif delta > 1:
-            h = _quo(g ** delta, h ** (delta - 1), p)
+            h = g ** delta // h ** (delta - 1)
         if not dB:
-            return s * t * _quo(B[0] ** dA, h ** (dA - 1), p)
+            return s * t * (B[0] ** dA // h ** (dA - 1))
 
 
-def _quo(a, b, p):
-    """a / b, an exact quotient in Z (p = 0) or a quotient in F_p."""
-    return a * pow(b, -1, p) % p if p else a // b
+def _euclid_resultant(A, B, p):
+    """Res(A, B) mod a prime p of dense residue polynomials (high-to-low
+    int lists with nonzero leading coefficients) by Euclid's remainder
+    sequence.  Over F_p the coefficients cannot grow, so the subresultant
+    bookkeeping is not needed.  Each step takes the pseudo-remainder
+    R' = lc(B)^(dA - dB + 1) R of A by B (R the remainder, of degree dR);
+    with lc = lc(B),
+
+        Res(A, B) = (-1)^(dA dB) lc^(dA - dR) Res(B, R)
+        Res(B, R') = lc^((dA - dB + 1) dB) Res(B, R).
+
+    The factors and the divisors are multiplied up apart, so the whole
+    sequence costs one inverse mod p, at the end."""
+    dA, dB = len(A) - 1, len(B) - 1
+    num = den = 1
+    if dA < dB:
+        A, B, dA, dB = B, A, dB, dA
+        if dA & dB & 1:
+            num = -1
+    while dB:
+        R = _prem(A, B, p)
+        if not R:
+            return 0
+        dR, lc = len(R) - 1, B[0]
+        if dA & dB & 1:
+            num = -num
+        num = num * pow(lc, dA - dR, p) % p
+        den = den * pow(lc, (dA - dB + 1) * dB, p) % p
+        A, B, dA, dB = B, R, dB, dR
+    # B is a nonzero constant c, and Res(A, c) = c^dA
+    return num * pow(B[0], dA, p) * pow(den, -1, p) % p
 
 
 def _prem(A, B, p):
@@ -211,33 +238,52 @@ def poly_trim(a):
 
 def poly_divmod(a, b, p=0):
     """Quotient and remainder of low-to-high lists over a field: over Q
-    when p = 0 (ints are promoted to Fraction; Fraction or ModP
-    coefficients divide as they are), or mod a prime p on plain int
-    residues, with one modular inverse."""
+    when p = 0, on ints or Fractions, or mod a prime p on plain int
+    residues, with one modular inverse.  Over Q the division runs on ints
+    while the coefficients are integers (ints, or Fractions over 1) and
+    each leading division is exact, and on Fractions from the first step
+    that is not; either way it returns Fractions, with int 0 in a quotient
+    slot that the division steps over."""
     if p:
         a = [c % p for c in a]
         b = [c % p for c in b]
     b = poly_trim(list(b))
     if not b:
         raise ZeroDivisionError("univariate division by zero")
-    a = poly_trim(list(a))
-    if not p and _all_int(a) and _all_int(b):
-        a = [Fraction(c) for c in a]
-        b = [Fraction(c) for c in b]
+    r = poly_trim(list(a))
     db = len(b) - 1
+    q = [0] * max(0, len(r) - db)
     inv = pow(b[-1], -1, p) if p else None
-    q = [0] * max(0, len(a) - db)
-    r = a
-    while len(r) - 1 >= db and poly_trim(r):
-        dr = len(r) - 1
-        c = r[-1] * inv % p if p else r[-1] / b[-1]
-        q[dr - db] = c
-        for i in range(db + 1):
-            x = r[dr - db + i] - c * b[i]
-            r[dr - db + i] = x % p if p else x
+    ints = not p and all(c.denominator == 1 for c in r + b)
+    if ints:
+        r, b = [int(c) for c in r], [int(c) for c in b]
+    elif not p:
+        r, b = [Fraction(c) for c in r], [Fraction(c) for c in b]
+    while len(r) > db:
+        lo = len(r) - 1 - db
+        if ints and r[-1] % b[-1]:
+            # the first inexact step: the rest of the division is on Fractions
+            ints = False
+            q, r, b = _fractions(q), [Fraction(x) for x in r], [Fraction(x) for x in b]
+        if p:
+            c = r[-1] * inv % p
+        else:
+            c = r[-1] // b[-1] if ints else r[-1] / b[-1]
+        q[lo] = c
+        if p:
+            r[lo:] = [(x - c * y) % p for x, y in zip(r[lo:], b)]
+        else:
+            r[lo:] = [x - c * y for x, y in zip(r[lo:], b)]
         r.pop()
         poly_trim(r)
-    return poly_trim(q), poly_trim(r)
+    if ints:
+        q, r = _fractions(q), [Fraction(x) for x in r]
+    return poly_trim(q), r
+
+
+def _fractions(q):
+    """A quotient on ints as Fractions, its skipped slots left int 0."""
+    return [Fraction(c) if c else 0 for c in q]
 
 
 def _all_int(a):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .binforms import BinaryForm
+from .binforms import BinaryForm, _convolve
 from .elimination import CONVENTION_TAG, discriminant_binary, poly_divmod, poly_trim, resultant
 from .scalars import InexactDivision, ModP, exact_scalar_div, is_prime
 from .weierstrass import SurfaceParams, assemble
@@ -123,12 +123,31 @@ class SliceWitness:
     r3_degree: int
     modulus: object
     quotient: list = field(repr=False, default_factory=list)
+    # the interpolants K = k552 and R = r96 on the line, low-to-high
+    K: list = field(repr=False, default_factory=list)
+    R: list = field(repr=False, default_factory=list)
 
 
 # plain degree bounds in u: r96 is a 20 x 20 determinant with entries
 # linear in u, h-coefficients are cubic in u, k552 a 46 x 46 determinant
 R96_U_DEGREE = 20
 K552_U_DEGREE = 138
+
+# The true degree of k552 in u, and so a bound on its degree on any line.
+# h(t u) = t^2 (27 g3^2 + 4 t g2^3) and disc is homogeneous of degree 46 in
+# h's coefficients, so k552(t u) = t^92 D(t) with D(t) = disc(27 g3^2 +
+# 4 t g2^3) of degree <= 46 in t; and D(t) = t^46 E(1/t) with E(e) =
+# disc(4 g2^3 + 27 e g3^2).  Take g2 with 8 simple roots, none of them a
+# root of g3 or at infinity.  For small e each root of g2 splits into three
+# roots of 4 g2^3 + 27 e g3^2 at mutual distance of order |e|^(1/3), so
+# their three pairs put |e|^2 into the product of squared root differences,
+# while every other factor of E stays away from 0.  So E vanishes to order
+# >= 16 at e = 0 for such (g2, g3); its coefficients of e^0, ..., e^15 are
+# polynomials in u vanishing on a dense set, hence identically, and deg D
+# <= 46 - 16 = 30.  The homogeneous parts of k552 of degree above 92 + 30
+# = 122 therefore vanish, over Z and so mod every prime, and every line
+# restriction of k552 has degree <= 122 (a random line reaches it).
+K552_LINE_DEGREE = 122
 
 
 def _eval_on_line(u0, u1, s, p=None):
@@ -141,44 +160,60 @@ def _eval_on_line(u0, u1, s, p=None):
 
 
 def check_modulus(modulus):
-    """ValueError unless modulus is None or a prime above K552_U_DEGREE, so
-    that the slice points s = 0, ..., K552_U_DEGREE stay distinct mod p."""
+    """ValueError unless modulus is None or a prime above K552_U_DEGREE.
+    The slice points s = 0, ..., K552_LINE_DEGREE stay distinct mod any
+    such prime; the threshold keeps the plain bound, so that the moduli
+    accepted stay the same."""
     if modulus is not None and (modulus <= K552_U_DEGREE or not is_prime(modulus)):
         raise ValueError("modulus must be prime and exceed %d" % K552_U_DEGREE)
 
 
 def slice_divisibility(u0, u1, modulus=None):
-    """Polynomial-level divisibility witness on the line u(s) = u0 + s u1:
-    interpolates K(s) = k552(u(s)) and R3(s) = r96(u(s))^3 at s = 0, 1, ...
-    by forward differences and divides exactly, over Q or mod a prime
-    modulus above K552_U_DEGREE (a smaller one raises ValueError)."""
+    """Polynomial-level divisibility witness on the line u(s) = u0 + s u1,
+    over Q or mod a prime modulus above K552_U_DEGREE (a smaller one raises
+    ValueError).  Each restriction is interpolated by forward differences
+    from as many points as its degree bound needs: R(s) = r96(u(s)) from
+    s = 0, ..., R96_U_DEGREE and K(s) = k552(u(s)) from s = 0, ...,
+    K552_LINE_DEGREE.  R is cubed and K divided by R^3 exactly.  Over Q the
+    line's denominators are cleared for the cube, and the division runs on
+    ints as long as it stays exact (always, for an integer line: K, R and
+    the quotient then lie in Z[s] by Gauss's lemma)."""
     check_modulus(modulus)
-    npts = K552_U_DEGREE + 1
-    # R3 has u-degree 3 * R96_U_DEGREE, so r96 is needed only at the points
-    # R3 is interpolated from; vanishing there means vanishing on the line
-    rpts = 3 * R96_U_DEGREE + 1
-    kvals, r3vals = [], []
-    for s in range(npts):
-        u = _eval_on_line(u0, u1, s, modulus)
-        if s < rpts:
-            r3vals.append(r96(u).value ** 3)
-        kvals.append(k552(u).value)
-    if not any(r3vals):
-        raise ValueError("r96 vanishes identically on this line")
-    if modulus:
-        kvals, r3vals = [v.v for v in kvals], [v.v for v in r3vals]
     p = modulus or 0
-    K = _interp(kvals, p)
-    R3 = _interp(r3vals, p)
+    points = [_eval_on_line(u0, u1, s, modulus) for s in range(K552_LINE_DEGREE + 1)]
+
+    def restriction(invariant, degree):
+        vals = [invariant(u).value for u in points[:degree + 1]]
+        return _interp([v.v for v in vals] if p else vals, p)
+
+    R = restriction(r96, R96_U_DEGREE)
+    if not R:
+        raise ValueError("r96 vanishes identically on this line")
+    K = restriction(k552, K552_LINE_DEGREE)
+    R3 = _cube(R, p)
     q, rem = poly_divmod(K, R3, p)
     return SliceWitness(
         success=not rem,
         quotient_degree=len(q) - 1 if q else -1,
         k_degree=len(K) - 1 if K else -1,
-        r3_degree=len(R3) - 1 if R3 else -1,
+        r3_degree=len(R3) - 1,
         modulus=modulus,
         quotient=q,
+        K=K,
+        R=R,
     )
+
+
+def _cube(R, p):
+    """R^3 of a nonzero low-to-high list: mod p on residues, or over Q on
+    ints once R's common denominator d is cleared, so that it comes back
+    as ints when d = 1 and as Fractions over d^3 otherwise."""
+    d = lcm(*(c.denominator for c in R))
+    ints = [c.numerator * (d // c.denominator) for c in R]
+    cube = _convolve(_convolve(ints, ints), ints)
+    if p:
+        return [c % p for c in cube]
+    return cube if d == 1 else [Fraction(c, d ** 3) for c in cube]
 
 
 def _interp(ys, p):

@@ -19,14 +19,24 @@ class InexactDivision(ArithmeticError):
     """Raised when an exact division leaves a remainder."""
 
 
+# the moduli ModP has already found to be odd primes: after the first
+# residue mod p, the check is one set lookup
+_ODD_PRIMES = set()
+
+
 class ModP:
-    """Canonical residue in [0, p) for an odd prime p < 2**62."""
+    """Canonical residue in [0, p) for an odd prime p; any size works, and
+    the pinned prime of the mod-p checks is just above 2**62.  A composite
+    or even modulus is refused, since the resultant engine and the slice
+    certificate divide mod p."""
 
     __slots__ = ("p", "v")
 
     def __init__(self, v, p):
-        if p < 3 or p % 2 == 0:
-            raise ValueError("modulus must be an odd prime, got %r" % (p,))
+        if p not in _ODD_PRIMES:
+            if p < 3 or not is_prime(p):
+                raise ValueError("modulus must be an odd prime, got %r" % (p,))
+            _ODD_PRIMES.add(p)
         self.p = p
         self.v = v % p
 

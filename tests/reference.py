@@ -10,6 +10,9 @@ cross-check the fast paths against:
 * for the Borcherds input, the power-series reciprocal on Fractions;
 * for slice interpolation, Newton divided differences at arbitrary
   distinct integer points, over Q on Fractions or mod p;
+* for the slice certificate, the line evaluated at every point the plain
+  u-degree bounds ask for (139 for k552, 61 for r96 and its cube) and K
+  divided by R^3 by schoolbook long division;
 * for the degree patterns behind the irreducibility certificate, sympy's
   factorization over GF(p).
 """
@@ -20,6 +23,7 @@ import sympy
 
 from ellk3.elimination import poly_trim
 from ellk3.hilbert import Q_WEIGHTS
+from ellk3.invariants import K552_U_DEGREE, R96_U_DEGREE, SliceWitness, _eval_on_line, check_modulus, k552, r96
 from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries, eisenstein
 from ellk3.scalars import InexactDivision, ModP, exact_scalar_div
@@ -230,3 +234,54 @@ def is_squarefree_mod(f, p):
     of f and its derivative over GF(p)."""
     fp = sympy.Poly(f[::-1], sympy.Symbol("x"), modulus=p)
     return fp.gcd(fp.diff()).degree() == 0
+
+
+def field_divmod(a, b, p):
+    """Quotient and remainder of low-to-high lists by schoolbook long
+    division over Q on Fractions (p = 0) or mod p on residues."""
+    if p:
+        a, b = [c % p for c in a], [c % p for c in b]
+    else:
+        a, b = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    r, b = poly_trim(a), poly_trim(b)
+    q = [0] * max(0, len(r) - len(b) + 1)
+    while len(r) >= len(b):
+        k = len(r) - len(b)
+        c = r[-1] * pow(b[-1], -1, p) % p if p else r[-1] / b[-1]
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] = (r[k + i] - c * y) % p if p else r[k + i] - c * y
+        poly_trim(r)
+    return poly_trim(q), r
+
+
+def slice_reference(u0, u1, modulus=None):
+    """The slice certificate from the plain u-degree bounds: K from k552 at
+    s = 0, ..., K552_U_DEGREE, and R and R3 from r96 and its cube at s = 0,
+    ..., 3 R96_U_DEGREE, each by Newton interpolation, then K / R3 by long
+    division."""
+    check_modulus(modulus)
+    p = modulus or 0
+    xs = list(range(K552_U_DEGREE + 1))
+    points = [_eval_on_line(u0, u1, s, modulus) for s in xs]
+    rvals = [r96(u).value for u in points[:3 * R96_U_DEGREE + 1]]
+    r3vals = [v ** 3 for v in rvals]
+    if not any(r3vals):
+        raise ValueError("r96 vanishes identically on this line")
+    kvals = [k552(u).value for u in points]
+    if p:
+        rvals, r3vals, kvals = ([v.v for v in vals] for vals in (rvals, r3vals, kvals))
+    R = newton_interp(xs[:len(rvals)], rvals, p)
+    R3 = newton_interp(xs[:len(rvals)], r3vals, p)
+    K = newton_interp(xs, kvals, p)
+    q, rem = field_divmod(K, R3, p)
+    return SliceWitness(
+        success=not rem,
+        quotient_degree=len(q) - 1 if q else -1,
+        k_degree=len(K) - 1 if K else -1,
+        r3_degree=len(R3) - 1,
+        modulus=modulus,
+        quotient=q,
+        K=K,
+        R=R,
+    )

@@ -10,6 +10,7 @@ from ellk3.elimination import (
     discriminant_binary,
     factor_multiplicity,
     gcd_and_squarefree,
+    poly_divmod,
     poly_primitive,
     resultant,
     squarefree_decomposition,
@@ -18,7 +19,7 @@ from ellk3.invariants import r96
 from ellk3.multipoly import MultiPoly
 from ellk3.scalars import ModP
 from ellk3.weierstrass import SurfaceParams
-from reference import det_bareiss, sylvester_matrix, sylvester_resultant
+from reference import det_bareiss, field_divmod, sylvester_matrix, sylvester_resultant
 
 
 def rand_form(rng, n, bound=9):
@@ -245,6 +246,54 @@ def test_engine_matches_sylvester_mod_small_prime_with_drops(f, g):
     assert_engine_matches(f, g, ModP)
 
 
+# the mod-p engine is Euclid's sequence with one inverse at the end; tiny
+# fields make vanishing coefficients and large degree drops common
+TINY_PRIMES = (3, 5, 7, 139)
+
+
+def sparse_residues(p):
+    return st.one_of(st.just(0), st.integers(0, p - 1)).map(lambda v: ModP(v, p))
+
+
+@given(st.sampled_from(TINY_PRIMES).flatmap(lambda p: st.tuples(
+    st.integers(0, 3).flatmap(lambda k: forms(sparse_residues(p), max_degree=8, w_power=k)),
+    st.integers(0, 3).flatmap(lambda k: forms(sparse_residues(p), max_degree=8, w_power=k)))))
+def test_engine_matches_sylvester_mod_tiny_primes(fg):
+    # leading zeros (w divides one form, both or neither) and sparse forms
+    assert_engine_matches(*fg, ModP)
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def euclid_drops(draw):
+    """(A, B) residue forms with A = B Q + R mod p, lc(B) and lc(Q) nonzero
+    and deg R <= deg B - 2 (R may be zero), so that Euclid's first
+    remainder drops two or more degrees below B."""
+    p = draw(st.sampled_from(TINY_PRIMES))
+    res, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    db = draw(st.integers(2, 7))
+    B = [draw(unit)] + draw(st.lists(res, min_size=db, max_size=db))
+    Q = [draw(unit)] + draw(st.lists(res, max_size=4))
+    R = draw(st.lists(res, max_size=db - 1))
+    A = _mul(B, Q)
+    A[len(A) - len(R):] = [a + r for a, r in zip(A[len(A) - len(R):], R)]
+    return tuple(BinaryForm(len(c) - 1, [ModP(x, p) for x in c]) for c in (A, B))
+
+
+@given(euclid_drops())
+def test_engine_matches_sylvester_mod_tiny_primes_on_degree_drops(ab):
+    a, b = ab
+    assert_engine_matches(a, b, ModP)
+    assert_engine_matches(b, a, ModP)
+
+
 @given(st.integers(1, 3).flatmap(lambda k: forms(small_ints, w_power=k)), forms(small_ints, min_degree=1))
 def test_engine_infinity_place_w_divides_f(f, g):
     assert_engine_matches(f, g, int)
@@ -294,6 +343,47 @@ def test_zero_resultant_is_the_zero_of_the_coefficient_domain():
     assert resultant(zero2, BinaryForm(1, [ModP(1, 7), ModP(3, 7)])) == ModP(0, 7)
     assert type(resultant(zero2, BinaryForm(1, [Fraction(1, 2), 1]))) is Fraction
     assert type(resultant(zero2, BinaryForm(1, [1, 2]))) is int
+
+
+# -- univariate division against schoolbook long division -------------
+
+
+@st.composite
+def division_cases(draw, coeff):
+    """(a, b) low-to-high with a = b q + r for drawn q and r, r either
+    zero (an exact division, on ints all the way) or of any degree."""
+    b = draw(st.lists(coeff, min_size=1, max_size=6).filter(any))
+    q = draw(st.lists(coeff, max_size=6))
+    r = draw(st.lists(coeff, max_size=8) | st.just([]))
+    a = [0] * max(len(b) + len(q) - 1, len(r))
+    for i, x in enumerate(q):
+        for j, y in enumerate(b):
+            a[i + j] += x * y
+    for i, x in enumerate(r):
+        a[i] += x
+    return a, b
+
+
+@given(division_cases(st.one_of(small_ints, big_ints)))
+def test_poly_divmod_over_q_matches_long_division(ab):
+    a, b = ab
+    want = field_divmod(a, b, 0)
+    for args in ((a, b), ([Fraction(c) for c in a], b)):
+        q, r = poly_divmod(*args)
+        assert (q, r) == want
+        assert all(type(c) is Fraction for c in q + r if c)
+
+
+@given(division_cases(fractions))
+def test_poly_divmod_over_q_on_fractions(ab):
+    assert poly_divmod(*ab) == field_divmod(*ab, 0)
+
+
+@given(division_cases(small_ints), st.sampled_from(TINY_PRIMES))
+def test_poly_divmod_mod_p_matches_long_division(ab, p):
+    a, b = ab
+    assume(any(c % p for c in b))
+    assert poly_divmod(a, b, p) == field_divmod(a, b, p)
 
 
 # -- the factorization against the PRS engine --------------------------

@@ -2,12 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellk3 import invariants
+from ellk3.binforms import _convolve
 from ellk3.invariants import (
     DEFAULTS,
+    K552_LINE_DEGREE,
     K552_U_DEGREE,
+    R96_U_DEGREE,
     InvariantValue,
     SliceWitness,
     VerifyDefaults,
@@ -26,7 +30,7 @@ from ellk3.invariants import (
 from ellk3.elimination import CONVENTION_TAG, poly_trim
 from ellk3.scalars import reduce_scalar_mod
 from ellk3.weierstrass import SurfaceParams
-from reference import newton_interp
+from reference import newton_interp, slice_reference
 
 # smallest interesting surface: g2 = x^8 + w^8, g3 = x^12 + w^12
 BASE = SurfaceParams.make([1] + [0] * 7 + [1], [1] + [0] * 11 + [1])
@@ -145,7 +149,7 @@ def test_slice_divisibility_mod_p():
     wit = slice_divisibility(u0, u1, modulus=DEFAULTS.homogeneity_prime)
     assert isinstance(wit, SliceWitness) and wit.success
     assert wit.r3_degree == 60
-    assert wit.k_degree <= 138
+    assert wit.k_degree <= K552_LINE_DEGREE
     assert wit.quotient_degree == wit.k_degree - 60
 
 
@@ -238,3 +242,89 @@ def test_interp_matches_divided_differences(domain, data):
     ys = data.draw(st.lists(values, min_size=n, max_size=n))
     # bit-identical: same values and same types (Fractions over Q, ints mod p)
     assert repr(_interp(ys, p)) == repr(newton_interp(list(range(n)), ys, p))
+
+
+# -- the slice certificate against the plain-degree reference ----------
+
+P62 = DEFAULTS.homogeneity_prime
+
+
+def surfaces(coeff, g2=True):
+    return st.builds(SurfaceParams.make, st.lists(coeff if g2 else st.just(0), min_size=9, max_size=9),
+                     st.lists(coeff, min_size=13, max_size=13))
+
+
+small, large = st.integers(-9, 9), st.integers(-10**6, 10**6)
+LINES = {
+    "small": st.tuples(surfaces(small), surfaces(small)),
+    "large": st.tuples(surfaces(large), surfaces(large)),
+    "rational": st.tuples(surfaces(st.fractions(-9, 9, max_denominator=7)), surfaces(small)),
+    # u1 with g2 = 0: g2 is constant along the line, and the degrees drop
+    "g2-zero": st.tuples(surfaces(small), surfaces(small, g2=False)),
+}
+
+
+@pytest.mark.parametrize("modulus", [None, 139, P62])
+@pytest.mark.parametrize("kind", sorted(LINES))
+def test_slice_divisibility_matches_reference(kind, modulus):
+    """The certificate from the proven line degrees (123 k552 and 21 r96
+    evaluations) equals, field for field, the one from the plain degree
+    bounds (139 and 61), whose k_degree never exceeds K552_LINE_DEGREE."""
+
+    @settings(max_examples=1 if modulus is None else 2)
+    @given(LINES[kind])
+    def check(line):
+        try:
+            want = slice_reference(*line, modulus=modulus)
+        except ValueError:
+            with pytest.raises(ValueError):
+                slice_divisibility(*line, modulus=modulus)
+            assume(False)
+        got = slice_divisibility(*line, modulus=modulus)
+        assert got == want and repr(got.quotient) == repr(want.quotient)
+        assert want.success and want.k_degree <= K552_LINE_DEGREE
+        if kind == "g2-zero":
+            assert want.r3_degree <= 3 * 8  # r96 has degree 8 in g3
+
+    check()
+
+
+def test_slice_line_evaluation_budget(monkeypatch):
+    """One line costs K552_LINE_DEGREE + 1 = 123 k552 and R96_U_DEGREE + 1
+    = 21 r96 evaluations, over Q and mod p."""
+    calls = {"k552": 0, "r96": 0}
+
+    def counted(name, fn):
+        def wrapper(u):
+            calls[name] += 1
+            return fn(u)
+        return wrapper
+
+    monkeypatch.setattr(invariants, "k552", counted("k552", k552))
+    monkeypatch.setattr(invariants, "r96", counted("r96", r96))
+    rng = random.Random(12)
+    u0, u1 = random_surface(rng), random_surface(rng)
+    for modulus in (None, P62):
+        calls.update(k552=0, r96=0)
+        assert slice_divisibility(u0, u1, modulus=modulus).success
+        assert calls == {"k552": 123, "r96": 21}
+    assert (K552_LINE_DEGREE, R96_U_DEGREE) == (122, 20)
+
+
+@pytest.mark.parametrize("modulus", [None, 139, P62])
+def test_slice_witness_interpolants_factor_exactly(modulus):
+    """K = R^3 q exactly, with the interpolants the witness carries."""
+    rng = random.Random(13)
+    u0, u1 = random_surface(rng), random_surface(rng)
+    wit = slice_divisibility(u0, u1, modulus=modulus)
+    assert len(wit.K) - 1 == wit.k_degree == K552_LINE_DEGREE
+    assert 3 * (len(wit.R) - 1) == wit.r3_degree == 3 * R96_U_DEGREE
+    product = _convolve(_convolve(_convolve(wit.R, wit.R), wit.R), wit.quotient)
+    if modulus:
+        product = [c % modulus for c in product]
+    assert product == wit.K
+    # the interpolants are those of k552 and r96 at points of the line
+    s = 200
+    u = invariants._eval_on_line(u0, u1, s, modulus)
+    for poly, invariant in ((wit.K, k552), (wit.R, r96)):
+        assert invariant(u).value == sum(c * s ** i for i, c in enumerate(poly))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from ellk3.binforms import BinaryForm
 from ellk3.scalars import (
     DomainError,
     InexactDivision,
@@ -15,6 +16,7 @@ from ellk3.scalars import (
     scalar_from_str,
     scalar_to_str,
 )
+from ellk3.weierstrass import SurfaceParams
 
 
 def test_modp_field_arithmetic():
@@ -40,6 +42,21 @@ def test_modp_cross_domain_rejected():
         ModP(1, 7) + ModP(1, 11)
     with pytest.raises(DomainError):
         ModP(1, 7) * Fraction(1, 2)
+
+
+@pytest.mark.parametrize("modulus", [9, 15, 91])
+def test_composite_moduli_refused(modulus):
+    # reduce_mod and resultant see residues only through ModP, so the one
+    # check covers them: F_p must be a field for the mod-p resultant
+    for make in (lambda: ModP(1, modulus), lambda: reduce_scalar_mod(5, modulus),
+                 lambda: BinaryForm(1, [1, 2]).reduce_mod(modulus),
+                 lambda: SurfaceParams.make(range(9), range(13)).reduce_mod(modulus)):
+        with pytest.raises(ValueError, match="modulus must be an odd prime, got %d" % modulus):
+            make()
+    # a refused modulus stays refused, and a prime is accepted again
+    with pytest.raises(ValueError):
+        ModP(2, modulus)
+    assert ModP(modulus, 139) == ModP(modulus, 139)
 
 
 def test_modp_division_by_zero():
