@@ -3,45 +3,66 @@ fiber classification, the weighted invariants r96 / k552 / Delta264, the
 Molien-Weyl Hilbert series of the SL2-invariant ring with an independent
 raising-operator oracle, and the Eisenstein q-series feeding the
 weight-132 Borcherds product.
+
+Every public name below is re-exported lazily (PEP 562): ``import ellk3``
+loads no submodule, and ``ellk3.fiber_profile`` imports
+``ellk3.weierstrass`` on first use.  So ``python -m ellk3.cli`` pays only
+for the modules its command runs.  Submodules are reachable as attributes
+too (``ellk3.hilbert``).
 """
 
-from .binforms import BinaryForm
-from .elimination import (
-    CONVENTION_TAG,
-    discriminant_binary,
-    gcd_and_squarefree,
-    resultant,
-)
-from .hilbert import (
-    HilbertSeries,
-    character_series,
-    invariant_basis,
-    invariant_dimension_oracle,
-    molien_series,
-    raising_operator,
-)
-from .invariants import (
-    InvariantValue,
-    delta264,
-    gm_act,
-    grading_constants,
-    k552,
-    r96,
-    random_surface,
-    sl2_act,
-    slice_divisibility,
-    verify_bulk,
-)
-from .multipoly import MultiPoly
-from .qseries import QSeries, borcherds_input, eisenstein
-from .scalars import DomainError, InexactDivision, ModP
-from .weierstrass import (
-    FiberReport,
-    SurfaceParams,
-    assemble,
-    degeneration_component,
-    fiber_profile,
-    kodaira_type,
-)
+import importlib
 
+_EXPORTS = {
+    "binforms": ("BinaryForm",),
+    "elimination": ("CONVENTION_TAG", "discriminant_binary", "gcd_and_squarefree", "resultant"),
+    "hilbert": (
+        "HilbertSeries",
+        "character_series",
+        "invariant_basis",
+        "invariant_dimension_oracle",
+        "molien_series",
+        "raising_operator",
+    ),
+    "invariants": (
+        "InvariantValue",
+        "delta264",
+        "gm_act",
+        "grading_constants",
+        "k552",
+        "r96",
+        "random_surface",
+        "sl2_act",
+        "slice_divisibility",
+        "verify_bulk",
+    ),
+    "multipoly": ("MultiPoly",),
+    "qseries": ("QSeries", "borcherds_input", "eisenstein"),
+    "scalars": ("DomainError", "InexactDivision", "ModP"),
+    "weierstrass": (
+        "FiberReport",
+        "SurfaceParams",
+        "assemble",
+        "degeneration_component",
+        "fiber_profile",
+        "kodaira_type",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # not cached here: a name always reads its module's current binding
+    if name in _HOME:
+        return getattr(importlib.import_module("." + _HOME[name], __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -3,56 +3,64 @@ invariant.
 
 Exit codes: 0 on success (and in_U / no failures), 1 on domain-negative
 results (not in U, verification failures), 2 on usage or parse errors.
-All big integers serialize as decimal strings.
+All big integers serialize as decimal strings.  Each command imports the
+library modules it runs only after its cheap argument checks, so start-up
+and a rejected option load none of them.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-from .hilbert import ORACLE_MAX_DEGREE, character_series, invariant_dimension_oracle
-from .invariants import DEFAULTS, check_modulus, delta264, k552, r96, verify_bulk
-from .qseries import borcherds_input
-from .scalars import scalar_to_str
-from .weierstrass import SurfaceParams, fiber_profile
-
-
-def _emit(data, path):
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _load_surface(path):
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise UsageError("cannot read surface parameters from %s: %s" % (path, e))
-    try:
-        return SurfaceParams.from_json_dict(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as e:
-        raise UsageError("malformed surface parameters in %s: %s" % (path, e))
 
 
 class UsageError(Exception):
     pass
 
 
+def _write(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise UsageError("cannot write %s: %s" % (path, e))
+
+
+def _emit(data, path):
+    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+    if path:
+        _write(path, text)
+    else:
+        sys.stdout.write(text)
+
+
+def _load_surface(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise UsageError("cannot read surface parameters from %s: %s" % (path, e))
+    from .weierstrass import SurfaceParams
+
+    try:
+        return SurfaceParams.from_json_dict(raw)
+    except (ValueError, TypeError, ZeroDivisionError) as e:
+        raise UsageError("malformed surface parameters in %s: %s" % (path, e))
+
+
 def cmd_classify(args):
     u = _load_surface(args.input)
+    from .weierstrass import fiber_profile
+
     report = fiber_profile(u)
     _emit(report.to_json_dict(), args.output)
     return 0 if report.in_U else 1
 
 
 def cmd_verify(args):
-    if args.trials < 1:
+    if args.trials is not None and args.trials < 1:
         raise UsageError("--trials must be >= 1")
+    from .invariants import check_modulus, verify_bulk
+
     try:
         check_modulus(args.modulus)
     except ValueError as e:
@@ -66,6 +74,8 @@ def cmd_hilbert(args):
     N = args.max_degree
     if N < 0:
         raise UsageError("--max-degree must be >= 0")
+    from .hilbert import ORACLE_MAX_DEGREE, character_series, invariant_dimension_oracle
+
     if args.oracle and N > ORACLE_MAX_DEGREE:
         raise UsageError(
             "--oracle refuses t-degrees above %d (got --max-degree %d)"
@@ -85,8 +95,7 @@ def cmd_hilbert(args):
         lines = [",".join(cols)]
         for row in rows:
             lines.append(",".join(str(row[c]) for c in cols))
-        with open(args.output, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write(args.output, "\n".join(lines) + "\n")
     else:
         _emit(rows, args.output)
     if args.oracle and any(r["dim"] != r["oracle_dim"] for r in rows):
@@ -97,6 +106,11 @@ def cmd_hilbert(args):
 def cmd_qseries(args):
     if args.terms < 1:
         raise UsageError("--terms must be >= 1")
+    from fractions import Fraction
+
+    from .qseries import borcherds_input
+    from .scalars import scalar_to_str
+
     N = args.terms - 2  # q^-1 and the constant term count as the first two
     series = borcherds_input(max(N, 0))
     data = {
@@ -109,6 +123,9 @@ def cmd_qseries(args):
 
 def cmd_invariant(args):
     u = _load_surface(args.input)
+    from .invariants import delta264, k552, r96
+    from .scalars import scalar_to_str
+
     fn = {"r96": r96, "k552": k552, "delta264": delta264}[args.name]
     try:
         val = fn(u)
@@ -141,7 +158,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="bulk verification of the divisibility/invariance identities")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=DEFAULTS.pointwise_trials)
+    p.add_argument("--trials", type=int)  # None: verify_bulk uses DEFAULTS.pointwise_trials
     p.add_argument("--modulus", type=int)
     p.add_argument("--output")
     p.set_defaults(fn=cmd_verify)

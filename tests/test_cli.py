@@ -65,6 +65,25 @@ def test_classify_corrupt_input_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", [["classify"], ["invariant", "r96"]])
+def test_non_utf8_surface_file_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert run(command + ["--input", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read surface parameters from ")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["h.json", "h.csv"])
+def test_unwritable_output_exit_2(tmp_path, capsys, name):
+    out = str(tmp_path / "missing" / name)
+    assert run(["hilbert", "--max-degree", "8", "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write %s: " % out)
+    assert captured.out == ""
+
+
 def test_invariant_values_are_decimal_strings(tmp_path, capsys):
     inp = write_surface(tmp_path, GENERIC)
     assert run(["invariant", "r96", "--input", inp]) == 0
@@ -244,3 +263,32 @@ def test_type_ii_fiber_profile_loads_sympy_and_keeps_its_report():
     report, loaded = _fresh_python(code).splitlines()
     assert json.loads(report) == II_REPORT
     assert loaded == "['sympy']"
+
+
+# runs a command through cli.main in a new interpreter
+LOADS = (
+    "import json, sys; from ellk3.cli import main; code = main(%r); "
+    "print(json.dumps([code, [m for m in sys.modules if m.split('.')[0] == 'ellk3']]))"
+)
+
+
+def _loads(argv):
+    """The command's exit code and the ellk3 modules it loaded."""
+    code, modules = json.loads(_fresh_python(LOADS % argv).splitlines()[-1])
+    return code, set(modules)
+
+
+def test_import_ellk3_loads_no_submodule():
+    code = "import sys, ellk3; print(sorted(m for m in sys.modules if m.startswith('ellk3')))"
+    assert _fresh_python(code) == "['ellk3']"
+
+
+def test_qseries_loads_no_elimination_hilbert_invariants_or_weierstrass():
+    code, modules = _loads(["qseries", "--terms", "4"])
+    assert code == 0
+    assert not modules & {"ellk3.elimination", "ellk3.hilbert", "ellk3.invariants", "ellk3.weierstrass"}
+
+
+@pytest.mark.parametrize("argv", [["hilbert", "--max-degree", "-1"], ["verify", "--trials", "0"]])
+def test_usage_error_loads_no_library_module(argv):
+    assert _loads(argv) == (2, {"ellk3", "ellk3.cli"})
