@@ -1,9 +1,9 @@
 """Homogeneous bivariate forms of declared degree in (x, w).
 
 Coefficient entry i is the coefficient of x^(n-i) w^i.  Entries are exact
-scalars, or any ring elements with +, * and truthiness (the raising
-table substitutes into generic forms with MultiPoly entries).  The zero
-form keeps its declared degree.
+scalars, or any ring elements with +, * and truthiness (only the tests'
+reference derivation of the raising table substitutes into generic forms
+with MultiPoly entries).  The zero form keeps its declared degree.
 """
 
 from .scalars import reduce_scalar_mod, scalar_to_str

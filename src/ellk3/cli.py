@@ -3,18 +3,30 @@ invariant.
 
 Exit codes: 0 on success (and in_U / no failures), 1 on domain-negative
 results (not in U, verification failures), 2 on usage or parse errors.
-All big integers serialize as decimal strings.  Each command imports the
-library modules it runs only after its cheap argument checks, so start-up
-and a rejected option load none of them.
+All big integers serialize as exact decimal strings, at any size.  An
+--output that cannot be a file in a writable directory is refused before
+anything runs.  Each command imports the library modules it runs only
+after its cheap argument checks, so start-up and a rejected option load
+none of them.
 """
 
 import argparse
 import json
+import os
 import sys
 
 
 class UsageError(Exception):
     pass
+
+
+def _check_output(path):
+    """Refuse an --output that is a directory or lies in a missing or
+    unwritable one, before any work; the file itself is neither created
+    nor truncated."""
+    folder = os.path.dirname(path) or "."
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(folder, os.W_OK):
+        raise UsageError("cannot write %s: not a file in a writable directory" % path)
 
 
 def _write(path, text):
@@ -37,7 +49,7 @@ def _load_surface(path):
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad UTF-8, bad JSON, too many digits
         raise UsageError("cannot read surface parameters from %s: %s" % (path, e))
     from .weierstrass import SurfaceParams
 
@@ -188,6 +200,8 @@ def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if args.output:
+            _check_output(args.output)
         return args.fn(args)
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)

@@ -5,18 +5,16 @@ parameter space, three ways:
   carries a finite Laurent polynomial in q and the residue is the q^(-1)
   coefficient of (q^(-1) - q) times the product;
 * an independent oracle computing the exact kernel dimension of the
-  raising operator from the torus-weight-0 to the weight-2 subspace,
-  certified by full row rank mod a single prime (one sparse elimination,
-  which over Q also yields explicit invariants);
+  raising operator D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1} from the
+  torus-weight-0 to the weight-2 subspace, certified by full row rank mod
+  a single prime (one sparse elimination, which over Q also yields
+  explicit invariants as exponent-tuple -> Fraction dicts);
 * the character-extended series (1 + t^132) H(t) realizing the rank-2
   free extension with its weight-264 relation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .binforms import BinaryForm
-from .multipoly import MultiPoly
 
 # the 22 ambient variables: octic coefficients then duodecic ones
 U8_VARS = tuple("u_{%d,%d}" % (8 - i, i) for i in range(9))
@@ -88,59 +86,40 @@ def character_series(N):
 
 # -- the raising operator --------------------------------------------
 
-
-def _raising_table():
-    """Images D(u_{n-i,i}) of the coordinates under the infinitesimal
-    upper-shear action, derived by substituting [[1,0],[eps,1]] into the
-    generic forms and extracting the eps-linear part (never transcribed
-    by hand)."""
-    table = {}
-    vars_eps = U_VARS + ("eps",)
-    eps = MultiPoly.variable("eps", vars_eps)
-    one = MultiPoly.constant(1, vars_eps)
-    zero = MultiPoly.zero(vars_eps)
-    for n, names in ((8, U8_VARS), (12, U12_VARS)):
-        generic = BinaryForm(n, [MultiPoly.variable(v, vars_eps) for v in names])
-        moved = generic.substitute([[one, zero], [eps, one]])
-        for i, name in enumerate(names):
-            linear = moved.coeffs[i].deriv("eps").substitute_var("eps", 0)
-            # linear is a Z-combination of the u-variables
-            image = []
-            for exp, c in linear.sorted_terms():
-                assert sum(exp) == 1
-                j = exp.index(1)
-                image.append((U_VARS[j], c))
-            table[name] = image
-    return table
-
-
-_RAISING_TABLE = None
+# D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1}, the infinitesimal upper shear: the
+# coordinate at index k maps to (index of its image, coefficient); the
+# top coordinates u_{0,8} and u_{0,12} die and have no entry
+_SHIFT = {off + i: (off + i + 1, i + 1) for off, n in ((0, 8), (9, 12)) for i in range(n)}
 
 
 def raising_table():
-    global _RAISING_TABLE
-    if _RAISING_TABLE is None:
-        _RAISING_TABLE = _raising_table()
-    return _RAISING_TABLE
+    """Images D(u_{n-i,i}) as {name: [(image name, coefficient)]}, the
+    empty list for the two top coordinates."""
+    table = {name: [] for name in U_VARS}
+    for k, (tgt, c) in _SHIFT.items():
+        table[U_VARS[k]] = [(U_VARS[tgt], c)]
+    return table
 
 
 def raising_operator(p):
-    """Apply the raising derivation to a polynomial in the 22 u-variables;
-    raises torus weight by 2 and annihilates every invariant."""
-    table = raising_table()
-    out = MultiPoly.zero(p.vars)
-    for name in p.vars:
-        if name not in table:
-            raise ValueError("unknown variable %r for the raising operator" % name)
-        img = table[name]
-        if not img:
-            continue
-        d = p.deriv(name)
-        if not d:
-            continue
-        for target, c in img:
-            out = out + d * (c * MultiPoly.variable(target, p.vars))
-    return out
+    """Apply the raising derivation D to a polynomial given as {exponent
+    tuple over U_VARS: coefficient}; returns D(p) the same way, without
+    zero terms.  D raises torus weight by 2 and annihilates every
+    invariant."""
+    out = {}
+    for mono, c in p.items():
+        if len(mono) != len(U_VARS):
+            raise ValueError("exponent vector of length %d, not %d" % (len(mono), len(U_VARS)))
+        for k, (tgt, f) in _SHIFT.items():
+            e = mono[k]
+            if not e:
+                continue
+            image = list(mono)
+            image[k] -= 1
+            image[tgt] += 1
+            image = tuple(image)
+            out[image] = out.get(image, 0) + e * f * c
+    return {m: c for m, c in out.items() if c}
 
 
 # -- monomial bases and the kernel oracle ----------------------------
@@ -193,22 +172,15 @@ def _raising_matrix(tdegree):
         raise FeasibilityError(
             "t-degree %d exceeds the oracle feasibility bound %d" % (tdegree, ORACLE_MAX_DEGREE)
         )
-    table = raising_table()
-    shift = {}
-    for k, name in enumerate(U_VARS):
-        img = table[name]
-        if img:
-            (target, c), = img
-            shift[k] = (U_VARS.index(target), c)
     v0 = monomial_basis(tdegree, 0)
     v2 = monomial_basis(tdegree, 2)
     index2 = {m: i for i, m in enumerate(v2)}
     rows = [{} for _ in v2]
     for col, mono in enumerate(v0):
-        for k, e in enumerate(mono):
-            if not e or k not in shift:
+        for k, (tgt, c) in _SHIFT.items():
+            e = mono[k]
+            if not e:
                 continue
-            tgt, c = shift[k]
             out = list(mono)
             out[k] -= 1
             out[tgt] += 1
@@ -299,11 +271,8 @@ def invariant_dimension_oracle(d):
 
 
 def invariant_basis(d):
-    """Exact rational invariants at t-degree d as MultiPoly values: the
-    kernel of the raising operator, eliminated over Q and read back as
-    polynomials in the u-variables."""
+    """Exact rational invariants at t-degree d, each as {exponent tuple
+    over U_VARS: Fraction}: the kernel of the raising operator,
+    eliminated over Q and read back as polynomials in the u-variables."""
     v0, _, rows = _raising_matrix(d)
-    return [
-        MultiPoly(U_VARS, {v0[j]: c for j, c in vec.items()})
-        for vec in _kernel(_echelon(rows, 0), len(v0))
-    ]
+    return [{v0[j]: c for j, c in vec.items()} for vec in _kernel(_echelon(rows, 0), len(v0))]

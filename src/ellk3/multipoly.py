@@ -1,6 +1,6 @@
 """Sparse multivariate polynomials with exact coefficients: the ring
-arithmetic, derivatives and substitutions the raising operator and the
-invariant bases need.
+arithmetic, derivatives and substitutions of the tests' reference
+derivation of the raising table; no other library module uses them.
 
 Terms are a map from dense exponent tuples to nonzero scalars; sorted in
 descending graded-lex order so output is byte-stable.

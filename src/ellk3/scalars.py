@@ -137,12 +137,24 @@ def reduce_scalar_mod(c, p):
     raise DomainError("cannot reduce %r mod %d" % (type(c).__name__, p))
 
 
+def _digits(c):
+    """str(c), exact for an int of any size: str() refuses ints past the
+    interpreter's digit limit, which stays in force to guard parsing, and
+    Decimal's conversion has no such limit."""
+    try:
+        return str(c)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(c))
+
+
 def scalar_to_str(c):
     if isinstance(c, Fraction):
         if c.denominator == 1:
-            return str(c.numerator)
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(c)
+            return _digits(c.numerator)
+        return "%s/%s" % (_digits(c.numerator), _digits(c.denominator))
+    return _digits(c)
 
 
 # the two written forms of a scalar: an integer and a fraction of integers

@@ -4,9 +4,11 @@ cross-check the fast paths against:
 * for the resultant engine, the Sylvester matrix and a fraction-free
   (Bareiss) determinant over any integral domain with exact division
   (int, Fraction, ModP, MultiPoly);
-* for the Hilbert oracle, dense Gaussian elimination over Q on Fractions
-  and the kernel it yields, and the weight spaces by enumerating every
-  monomial of a t-degree and filing it under its q-weight;
+* for the Hilbert oracle, the raising table derived by substituting the
+  shear [[1, 0], [eps, 1]] into generic forms with MultiPoly entries,
+  dense Gaussian elimination over Q on Fractions and the kernel it
+  yields, and the weight spaces by enumerating every monomial of a
+  t-degree and filing it under its q-weight;
 * for the Borcherds input, the power-series reciprocal on Fractions;
 * for slice interpolation, Newton divided differences at arbitrary
   distinct integer points, over Q on Fractions or mod p;
@@ -21,8 +23,9 @@ from fractions import Fraction
 
 import sympy
 
+from ellk3.binforms import BinaryForm
 from ellk3.elimination import poly_trim
-from ellk3.hilbert import Q_WEIGHTS
+from ellk3.hilbert import Q_WEIGHTS, U8_VARS, U12_VARS, U_VARS
 from ellk3.invariants import K552_U_DEGREE, R96_U_DEGREE, SliceWitness, _eval_on_line, check_modulus, k552, r96
 from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries, eisenstein
@@ -145,6 +148,30 @@ def dense_kernel(rows, ncols):
             v[c] = -r[free]
         basis.append(v)
     return basis
+
+
+def substituted_raising_table():
+    """Images D(u_{n-i,i}) of the coordinates under the infinitesimal
+    upper shear, as {name: [(image name, coefficient)]}: substitute
+    [[1, 0], [eps, 1]] into the generic octic and duodecic and take the
+    eps-linear part of each coefficient, a Z-combination of the u's
+    (never transcribed by hand)."""
+    table = {}
+    vars_eps = U_VARS + ("eps",)
+    eps = MultiPoly.variable("eps", vars_eps)
+    one = MultiPoly.constant(1, vars_eps)
+    zero = MultiPoly.zero(vars_eps)
+    for n, names in ((8, U8_VARS), (12, U12_VARS)):
+        generic = BinaryForm(n, [MultiPoly.variable(v, vars_eps) for v in names])
+        moved = generic.substitute([[one, zero], [eps, one]])
+        for i, name in enumerate(names):
+            linear = moved.coeffs[i].deriv("eps").substitute_var("eps", 0)
+            image = []
+            for exp, c in linear.sorted_terms():
+                assert sum(exp) == 1
+                image.append((U_VARS[exp.index(1)], c))
+            table[name] = image
+    return table
 
 
 def compositions(total, parts):

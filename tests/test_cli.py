@@ -1,12 +1,14 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 from ellk3.cli import main
-from ellk3.invariants import r96
+from ellk3.invariants import k552, r96
 from ellk3.weierstrass import SurfaceParams
 
 GENERIC = SurfaceParams.make(
@@ -75,6 +77,16 @@ def test_non_utf8_surface_file_exit_2(tmp_path, capsys, command):
     assert captured.out == ""
 
 
+def test_surface_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
+    # json.load refuses an integer literal longer than the digit limit
+    path = tmp_path / "big.json"
+    path.write_text('{"g2": [%s%s], "g3": [%s]}' % ("1" * 5000, ", 1" * 8, ", ".join(["1"] * 13)))
+    assert run(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read surface parameters from ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("name", ["h.json", "h.csv"])
 def test_unwritable_output_exit_2(tmp_path, capsys, name):
     out = str(tmp_path / "missing" / name)
@@ -98,6 +110,21 @@ def test_invariant_values_are_decimal_strings(tmp_path, capsys):
     assert int(k["value"]) == int(d["value"]) * int(data["value"]) ** 3
 
 
+def test_invariant_values_past_the_digit_limit(tmp_path, capsys):
+    # 40-digit coefficients give a k552 of about 4967 digits
+    rng = random.Random(3)
+    big = SurfaceParams.make([rng.randint(-10**40, 10**40) for _ in range(9)],
+                             [rng.randint(-10**40, 10**40) for _ in range(13)])
+    inp = write_surface(tmp_path, big)
+    expected = k552(big).value
+    assert len(str(Decimal(expected))) > 4300
+    assert run(["invariant", "k552", "--input", inp]) == 0
+    assert int(Decimal(json.loads(capsys.readouterr().out)["value"])) == expected
+    assert run(["invariant", "delta264", "--input", inp]) == 0
+    d = int(Decimal(json.loads(capsys.readouterr().out)["value"]))
+    assert d * r96(big).value ** 3 == expected
+
+
 def test_invariant_degenerate_exit_1(tmp_path, capsys):
     # r96 = 0 here, so delta264 reports an error
     u = SurfaceParams.make([1] + [0] * 8, [1, 0] + [0] * 11)
@@ -112,6 +139,21 @@ def test_verify_small_run(tmp_path):
     assert code == 0
     rep = json.loads((tmp_path / "verify.json").read_text())
     assert rep["seed"] == 7 and rep["trials"] == 3 and rep["failures"] == []
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["verify", "--trials", "1"], "ellk3.invariants.verify_bulk"),
+    (["hilbert", "--max-degree", "8", "--oracle"], "ellk3.hilbert.invariant_dimension_oracle"),
+], ids=["verify", "hilbert"])
+def test_unusable_output_refused_before_the_work(tmp_path, capsys, monkeypatch, argv, target):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the computation ran")
+
+    monkeypatch.setattr(target, refuse)
+    for out in (str(tmp_path / "missing" / "out.json"), str(tmp_path)):
+        assert run(argv + ["--output", out]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write %s: " % out)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_verify_rejects_bad_options(capsys):
@@ -287,6 +329,11 @@ def test_qseries_loads_no_elimination_hilbert_invariants_or_weierstrass():
     code, modules = _loads(["qseries", "--terms", "4"])
     assert code == 0
     assert not modules & {"ellk3.elimination", "ellk3.hilbert", "ellk3.invariants", "ellk3.weierstrass"}
+
+
+def test_hilbert_oracle_loads_only_hilbert():
+    code, modules = _loads(["hilbert", "--max-degree", "16", "--oracle"])
+    assert (code, modules) == (0, {"ellk3", "ellk3.cli", "ellk3.hilbert"})
 
 
 @pytest.mark.parametrize("argv", [["hilbert", "--max-degree", "-1"], ["verify", "--trials", "0"]])

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,16 @@ def test_scalar_str_pinned():
     assert scalar_from_str("-3") == -3
     assert isinstance(scalar_from_str("-3"), int)
     assert scalar_to_str(Fraction(4, 2)) == "2"
+
+
+def test_scalar_to_str_past_the_digit_limit():
+    # str(int) stops at the interpreter's digit limit; the text must not
+    n = 7**20000
+    text = scalar_to_str(-n)
+    assert len(text) == 16903 and text.startswith("-9136929735") and text.endswith("00001")
+    assert int(Decimal(text)) == -n
+    num, den = scalar_to_str(Fraction(n, 3)).split("/")
+    assert int(Decimal(num)) == n and den == "3"
 
 
 @pytest.mark.parametrize(

@@ -30,3 +30,28 @@ def test_unused_imports_detects_a_dead_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def imported_modules(source):
+    """Every dotted component of the modules that import statements
+    anywhere in source name, and the names they import from them."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
+
+
+def test_imported_modules_sees_every_import_form():
+    for source in ("from .multipoly import MultiPoly", "from . import multipoly",
+                   "import ellk3.multipoly", "def f():\n    from ellk3 import multipoly\n"):
+        assert "multipoly" in imported_modules(source), source
+    assert "multipoly" not in imported_modules("from .binforms import BinaryForm\n")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("__init__.py", "multipoly.py")])
+def test_library_does_not_import_multipoly(module):
+    # MultiPoly serves only the tests' reference derivations
+    assert "multipoly" not in imported_modules((SRC / module).read_text())
