@@ -49,7 +49,8 @@ def _load_surface(path):
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad UTF-8, bad JSON, too many digits
+    # ValueError: bad UTF-8, bad JSON, too many digits; RecursionError: nested too deeply
+    except (OSError, ValueError, RecursionError) as e:
         raise UsageError("cannot read surface parameters from %s: %s" % (path, e))
     from .weierstrass import SurfaceParams
 

@@ -15,6 +15,10 @@ and then m shifted rows of g's.  When w divides a form its dense degree
 drops, and the place at infinity is put back by the homogeneous
 correction in ``_res_dense``.
 
+Univariate division is one exact quotient on plain ints
+(``exact_quotient``), mod p or over Z; over Q it divides primitive parts,
+which Gauss's lemma makes exact whenever the division over Q is.
+
 Before a polynomial is factored over Q, an exact certificate on plain
 ints tries to prove its primitive part irreducible: distinct-degree
 factorizations mod small primes whose factor degrees leave no room for a
@@ -236,14 +240,14 @@ def poly_trim(a):
     return a
 
 
-def poly_divmod(a, b, p=0):
-    """Quotient and remainder of low-to-high lists over a field: over Q
-    when p = 0, on ints or Fractions, or mod a prime p on plain int
-    residues, with one modular inverse.  Over Q the division runs on ints
-    while the coefficients are integers (ints, or Fractions over 1) and
-    each leading division is exact, and on Fractions from the first step
-    that is not; either way it returns Fractions, with int 0 in a quotient
-    slot that the division steps over."""
+def exact_quotient(a, b, p=0):
+    """The quotient a / b of low-to-high int lists when b divides a, and
+    None when it does not: mod a prime p on residues, with one modular
+    inverse, or over Z.  Over Z the division stops with None at the first
+    leading division that is not exact.  When b is primitive this decides
+    divisibility over Q as well: by Gauss's lemma a primitive b that
+    divides a in Q[x] divides it in Z[x] (Gathen & Gerhard, sec. 6.2).  A
+    quotient slot the division steps over stays 0."""
     if p:
         a = [c % p for c in a]
         b = [c % p for c in b]
@@ -251,43 +255,23 @@ def poly_divmod(a, b, p=0):
     if not b:
         raise ZeroDivisionError("univariate division by zero")
     r = poly_trim(list(a))
-    db = len(b) - 1
+    db, lb = len(b) - 1, b[-1]
     q = [0] * max(0, len(r) - db)
-    inv = pow(b[-1], -1, p) if p else None
-    ints = not p and all(c.denominator == 1 for c in r + b)
-    if ints:
-        r, b = [int(c) for c in r], [int(c) for c in b]
-    elif not p:
-        r, b = [Fraction(c) for c in r], [Fraction(c) for c in b]
+    inv = pow(lb, -1, p) if p else None
     while len(r) > db:
         lo = len(r) - 1 - db
-        if ints and r[-1] % b[-1]:
-            # the first inexact step: the rest of the division is on Fractions
-            ints = False
-            q, r, b = _fractions(q), [Fraction(x) for x in r], [Fraction(x) for x in b]
         if p:
             c = r[-1] * inv % p
-        else:
-            c = r[-1] // b[-1] if ints else r[-1] / b[-1]
-        q[lo] = c
-        if p:
             r[lo:] = [(x - c * y) % p for x, y in zip(r[lo:], b)]
         else:
+            c, m = divmod(r[-1], lb)
+            if m:
+                return None
             r[lo:] = [x - c * y for x, y in zip(r[lo:], b)]
+        q[lo] = c
         r.pop()
         poly_trim(r)
-    if ints:
-        q, r = _fractions(q), [Fraction(x) for x in r]
-    return poly_trim(q), r
-
-
-def _fractions(q):
-    """A quotient on ints as Fractions, its skipped slots left int 0."""
-    return [Fraction(c) if c else 0 for c in q]
-
-
-def _all_int(a):
-    return all(isinstance(c, int) for c in a)
+    return None if r else q
 
 
 def poly_primitive(a):
@@ -296,16 +280,10 @@ def poly_primitive(a):
     a = poly_trim(list(a))
     if not a:
         return []
-    if not _all_int(a):
-        den = 1
-        for c in a:
-            den = lcm(den, Fraction(c).denominator)
-        a = [int(Fraction(c) * den) for c in a]
-    g = gcd(*a)
-    a = [c // g for c in a]
-    if a[-1] < 0:
-        a = [-c for c in a]
-    return a
+    den = lcm(*(c.denominator for c in a))
+    a = [c.numerator * (den // c.denominator) for c in a]
+    g = gcd(*a) if a[-1] > 0 else -gcd(*a)
+    return [c // g for c in a]
 
 
 # -- irreducibility from mod-p factor-degree patterns (plain ints) -----
@@ -366,7 +344,7 @@ def degree_pattern(f, p):
         d = _gcd_mod(g, [h[0], h[1] - 1] + h[2:], p)  # x^(p^i) - x
         if len(d) > 1:
             pattern += [i] * ((len(d) - 1) // i)
-            g = poly_divmod(g, d, p)[0]
+            g = exact_quotient(g, d, p)
     if len(g) > 1:
         pattern.append(len(g) - 1)
     return pattern
@@ -527,7 +505,10 @@ def gcd_and_squarefree(f):
 
 def factor_multiplicity(f, factor):
     """Multiplicity of an irreducible factor (a BinaryForm) in the form f;
-    the zero form contains every factor infinitely often (returns None)."""
+    the zero form contains every factor infinitely often (returns None).
+    Scaling changes no multiplicity, so the primitive part of f(x, 1) is
+    divided by the primitive part of the factor's, on ints and exactly
+    over Q by Gauss's lemma, until a division fails."""
     if f.is_zero():
         return None
     dense, winf = f.dehomogenize()
@@ -535,12 +516,7 @@ def factor_multiplicity(f, factor):
     if fw:
         # the factor is w itself (times a unit)
         return winf
-    mult = 0
-    cur = [Fraction(c) for c in dense]
-    fd = [Fraction(c) for c in fd]
-    while True:
-        q, r = poly_divmod(cur, fd)
-        if r:
-            return mult
+    mult, cur, fd = 0, poly_primitive(dense), poly_primitive(fd)
+    while (cur := exact_quotient(cur, fd)) is not None:
         mult += 1
-        cur = q
+    return mult

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from .binforms import BinaryForm, _convolve
-from .elimination import CONVENTION_TAG, discriminant_binary, poly_divmod, poly_trim, resultant
+from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant
 from .scalars import InexactDivision, ModP, exact_scalar_div, is_prime
 from .weierstrass import SurfaceParams, assemble
 
@@ -174,10 +174,12 @@ def slice_divisibility(u0, u1, modulus=None):
     ValueError).  Each restriction is interpolated by forward differences
     from as many points as its degree bound needs: R(s) = r96(u(s)) from
     s = 0, ..., R96_U_DEGREE and K(s) = k552(u(s)) from s = 0, ...,
-    K552_LINE_DEGREE.  R is cubed and K divided by R^3 exactly.  Over Q the
-    line's denominators are cleared for the cube, and the division runs on
-    ints as long as it stays exact (always, for an integer line: K, R and
-    the quotient then lie in Z[s] by Gauss's lemma)."""
+    K552_LINE_DEGREE.  K is divided by R^3 exactly, on ints: mod p on the
+    residues, and over Q on the primitive parts, by Gauss's lemma.  There K
+    = a Kp and R = c P with a, c rational and Kp, P primitive; P^3 is
+    primitive too, so it divides Kp in Z[s] exactly when R^3 divides K in
+    Q[s], and the integer quotient is scaled by a / c^3 once.  A failed
+    witness carries the empty quotient."""
     check_modulus(modulus)
     p = modulus or 0
     points = [_eval_on_line(u0, u1, s, modulus) for s in range(K552_LINE_DEGREE + 1)]
@@ -190,30 +192,22 @@ def slice_divisibility(u0, u1, modulus=None):
     if not R:
         raise ValueError("r96 vanishes identically on this line")
     K = restriction(k552, K552_LINE_DEGREE)
-    R3 = _cube(R, p)
-    q, rem = poly_divmod(K, R3, p)
+    P, Kp = (R, K) if p else (poly_primitive(R), poly_primitive(K))
+    R3 = _convolve(_convolve(P, P), P)
+    q = exact_quotient(Kp, R3, p)
+    if q and not p:
+        scale = K[-1] / Kp[-1] / (R[-1] / P[-1]) ** 3
+        q = [c * scale if c else 0 for c in q]
     return SliceWitness(
-        success=not rem,
+        success=q is not None,
         quotient_degree=len(q) - 1 if q else -1,
         k_degree=len(K) - 1 if K else -1,
         r3_degree=len(R3) - 1,
         modulus=modulus,
-        quotient=q,
+        quotient=q or [],
         K=K,
         R=R,
     )
-
-
-def _cube(R, p):
-    """R^3 of a nonzero low-to-high list: mod p on residues, or over Q on
-    ints once R's common denominator d is cleared, so that it comes back
-    as ints when d = 1 and as Fractions over d^3 otherwise."""
-    d = lcm(*(c.denominator for c in R))
-    ints = [c.numerator * (d // c.denominator) for c in R]
-    cube = _convolve(_convolve(ints, ints), ints)
-    if p:
-        return [c % p for c in cube]
-    return cube if d == 1 else [Fraction(c, d ** 3) for c in cube]
 
 
 def _interp(ys, p):

@@ -55,12 +55,12 @@ class SurfaceParams:
 def assemble(u):
     """(g2, g3, h) with h = 4 g2^3 + 27 g3^2, the discriminant of the
     Weierstrass cubic; h has degree 24 in (x, w) and may be the zero form.
-    Residues are convolved as plain ints and h's coefficients wrapped once."""
+    The coefficients are ints and Fractions, or residues of one modulus
+    (DomainError otherwise); residues are convolved as plain ints and h's
+    coefficients wrapped once."""
     g2 = BinaryForm(8, list(u.g2_coeffs))
     g3 = BinaryForm(12, list(u.g3_coeffs))
-    p = next((c.p for c in g2.coeffs + g3.coeffs if isinstance(c, ModP)), None)
-    if p:
-        _domain(g2.coeffs + g3.coeffs)  # one modulus and no Fractions, or DomainError
+    p, _ = _domain(g2.coeffs + g3.coeffs)
     a, b = ([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3))
     h = [4 * s + 27 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]
     if p:

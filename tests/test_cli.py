@@ -87,6 +87,16 @@ def test_surface_integer_past_the_digit_limit_exit_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_deeply_nested_surface_file_exit_2(tmp_path, capsys):
+    # json.load raises RecursionError on arrays nested past the recursion limit
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert run(["classify", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot read surface parameters from ")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("name", ["h.json", "h.csv"])
 def test_unwritable_output_exit_2(tmp_path, capsys, name):
     out = str(tmp_path / "missing" / name)

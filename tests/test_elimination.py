@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -9,8 +10,8 @@ from ellk3.elimination import (
     CONVENTION_TAG,
     discriminant_binary,
     factor_multiplicity,
+    exact_quotient,
     gcd_and_squarefree,
-    poly_divmod,
     poly_primitive,
     resultant,
     squarefree_decomposition,
@@ -179,6 +180,18 @@ def test_factor_multiplicity():
     assert factor_multiplicity(f, x) == 3
     assert factor_multiplicity(f, w) == 2
     assert factor_multiplicity(f, BinaryForm(1, [1, -7])) == 0
+
+
+def test_factor_multiplicity_rational_form_non_monic_place():
+    # g = (3/7) (2x - 3w)^2 (x^2 + w^2): the place 2x - 3w is not monic and
+    # g's coefficients are not integers
+    place = BinaryForm(1, [2, -3])
+    g = BinaryForm(0, [Fraction(3, 7)]) * place * place * BinaryForm(2, [1, 0, 1])
+    assert any(c.denominator != 1 for c in g.coeffs)
+    assert factor_multiplicity(g, place) == 2
+    assert factor_multiplicity(g, BinaryForm(1, [Fraction(2, 5), Fraction(-3, 5)])) == 2
+    assert factor_multiplicity(g, BinaryForm(2, [1, 0, 1])) == 1
+    assert factor_multiplicity(g, BinaryForm(1, [3, -2])) == 0
 
 
 def test_resultant_sl2_invariance():
@@ -365,25 +378,44 @@ def division_cases(draw, coeff):
 
 
 @given(division_cases(st.one_of(small_ints, big_ints)))
-def test_poly_divmod_over_q_matches_long_division(ab):
+def test_exact_quotient_over_z_by_primitive_divisors(ab):
+    """Gauss's lemma: a primitive b divides an integer a over Q exactly
+    when the long division over Z is exact at every step."""
     a, b = ab
-    want = field_divmod(a, b, 0)
-    for args in ((a, b), ([Fraction(c) for c in a], b)):
-        q, r = poly_divmod(*args)
-        assert (q, r) == want
-        assert all(type(c) is Fraction for c in q + r if c)
+    assume(gcd(*b) == 1)
+    q, r = field_divmod(a, b, 0)
+    got = exact_quotient(a, b)
+    assert got == (None if r else q)
+    assert got is None or all(type(c) is int for c in got)
 
 
 @given(division_cases(fractions))
-def test_poly_divmod_over_q_on_fractions(ab):
-    assert poly_divmod(*ab) == field_divmod(*ab, 0)
+def test_exact_quotient_of_primitive_parts_over_q(ab):
+    """Over Q, b divides a exactly when b's primitive part divides a's on
+    ints, and the quotients agree up to a rational scale."""
+    a, b = ab
+    q, r = field_divmod(a, b, 0)
+    got = exact_quotient(poly_primitive(a), poly_primitive(b))
+    assert (got is None) == bool(r)
+    if got:
+        assert [c * got[-1] for c in q] == [c * q[-1] for c in got]
 
 
 @given(division_cases(small_ints), st.sampled_from(TINY_PRIMES))
-def test_poly_divmod_mod_p_matches_long_division(ab, p):
+def test_exact_quotient_mod_p_matches_long_division(ab, p):
     a, b = ab
     assume(any(c % p for c in b))
-    assert poly_divmod(a, b, p) == field_divmod(a, b, p)
+    q, r = field_divmod(a, b, p)
+    assert exact_quotient(a, b, p) == (None if r else q)
+
+
+def test_exact_quotient_stops_at_the_first_inexact_step():
+    # (2x + 1) x over 2x + 1 is exact, and over the non-primitive 4x + 2
+    # only over Q: the first step over Z, 2 / 4, is not exact
+    assert exact_quotient([0, 1, 2], [1, 2]) == [0, 1]
+    assert exact_quotient([0, 1, 2], [2, 4]) is None
+    assert exact_quotient([1, 1, 2], [1, 2]) is None  # remainder 1
+    assert exact_quotient([], [3]) == []
 
 
 # -- the factorization against the PRS engine --------------------------

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from ellk3 import invariants
@@ -271,7 +272,8 @@ def test_slice_divisibility_matches_reference(kind, modulus):
     evaluations) equals, field for field, the one from the plain degree
     bounds (139 and 61), whose k_degree never exceeds K552_LINE_DEGREE."""
 
-    @settings(max_examples=1 if modulus is None else 2)
+    # no shrink phase: shrinking a failing line takes minutes of slice work
+    @settings(max_examples=1 if modulus is None else 2, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(LINES[kind])
     def check(line):
         try:
@@ -287,6 +289,33 @@ def test_slice_divisibility_matches_reference(kind, modulus):
             assert want.r3_degree <= 3 * 8  # r96 has degree 8 in g3
 
     check()
+
+
+def test_slice_divisibility_integer_line_with_content():
+    """On a line with every coefficient of u0 and u1 even, R has content
+    > 1 (r96 is homogeneous of degree 20), so the quotient over Q must be
+    scaled by that content; the witness equals the reference's."""
+    rng = random.Random(21)
+    u0, u1 = (SurfaceParams.make([2 * c for c in u.g2_coeffs], [2 * c for c in u.g3_coeffs])
+              for u in (random_surface(rng), random_surface(rng)))
+    got, want = slice_divisibility(u0, u1), slice_reference(u0, u1)
+    assert gcd(*(int(c) for c in got.R)) >= 2 ** 20
+    assert got.success and got == want and repr(got.quotient) == repr(want.quotient)
+
+
+def test_slice_failed_witness_carries_no_quotient(monkeypatch):
+    """With k552 shifted by 1, R^3 (of degree > 0) cannot divide K: the
+    witness fails and carries the empty quotient, over Q and mod p."""
+    def shifted(u):
+        v = k552(u)
+        return InvariantValue("k552", v.value + 1, v.declared_weight)
+
+    monkeypatch.setattr(invariants, "k552", shifted)
+    rng = random.Random(12)
+    u0, u1 = random_surface(rng), random_surface(rng)
+    for modulus in (None, P62):
+        wit = slice_divisibility(u0, u1, modulus=modulus)
+        assert (wit.success, wit.quotient, wit.quotient_degree) == (False, [], -1)
 
 
 def test_slice_line_evaluation_budget(monkeypatch):
