@@ -147,7 +147,7 @@ class BinaryForm:
     def __repr__(self):
         return "BinaryForm(%d, %s)" % (self.n, self.to_str())
 
-    def to_str(self, xname="x", wname="w"):
+    def to_str(self):
         if self.is_zero():
             return "0"
         parts = []
@@ -156,13 +156,13 @@ class BinaryForm:
                 continue
             factors = [scalar_to_str(c)]
             if self.n - i == 1:
-                factors.append(xname)
+                factors.append("x")
             elif self.n - i > 1:
-                factors.append("%s^%d" % (xname, self.n - i))
+                factors.append("x^%d" % (self.n - i))
             if i == 1:
-                factors.append(wname)
+                factors.append("w")
             elif i > 1:
-                factors.append("%s^%d" % (wname, i))
+                factors.append("w^%d" % i)
             parts.append(" * ".join(factors))
         return " + ".join(parts)
 

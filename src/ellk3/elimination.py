@@ -484,6 +484,8 @@ def gcd_and_squarefree(f):
     when ``irreducibility_certificate`` proves it irreducible; otherwise
     sympy splits its squarefree parts into irreducibles over Q.
     """
+    if p := _domain(f.coeffs)[0]:
+        raise DomainError("factoring works over Q, not on residues mod %d" % p)
     if f.is_zero():
         raise ValueError("cannot factor the zero form")
     dense, winf = f.dehomogenize()
@@ -508,7 +510,12 @@ def factor_multiplicity(f, factor):
     the zero form contains every factor infinitely often (returns None).
     Scaling changes no multiplicity, so the primitive part of f(x, 1) is
     divided by the primitive part of the factor's, on ints and exactly
-    over Q by Gauss's lemma, until a division fails."""
+    over Q by Gauss's lemma, until a division fails.  Residues raise
+    DomainError, and a constant or zero factor ValueError."""
+    if p := _domain(f.coeffs + factor.coeffs)[0]:
+        raise DomainError("factoring works over Q, not on residues mod %d" % p)
+    if factor.n < 1 or factor.is_zero():
+        raise ValueError("a factor must be a nonzero form of positive degree: %s" % factor)
     if f.is_zero():
         return None
     dense, winf = f.dehomogenize()

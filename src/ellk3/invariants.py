@@ -27,14 +27,19 @@ G3_WEIGHT = 6
 
 @dataclass(frozen=True)
 class InvariantValue:
+    """A value of an invariant named in DECLARED_WEIGHTS, its weight table."""
+
     name: str
     value: object
-    declared_weight: int
-    convention_tag: str = CONVENTION_TAG
+    convention_tag = CONVENTION_TAG  # a class constant, not a field
 
     def __post_init__(self):
-        if DECLARED_WEIGHTS[self.name] != self.declared_weight:
-            raise ValueError("weight table violation for %s" % self.name)
+        if self.name not in DECLARED_WEIGHTS:
+            raise ValueError("unknown invariant %r" % (self.name,))
+
+    @property
+    def declared_weight(self):
+        return DECLARED_WEIGHTS[self.name]
 
 
 # -- group actions ---------------------------------------------------
@@ -69,7 +74,7 @@ def r96(u):
     homogeneous of degree 12*4 + 8*6 = 96 and SL2-invariant."""
     g2 = BinaryForm(8, list(u.g2_coeffs))
     g3 = BinaryForm(12, list(u.g3_coeffs))
-    return InvariantValue("r96", resultant(g2, g3), 96)
+    return InvariantValue("r96", resultant(g2, g3))
 
 
 def k552(u):
@@ -79,7 +84,7 @@ def k552(u):
     _, _, h = assemble(u)
     if h.is_zero():
         raise ValueError("degenerate family: h vanishes identically")
-    return InvariantValue("k552", discriminant_binary(h), 552)
+    return InvariantValue("k552", discriminant_binary(h))
 
 
 def delta264(u):
@@ -93,7 +98,7 @@ def delta264(u):
         raise ZeroDivisionError("delta264 undefined: r96(u) = 0")
     k = k552(u).value
     q = exact_scalar_div(k, r ** 3)
-    return InvariantValue("delta264", q, 264)
+    return InvariantValue("delta264", q)
 
 
 def grading_constants():
@@ -239,12 +244,13 @@ def _interp(ys, p):
 
 @dataclass(frozen=True)
 class VerifyDefaults:
+    """Trial counts of verify_bulk, whose surfaces have entries in [-9, 9]."""
+
     pointwise_trials: int = 200
     homogeneity_trials: int = 50
     sl2_trials: int = 50
     slice_lines: int = 1
-    entry_bound: int = 9
-    homogeneity_prime: int = 4611686018427388039  # 62-bit
+    homogeneity_prime = 4611686018427388039  # 62-bit; not a field: verify_bulk(modulus=...) sets it
 
 
 DEFAULTS = VerifyDefaults()
@@ -257,19 +263,15 @@ def random_surface(rng, bound=9):
     )
 
 
-def random_sl2(rng, entry_bound=3):
-    """Random integer SL2 matrix with entries bounded in absolute value,
-    built from elementary shears."""
+def random_sl2(rng):
+    """Random integer SL2 matrix other than the identity with entries in
+    [-3, 3], a product of one to four elementary shears."""
     while True:
         m = ((1, 0), (0, 1))
         for _ in range(rng.randint(1, 4)):
             t = rng.randint(-2, 2)
-            if rng.random() < 0.5:
-                e = ((1, t), (0, 1))
-            else:
-                e = ((1, 0), (t, 1))
-            m = _matmul(m, e)
-        if max(abs(x) for row in m for x in row) <= entry_bound and m != ((1, 0), (0, 1)):
+            m = _matmul(m, ((1, t), (0, 1)) if rng.random() < 0.5 else ((1, 0), (t, 1)))
+        if max(abs(x) for row in m for x in row) <= 3 and m != ((1, 0), (0, 1)):
             return m
 
 
@@ -293,7 +295,7 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552
     # (a) pointwise integer factorization k552 = r96^3 * delta264
     done = 0
     while done < trials:
-        u = random_surface(rng, defaults.entry_bound)
+        u = random_surface(rng)
         rv = r96(u).value
         if rv == 0:
             continue
@@ -306,7 +308,7 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552
 
     # (b) weighted homogeneity mod p
     for _ in range(defaults.homogeneity_trials):
-        u = random_surface(rng, defaults.entry_bound)
+        u = random_surface(rng)
         lam = rng.choice([2, 3, 5])
         up = u.reduce_mod(p)
         lamp = ModP(lam, p)
@@ -324,7 +326,7 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552
     # kill any wrong implementation; the acceptance suite also runs it
     # over Z)
     for _ in range(defaults.sl2_trials):
-        u = random_surface(rng, defaults.entry_bound)
+        u = random_surface(rng)
         g = random_sl2(rng)
         up, vp = u.reduce_mod(p), sl2_act(g, u).reduce_mod(p)
         if r96(up).value != r96(vp).value:
@@ -334,8 +336,8 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552
 
     # (d) one slice division
     for _ in range(defaults.slice_lines):
-        u0 = random_surface(rng, defaults.entry_bound)
-        u1 = random_surface(rng, defaults.entry_bound)
+        u0 = random_surface(rng)
+        u1 = random_surface(rng)
         try:
             wit = slice_divisibility(u0, u1, modulus=p)
             if not wit.success:

@@ -137,11 +137,11 @@ class QSeries:
     def __repr__(self):
         return "QSeries(%s)" % self.to_str()
 
-    def to_str(self, terms=6):
+    def to_str(self):
         if self.is_zero():
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs[:terms]):
+        for k, c in enumerate(self.coeffs[:6]):
             if not c:
                 continue
             e = self.e0 + k

@@ -161,17 +161,14 @@ def scalar_to_str(c):
 _SCALAR_FORM = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
-def scalar_from_str(s, p=None):
+def scalar_from_str(s):
     """An int from "-?digits" or a Fraction from "-?digits/digits" (ASCII
-    digits, nothing around them), reduced mod p when p is given; any other
-    string is a ValueError, and a zero denominator a ZeroDivisionError."""
+    digits, nothing around them); any other string is a ValueError, and a
+    zero denominator a ZeroDivisionError."""
     if not _SCALAR_FORM.fullmatch(s):
         raise ValueError("not an integer or p/q fraction: %r" % (s,))
     num, _, den = s.partition("/")
-    c = Fraction(int(num), int(den)) if den else int(num)
-    if p is not None:
-        return reduce_scalar_mod(c, p)
-    return c
+    return Fraction(int(num), int(den)) if den else int(num)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

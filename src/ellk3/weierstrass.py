@@ -162,7 +162,7 @@ def fiber_profile(u):
     return FiberReport(places, in_U, False, euler_sum)
 
 
-def degeneration_component(u, k552_value=None):
+def degeneration_component(u):
     """Locate u on the two-component degeneration divisor {k552 = 0}:
 
     * "A1-component": an I_n fiber with n >= 2 and g2, g3 nonzero there
@@ -170,14 +170,15 @@ def degeneration_component(u, k552_value=None):
     * "II-component": some place where both g2 and g3 vanish (type II
       fiber; equivalently r96 = 0);
     * "deeper": both or neither pattern, i.e. off the generic strata.
-    """
-    if k552_value is None:
-        from .invariants import k552
 
-        k552_value = k552(u).value
-    if k552_value:
-        raise ValueError("u is not on the divisor: k552(u) != 0")
+    k552 vanishes exactly when h has a repeated root, so membership is read
+    from the fiber report: u is on the divisor iff some place has d >= 2.
+    """
     report = fiber_profile(u)
+    if report.h_is_zero:
+        raise ValueError("degenerate family: h vanishes identically")
+    if all(r.d < 2 for r in report.places):
+        raise ValueError("u is not on the divisor: k552(u) != 0")
     # generic patterns on the two strata: an I_n (n >= 2) fiber where
     # neither g2 nor g3 vanishes, vs. a type II fiber where both do
     a1 = any(r.m2 == 0 and r.m3 == 0 and r.d >= 2 for r in report.places)

@@ -200,6 +200,19 @@ def test_hilbert_csv_output(tmp_path):
     assert lines[1] == "0,1" and lines[-1] == "8,1"
 
 
+def test_hilbert_with_characters(tmp_path, capsys):
+    # the character extension adds s_132: one more dimension from degree 132 on
+    assert run(["hilbert", "--max-degree", "132", "--with-characters"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert all(r["dim_with_characters"] == r["dim"] for r in rows[:132])
+    assert rows[132] == {"degree": 132, "dim": 76097885, "dim_with_characters": 76097886}
+    out = tmp_path / "h.csv"
+    assert run(["hilbert", "--max-degree", "132", "--with-characters", "--output", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert lines[0] == "degree,dim,dim_with_characters"
+    assert lines[-1] == "132,76097885,76097886"
+
+
 def test_hilbert_oracle_feasibility_exit_2(capsys):
     assert run(["hilbert", "--max-degree", "32", "--oracle"]) == 2
     capsys.readouterr()

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -18,7 +19,7 @@ from ellk3.elimination import (
 )
 from ellk3.invariants import r96
 from ellk3.multipoly import MultiPoly
-from ellk3.scalars import ModP
+from ellk3.scalars import DomainError, ModP
 from ellk3.weierstrass import SurfaceParams
 from reference import det_bareiss, field_divmod, sylvester_matrix, sylvester_resultant
 
@@ -192,6 +193,24 @@ def test_factor_multiplicity_rational_form_non_monic_place():
     assert factor_multiplicity(g, BinaryForm(1, [Fraction(2, 5), Fraction(-3, 5)])) == 2
     assert factor_multiplicity(g, BinaryForm(2, [1, 0, 1])) == 1
     assert factor_multiplicity(g, BinaryForm(1, [3, -2])) == 0
+
+
+@pytest.mark.parametrize("factor", [BinaryForm(0, [5]), BinaryForm(0, [0]), BinaryForm(2, [0, 0, 0])],
+                         ids=["constant", "zero-constant", "zero-quadratic"])
+def test_factor_multiplicity_refuses_constant_or_zero_factor(factor):
+    # dividing by a unit always succeeds, so a constant factor would count forever
+    with pytest.raises(ValueError, match="positive degree"):
+        factor_multiplicity(BinaryForm(2, [1, 0, -1]), factor)
+
+
+def test_factoring_refuses_residues():
+    f = BinaryForm(2, [1, 0, -1])
+    with pytest.raises(DomainError, match="mod 7"):
+        gcd_and_squarefree(f.reduce_mod(7))
+    with pytest.raises(DomainError, match="mod 7"):
+        factor_multiplicity(f.reduce_mod(7), BinaryForm(1, [1, 1]))
+    with pytest.raises(DomainError, match="mod 7"):
+        factor_multiplicity(f, BinaryForm(1, [1, 1]).reduce_mod(7))
 
 
 def test_resultant_sl2_invariance():

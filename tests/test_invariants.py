@@ -37,12 +37,13 @@ from reference import newton_interp, slice_reference
 BASE = SurfaceParams.make([1] + [0] * 7 + [1], [1] + [0] * 11 + [1])
 
 
-def test_invariant_value_weight_table_enforced():
+def test_invariant_value_unknown_name_refused():
     v = r96(BASE)
     assert v.name == "r96" and v.declared_weight == 96
     assert v.convention_tag == CONVENTION_TAG
-    with pytest.raises(ValueError):
-        InvariantValue("r96", 1, 95)
+    assert InvariantValue("delta264", 1).declared_weight == 264
+    with pytest.raises(ValueError, match="unknown invariant"):
+        InvariantValue("r95", 1)
 
 
 def test_r96_zero_iff_common_root():
@@ -189,7 +190,7 @@ def test_verify_bulk_catches_corrupted_invariant():
 
     def bad_k552(u):
         good = k552(u)
-        return InvariantValue("k552", good.value + 1, 552)
+        return InvariantValue("k552", good.value + 1)
 
     opts = VerifyDefaults(pointwise_trials=10, homogeneity_trials=0, sl2_trials=0,
                           slice_lines=0)
@@ -308,7 +309,7 @@ def test_slice_failed_witness_carries_no_quotient(monkeypatch):
     witness fails and carries the empty quotient, over Q and mod p."""
     def shifted(u):
         v = k552(u)
-        return InvariantValue("k552", v.value + 1, v.declared_weight)
+        return InvariantValue("k552", v.value + 1)
 
     monkeypatch.setattr(invariants, "k552", shifted)
     rng = random.Random(12)

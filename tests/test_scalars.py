@@ -130,7 +130,7 @@ def test_scalar_from_str_refuses_other_forms(text):
 def test_scalar_from_str_forms():
     assert scalar_from_str("10") == 10 and scalar_from_str("-007") == -7
     assert scalar_from_str("-6/4") == Fraction(-3, 2)
-    assert scalar_from_str("3/2", 7) == ModP(5, 7)
+    assert reduce_scalar_mod(scalar_from_str("3/2"), 7) == ModP(5, 7)
     with pytest.raises(ZeroDivisionError):
         scalar_from_str("1/0")
 

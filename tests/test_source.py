@@ -51,6 +51,11 @@ def test_imported_modules_sees_every_import_form():
     assert "multipoly" not in imported_modules("from .binforms import BinaryForm\n")
 
 
+def test_weierstrass_does_not_import_invariants():
+    # divisor membership comes from the fiber report, not from evaluating k552
+    assert "invariants" not in imported_modules((SRC / "weierstrass.py").read_text())
+
+
 @pytest.mark.parametrize("module", [m for m in MODULES if m not in ("__init__.py", "multipoly.py")])
 def test_library_does_not_import_multipoly(module):
     # MultiPoly serves only the tests' reference derivations

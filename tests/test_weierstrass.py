@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ellk3 import invariants
 from ellk3.binforms import BinaryForm
 from ellk3.invariants import DEFAULTS, k552
 from ellk3.scalars import DomainError, ModP, reduce_scalar_mod
@@ -173,6 +174,14 @@ def test_residue_assembly_refuses_mixed_domains():
         assemble(SurfaceParams.make([ModP(1, 7)] * 9, [Fraction(1, 2)] * 13))
 
 
+def test_fiber_profile_refuses_residues():
+    # h = 4 g2^3 + 27 g3^2 is a nonzero residue form here; factoring it is over Q only
+    up = SurfaceParams.make([1] + [0] * 7 + [1], [1] + [0] * 11 + [1]).reduce_mod(7)
+    assert not assemble(up)[2].is_zero()
+    with pytest.raises(DomainError, match="mod 7"):
+        fiber_profile(up)
+
+
 def test_generic_surface_profile():
     """A random surface generically has 24 distinct I_1 fibers."""
     rng = random.Random(2)
@@ -240,6 +249,16 @@ def test_infinity_place_counted():
 
 
 def test_degeneration_components():
+    assert degeneration_component(A1_SURFACE) == "A1-component"
+    assert degeneration_component(II_SURFACE) == "II-component"
+    assert degeneration_component(DEEPER_SURFACE) == "deeper"
+
+
+def test_degeneration_evaluates_no_k552(monkeypatch):
+    def refuse(u):
+        raise AssertionError("k552 evaluated")
+
+    monkeypatch.setattr(invariants, "k552", refuse)
     assert degeneration_component(A1_SURFACE) == "A1-component"
     assert degeneration_component(II_SURFACE) == "II-component"
     assert degeneration_component(DEEPER_SURFACE) == "deeper"
