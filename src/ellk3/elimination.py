@@ -1,19 +1,19 @@
 """Resultants, discriminants, univariate division, gcds and factorization.
 
-Resultants of binary forms come from one dense polynomial remainder
-sequence on plain Python ints, built on one pseudo-remainder step
-(``_prem``).  Over Z and Q it is the subresultant PRS (Collins 1967;
-Brown & Traub 1971; Cohen, Alg. 3.3.7), whose exact divisions keep the
-integers small: integer forms after their contents are stripped, rational
-forms after their denominators are cleared.  Over F_p the coefficients
-cannot grow, so residue forms run Euclid's sequence on the same
-pseudo-remainders and collect the powers of the leading coefficients
-that Res picks up, paying one modular inverse in all.  The value is the
-Sylvester determinant in the row convention of the displayed r96 matrix:
-for f of degree m and g of degree n, n shifted rows of f's coefficients
-and then m shifted rows of g's.  When w divides a form its dense degree
-drops, and the place at infinity is put back by the homogeneous
-correction in ``_res_dense``.
+Resultants of binary forms come from a dense polynomial remainder
+sequence on plain Python ints.  Over Z and Q it is the subresultant PRS
+(Collins 1967; Brown & Traub 1971; Cohen, Alg. 3.3.7) on pseudo-remainders
+(``_prem``), whose exact divisions keep the integers small: integer forms
+after their contents are stripped, rational forms after their
+denominators are cleared.  Over F_p the coefficients cannot grow, so
+residue forms run Euclid's sequence on true remainders (``_rem_mod``, one
+inverse of the divisor's leading coefficient per step, the step the
+certificate's gcds mod p take too) and collect the powers of the leading
+coefficients that Res picks up.  The value is the Sylvester determinant
+in the row convention of the displayed r96 matrix: for f of degree m and
+g of degree n, n shifted rows of f's coefficients and then m shifted rows
+of g's.  When w divides a form its dense degree drops, and the place at
+infinity is put back by the homogeneous correction in ``_res_dense``.
 
 Univariate division is one exact quotient on plain ints
 (``exact_quotient``), mod p or over Z; over Q it divides primitive parts,
@@ -87,6 +87,9 @@ def _domain(coeffs):
                 p = c.p
             elif c.p != p:
                 raise DomainError("mixing residues mod %d and mod %d" % (p, c.p))
+        elif type(c) is int:
+            # ahead of isinstance(c, Fraction), an ABC check ~15x slower
+            pass
         elif isinstance(c, Fraction):
             rational = True
         elif not isinstance(c, int):
@@ -157,7 +160,7 @@ def _prs_resultant(A, B):
         delta = dA - dB
         if dA & dB & 1:
             s = -s
-        R = _prem(A, B, 0)
+        R = _prem(A, B)
         if not R:
             return 0
         d = g * h ** delta
@@ -177,57 +180,55 @@ def _euclid_resultant(A, B, p):
     """Res(A, B) mod a prime p of dense residue polynomials (high-to-low
     int lists with nonzero leading coefficients) by Euclid's remainder
     sequence.  Over F_p the coefficients cannot grow, so the subresultant
-    bookkeeping is not needed.  Each step takes the pseudo-remainder
-    R' = lc(B)^(dA - dB + 1) R of A by B (R the remainder, of degree dR);
-    with lc = lc(B),
+    bookkeeping is not needed.  With R = A mod B of degree dR,
 
-        Res(A, B) = (-1)^(dA dB) lc^(dA - dR) Res(B, R)
-        Res(B, R') = lc^((dA - dB + 1) dB) Res(B, R).
+        Res(A, B) = (-1)^(dA dB) lc(B)^(dA - dR) Res(B, R);
 
-    The factors and the divisors are multiplied up apart, so the whole
-    sequence costs one inverse mod p, at the end."""
+    when dA < dB, R is A itself and the step is the swap with its sign."""
     dA, dB = len(A) - 1, len(B) - 1
-    num = den = 1
-    if dA < dB:
-        A, B, dA, dB = B, A, dB, dA
-        if dA & dB & 1:
-            num = -1
+    r = 1
     while dB:
-        R = _prem(A, B, p)
+        R = _rem_mod(A, B, p)
         if not R:
             return 0
-        dR, lc = len(R) - 1, B[0]
+        dR = len(R) - 1
         if dA & dB & 1:
-            num = -num
-        num = num * pow(lc, dA - dR, p) % p
-        den = den * pow(lc, (dA - dB + 1) * dB, p) % p
+            r = -r
+        r = r * pow(B[0], dA - dR, p) % p
         A, B, dA, dB = B, R, dB, dR
     # B is a nonzero constant c, and Res(A, c) = c^dA
-    return num * pow(B[0], dA, p) * pow(den, -1, p) % p
+    return r * pow(B[0], dA, p) % p
 
 
-def _prem(A, B, p):
+def _rem_mod(A, B, p):
+    """Remainder of A by B mod a prime p, as high-to-low residue lists with
+    nonzero leading coefficients (A may be empty): one Euclid step, with
+    one inverse of lc(B).  A itself when deg A < deg B."""
+    inv = pow(B[0], -1, p)
+    nb, tail = len(B), B[1:]
+    while len(A) >= nb:
+        c = A[0] * inv % p
+        A = [(x - c * y) % p for x, y in zip(A[1:nb], tail)] + A[nb:]
+        while A and not A[0]:
+            del A[0]
+    return A
+
+
+def _prem(A, B):
     """Pseudo-remainder lc(B)^(deg A - deg B + 1) A mod B of high-to-low
-    int lists, reduced mod p when p is nonzero: one step of the
-    resultant's PRS."""
+    int lists: one step of the subresultant PRS."""
     lb, tail, nb = B[0], B[1:], len(B)
     e = len(A) - nb + 1
     R = A
     while len(R) >= nb:
         c = R[0]
-        if p:
-            R = [(lb * r - c * t) % p for r, t in zip(R[1:nb], tail)] + [lb * r % p for r in R[nb:]]
-        else:
-            R = [lb * r - c * t for r, t in zip(R[1:nb], tail)] + [lb * r for r in R[nb:]]
+        R = [lb * r - c * t for r, t in zip(R[1:nb], tail)] + [lb * r for r in R[nb:]]
         e -= 1
-        k = 0
-        while k < len(R) and not R[k]:
-            k += 1
-        if k:
-            R = R[k:]
+        while R and not R[0]:
+            del R[0]
     if e and R:
-        m = pow(lb, e, p) if p else lb ** e
-        R = [r * m % p for r in R] if p else [r * m for r in R]
+        m = lb ** e
+        R = [r * m for r in R]
     return R
 
 
@@ -356,14 +357,7 @@ def _gcd_mod(a, b, p):
     a = poly_trim([c % p for c in a])[::-1]
     b = poly_trim([c % p for c in b])[::-1]
     while b:
-        inv = pow(b[0], -1, p)
-        nb, tail = len(b), b[1:]
-        while len(a) >= nb:
-            c = a[0] * inv % p
-            a = [(x - c * y) % p for x, y in zip(a[1:nb], tail)] + a[nb:]
-            while a and not a[0]:
-                del a[0]
-        a, b = b, a
+        a, b = b, _rem_mod(a, b, p)
     inv = pow(a[0], -1, p) if a else 0
     return [c * inv % p for c in reversed(a)]
 

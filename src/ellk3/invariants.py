@@ -282,14 +282,14 @@ def _matmul(a, b):
     )
 
 
-def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552):
+def verify_bulk(seed, trials=None, modulus=None):
     """Run the bulk identity checks behind the divisibility and invariance
-    claims; returns a deterministic report dict.  ``k552_fn`` is injectable
-    so the harness's sensitivity can itself be tested."""
-    p = defaults.homogeneity_prime if modulus is None else modulus
+    claims, with the trial counts in DEFAULTS; returns a deterministic
+    report dict."""
+    p = DEFAULTS.homogeneity_prime if modulus is None else modulus
     check_modulus(p)
     rng = random.Random(seed)
-    trials = defaults.pointwise_trials if trials is None else trials
+    trials = DEFAULTS.pointwise_trials if trials is None else trials
     failures = []
 
     # (a) pointwise integer factorization k552 = r96^3 * delta264
@@ -300,14 +300,14 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552
         if rv == 0:
             continue
         done += 1
-        kv = k552_fn(u).value
+        kv = k552(u).value
         try:
             exact_scalar_div(kv, rv ** 3)
         except InexactDivision:
             failures.append(("pointwise", u.to_json_dict()))
 
     # (b) weighted homogeneity mod p
-    for _ in range(defaults.homogeneity_trials):
+    for _ in range(DEFAULTS.homogeneity_trials):
         u = random_surface(rng)
         lam = rng.choice([2, 3, 5])
         up = u.reduce_mod(p)
@@ -315,8 +315,8 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552
         if r96(gm_act(lamp, up)).value != lamp ** 96 * r96(up).value:
             failures.append(("homogeneity-r96", u.to_json_dict()))
         try:
-            lhs = k552_fn(gm_act(lamp, up)).value
-            rhs = lamp ** 552 * k552_fn(up).value
+            lhs = k552(gm_act(lamp, up)).value
+            rhs = lamp ** 552 * k552(up).value
             if lhs != rhs:
                 failures.append(("homogeneity-k552", u.to_json_dict()))
         except ValueError:
@@ -325,17 +325,17 @@ def verify_bulk(seed, trials=None, modulus=None, defaults=DEFAULTS, k552_fn=k552
     # (c) SL2-invariance mod p (exactness of the mod-p check is enough to
     # kill any wrong implementation; the acceptance suite also runs it
     # over Z)
-    for _ in range(defaults.sl2_trials):
+    for _ in range(DEFAULTS.sl2_trials):
         u = random_surface(rng)
         g = random_sl2(rng)
         up, vp = u.reduce_mod(p), sl2_act(g, u).reduce_mod(p)
         if r96(up).value != r96(vp).value:
             failures.append(("sl2-r96", u.to_json_dict()))
-        if k552_fn(up).value != k552_fn(vp).value:
+        if k552(up).value != k552(vp).value:
             failures.append(("sl2-k552", u.to_json_dict()))
 
     # (d) one slice division
-    for _ in range(defaults.slice_lines):
+    for _ in range(DEFAULTS.slice_lines):
         u0 = random_surface(rng)
         u1 = random_surface(rng)
         try:

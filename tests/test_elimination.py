@@ -9,11 +9,15 @@ from hypothesis import strategies as st
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import (
     CONVENTION_TAG,
+    _domain,
+    _gcd_mod,
+    _rem_mod,
     discriminant_binary,
     factor_multiplicity,
     exact_quotient,
     gcd_and_squarefree,
     poly_primitive,
+    poly_trim,
     resultant,
     squarefree_decomposition,
 )
@@ -21,7 +25,7 @@ from ellk3.invariants import r96
 from ellk3.multipoly import MultiPoly
 from ellk3.scalars import DomainError, ModP
 from ellk3.weierstrass import SurfaceParams
-from reference import det_bareiss, field_divmod, sylvester_matrix, sylvester_resultant
+from reference import det_bareiss, field_divmod, field_gcd, sylvester_matrix, sylvester_resultant
 
 
 def rand_form(rng, n, bound=9):
@@ -203,6 +207,21 @@ def test_factor_multiplicity_refuses_constant_or_zero_factor(factor):
         factor_multiplicity(BinaryForm(2, [1, 0, -1]), factor)
 
 
+@pytest.mark.parametrize("coeffs, domain", [
+    ([1, -2, 0], (0, False)), ([True, 2], (0, False)), ([ModP(1, 7), 3], (7, False)),
+    ([Fraction(1, 2), 3, False], (0, True))])
+def test_domain_of_coefficients(coeffs, domain):
+    assert _domain(coeffs) == domain
+
+
+@pytest.mark.parametrize("coeffs, match", [
+    ([1, 1.5], "float"), (["1"], "str"), ([ModP(1, 7), ModP(1, 11)], "mod 7 and mod 11"),
+    ([Fraction(1, 2), ModP(1, 7)], "Fraction")])
+def test_domain_refuses_other_and_mixed_coefficients(coeffs, match):
+    with pytest.raises(DomainError, match=match):
+        _domain(coeffs)
+
+
 def test_factoring_refuses_residues():
     f = BinaryForm(2, [1, 0, -1])
     with pytest.raises(DomainError, match="mod 7"):
@@ -278,8 +297,8 @@ def test_engine_matches_sylvester_mod_small_prime_with_drops(f, g):
     assert_engine_matches(f, g, ModP)
 
 
-# the mod-p engine is Euclid's sequence with one inverse at the end; tiny
-# fields make vanishing coefficients and large degree drops common
+# the mod-p engine is Euclid's sequence on true remainders; tiny fields
+# make vanishing coefficients and large degree drops common
 TINY_PRIMES = (3, 5, 7, 139)
 
 
@@ -324,6 +343,54 @@ def test_engine_matches_sylvester_mod_tiny_primes_on_degree_drops(ab):
     a, b = ab
     assert_engine_matches(a, b, ModP)
     assert_engine_matches(b, a, ModP)
+
+
+@st.composite
+def remainder_cases(draw):
+    """(p, a, b, q, r) low-to-high residues with a = b q + r mod p, lc(b)
+    nonzero and deg r < deg b: q empty makes deg a < deg b, r zero an
+    exact multiple, and sparse r a cascade of leading zeros."""
+    p = draw(st.sampled_from(TINY_PRIMES))
+    sparse = st.one_of(st.just(0), st.integers(0, p - 1))
+    b = draw(st.lists(sparse, max_size=7)) + [draw(st.integers(1, p - 1))]
+    q = draw(st.lists(st.integers(0, p - 1), max_size=5))
+    r = poly_trim(draw(st.lists(sparse, max_size=len(b) - 1)))
+    a = [0] * max(len(b) + len(q) - 1, len(r))
+    for i, x in enumerate(_mul(b, q)):
+        a[i] += x
+    for i, x in enumerate(r):
+        a[i] += x
+    return p, poly_trim([c % p for c in a]), b, poly_trim(q), r
+
+
+@given(remainder_cases())
+def test_rem_mod_matches_long_division(case):
+    p, a, b, q, r = case
+    got = _rem_mod(a[::-1], b[::-1], p)
+    assert got[::-1] == field_divmod(a, b, p)[1] == r
+    if not q:
+        assert got == a[::-1]
+
+
+@given(st.sampled_from(TINY_PRIMES).flatmap(lambda p: st.tuples(
+    st.just(p), *[st.lists(st.integers(0, p - 1), max_size=5)] * 3)))
+def test_gcd_mod_finds_the_common_factor(case):
+    p, g, u, v = case
+    a, b = poly_trim([c % p for c in _mul(g, u)]), poly_trim([c % p for c in _mul(g, v)])
+    d = _gcd_mod(a, b, p)
+    assert d == field_gcd(a, b, p)
+    if a or b:
+        assert d[-1] == 1
+        assert exact_quotient(a, d, p) is not None and exact_quotient(b, d, p) is not None
+    if any(g) and (a or b):
+        assert exact_quotient(d, g, p) is not None
+
+
+def test_gcd_mod_pinned():
+    # (x + 1)(x + 2) and (x + 1)(x + 3) mod 5; 2 (x + 1) against zero
+    assert _gcd_mod([2, 3, 1], [3, 4, 1], 5) == [1, 1]
+    assert _gcd_mod([2, 2], [], 5) == [1, 1] == _gcd_mod([0, 0], [2, 2], 5)
+    assert _gcd_mod([], [], 5) == [] == _gcd_mod([5, 10], [0], 5)
 
 
 @given(st.integers(1, 3).flatmap(lambda k: forms(small_ints, w_power=k)), forms(small_ints, min_degree=1))

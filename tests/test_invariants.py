@@ -175,26 +175,27 @@ def test_slice_divisibility_rejects_composite_modulus():
         slice_divisibility(u0, u1, modulus=91)
 
 
-def test_verify_bulk_deterministic_and_clean():
-    opts = VerifyDefaults(pointwise_trials=5, homogeneity_trials=3, sl2_trials=3,
-                          slice_lines=0)
-    rep1 = verify_bulk(seed=123, defaults=opts)
-    rep2 = verify_bulk(seed=123, defaults=opts)
+def test_verify_bulk_deterministic_and_clean(monkeypatch):
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
+        pointwise_trials=5, homogeneity_trials=3, sl2_trials=3, slice_lines=0))
+    rep1 = verify_bulk(seed=123)
+    rep2 = verify_bulk(seed=123)
     assert rep1 == rep2
     assert rep1["failures"] == []
     assert rep1["seed"] == 123 and rep1["convention_tag"] == CONVENTION_TAG
 
 
-def test_verify_bulk_catches_corrupted_invariant():
+def test_verify_bulk_catches_corrupted_invariant(monkeypatch):
     """A deliberately wrong k552 must be flagged by the bulk checks."""
 
     def bad_k552(u):
         good = k552(u)
         return InvariantValue("k552", good.value + 1)
 
-    opts = VerifyDefaults(pointwise_trials=10, homogeneity_trials=0, sl2_trials=0,
-                          slice_lines=0)
-    rep = verify_bulk(seed=9, defaults=opts, k552_fn=bad_k552)
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
+        pointwise_trials=10, homogeneity_trials=0, sl2_trials=0, slice_lines=0))
+    monkeypatch.setattr(invariants, "k552", bad_k552)
+    rep = verify_bulk(seed=9)
     assert rep["failures"] != []
     assert all(kind == "pointwise" for kind, _ in rep["failures"])
 
@@ -216,15 +217,16 @@ def test_modulus_at_most_k552_degree_refused(modulus):
         verify_bulk(0, trials=1, modulus=modulus)
 
 
-def test_modulus_139_certifies_the_reduced_rational_quotient():
+def test_modulus_139_certifies_the_reduced_rational_quotient(monkeypatch):
     rng = random.Random(8)
     u0, u1 = random_surface(rng), random_surface(rng)
     wit = slice_divisibility(u0, u1, modulus=139)
     wq = slice_divisibility(u0, u1)
     assert wit.success and wq.success
     assert wit.quotient == poly_trim([reduce_scalar_mod(c, 139).v for c in wq.quotient])
-    opts = VerifyDefaults(pointwise_trials=2, homogeneity_trials=3, sl2_trials=3)
-    assert verify_bulk(0, modulus=139, defaults=opts)["failures"] == []
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
+        pointwise_trials=2, homogeneity_trials=3, sl2_trials=3))
+    assert verify_bulk(0, modulus=139)["failures"] == []
 
 
 INTERP_VALUES = {
