@@ -91,8 +91,8 @@ class BinaryForm:
         pow1 = [[1]]
         pow2 = [[1]]
         for _ in range(n):
-            pow1.append(_lin_mul(pow1[-1], a, b))
-            pow2.append(_lin_mul(pow2[-1], c, d))
+            pow1.append(_convolve([a, b], pow1[-1]))
+            pow2.append(_convolve([c, d], pow2[-1]))
         out = [0] * (n + 1)
         for i, coeff in enumerate(self.coeffs):
             if not coeff:
@@ -165,19 +165,6 @@ class BinaryForm:
                 factors.append("w^%d" % i)
             parts.append(" * ".join(factors))
         return " + ".join(parts)
-
-
-def _lin_mul(coeffs, a, b):
-    """Multiply a binary-form coefficient array by the linear form a*x + b*w."""
-    out = [0] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        if a:
-            out[i] = out[i] + c * a
-        if b:
-            out[i + 1] = out[i + 1] + c * b
-    return out
 
 
 def _convolve(u, v, zero=0):

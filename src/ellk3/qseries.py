@@ -171,6 +171,8 @@ def sigma(n, k):
 def eisenstein(k, N):
     """E4 or E6 from the divisor-sum expansion: coefficient of q^n is
     240 sigma_3(n) resp. -504 sigma_5(n)."""
+    if N < 0:
+        raise ValueError("truncation order must be nonnegative")
     if k == 4:
         c, power = 240, 3
     elif k == 6:

@@ -100,11 +100,14 @@ def kodaira_type(m2, m3, d):
 @dataclass
 class PlaceRecord:
     place: BinaryForm
-    residue_degree: int
     m2: int
     m3: int
     d: int
     kodaira: str
+
+    @property
+    def residue_degree(self):
+        return self.place.n
 
     def to_json_dict(self):
         return {
@@ -119,10 +122,21 @@ class PlaceRecord:
 
 @dataclass
 class FiberReport:
+    """The places of h, sorted; the flags and the Euler sum derive from them."""
+
     places: list
-    in_U: bool
-    h_is_zero: bool
-    euler_sum: int
+
+    @property
+    def h_is_zero(self):
+        return not self.places
+
+    @property
+    def in_U(self):
+        return bool(self.places) and all(r.kodaira != "NON-MINIMAL" for r in self.places)
+
+    @property
+    def euler_sum(self):
+        return sum(r.d * r.residue_degree for r in self.places)
 
     def to_json_dict(self):
         return {
@@ -137,15 +151,15 @@ def fiber_profile(u):
     """Classify every singular fiber of the model defined by u (over Q).
 
     Vanishing orders at a place come from the factorization of h over Q;
-    the infinity place [1:0] is the factor w.  in_U is False iff some
-    place has m2 >= 4 and m3 >= 6, or h vanishes identically.
+    the infinity place [1:0] is the factor w.  Each place is tagged by
+    kodaira_type, which raises on a triple matching no row; the report
+    derives in_U, h_is_zero and euler_sum from the places.
     """
     g2, g3, h = assemble(u)
     if h.is_zero():
-        return FiberReport([], False, True, 0)
+        return FiberReport([])
     _, hfactors = gcd_and_squarefree(h)
     places = []
-    in_U = True
     for factor, d in hfactors:
         m2 = factor_multiplicity(g2, factor)
         m3 = factor_multiplicity(g3, factor)
@@ -153,13 +167,9 @@ def fiber_profile(u):
             m2 = INFINITE_ORDER
         if m3 is None:
             m3 = INFINITE_ORDER
-        tag = kodaira_type(m2, m3, d)
-        if m2 >= 4 and m3 >= 6:
-            in_U = False
-        places.append(PlaceRecord(factor, factor.n, m2, m3, d, tag))
+        places.append(PlaceRecord(factor, m2, m3, d, kodaira_type(m2, m3, d)))
     places.sort(key=lambda r: (r.residue_degree, r.place.to_str()))
-    euler_sum = sum(r.d * r.residue_degree for r in places)
-    return FiberReport(places, in_U, False, euler_sum)
+    return FiberReport(places)
 
 
 def degeneration_component(u):

@@ -310,14 +310,7 @@ def slice_reference(u0, u1, modulus=None):
     R = newton_interp(xs[:len(rvals)], rvals, p)
     R3 = newton_interp(xs[:len(rvals)], r3vals, p)
     K = newton_interp(xs, kvals, p)
+    # the cube of R, interpolated on its own, has the degree r3_degree states
+    assert len(R3) - 1 == 3 * (len(R) - 1)
     q, rem = field_divmod(K, R3, p)
-    return SliceWitness(
-        success=not rem,
-        quotient_degree=len(q) - 1 if q else -1,
-        k_degree=len(K) - 1 if K else -1,
-        r3_degree=len(R3) - 1,
-        modulus=modulus,
-        quotient=q,
-        K=K,
-        R=R,
-    )
+    return SliceWitness(success=not rem, modulus=modulus, quotient=q, K=K, R=R)

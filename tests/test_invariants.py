@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -29,7 +30,7 @@ from ellk3.invariants import (
     _interp,
 )
 from ellk3.elimination import CONVENTION_TAG, poly_trim
-from ellk3.scalars import reduce_scalar_mod
+from ellk3.scalars import ModP, reduce_scalar_mod
 from ellk3.weierstrass import SurfaceParams
 from reference import newton_interp, slice_reference
 
@@ -200,6 +201,35 @@ def test_verify_bulk_catches_corrupted_invariant(monkeypatch):
     assert all(kind == "pointwise" for kind, _ in rep["failures"])
 
 
+# g2 = -3 w^8, g3 = 2 w^12: h = 4 g2^3 + 27 g3^2 is the zero form, mod every p
+H_ZERO = SurfaceParams.make([0] * 8 + [-3], [0] * 12 + [2])
+
+
+def test_verify_bulk_skips_k552_where_h_vanishes_mod_p(monkeypatch):
+    """Where h = 0 mod p, k552 is undefined: the homogeneity and SL2 checks
+    compare r96 only, and the trial is no failure."""
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
+        homogeneity_trials=2, sl2_trials=2, slice_lines=0))
+    monkeypatch.setattr(invariants, "random_surface", lambda rng: H_ZERO)
+    assert verify_bulk(seed=0, trials=0)["failures"] == []
+
+
+@pytest.mark.parametrize("check", ["homogeneity", "sl2"])
+def test_verify_bulk_reraises_k552_errors_on_nonzero_h(monkeypatch, check):
+    """A ValueError from k552 on a nonzero h mod p is a fault, not a skip: it
+    leaves the homogeneity check and the SL2 check, each run alone."""
+    def failing(u):
+        if isinstance(u.g2_coeffs[0], ModP):
+            raise ValueError("k552 failed on a nonzero h")
+        return k552(u)
+
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
+        homogeneity_trials=int(check == "homogeneity"), sl2_trials=int(check == "sl2"), slice_lines=0))
+    monkeypatch.setattr(invariants, "k552", failing)
+    with pytest.raises(ValueError, match="nonzero h"):
+        verify_bulk(seed=0, trials=1)
+
+
 def test_verify_bulk_refuses_composite_modulus():
     # refused at entry, before any draw reaches the mod-p resultant engine
     with pytest.raises(ValueError, match="modulus must be prime"):
@@ -319,6 +349,19 @@ def test_slice_failed_witness_carries_no_quotient(monkeypatch):
     for modulus in (None, P62):
         wit = slice_divisibility(u0, u1, modulus=modulus)
         assert (wit.success, wit.quotient, wit.quotient_degree) == (False, [], -1)
+
+
+def test_slice_witness_degrees_derive_from_polynomials():
+    """A witness stores (success, modulus, quotient, K, R); its degrees are
+    read off the polynomials: an empty quotient or K has degree -1, and
+    r3_degree is 3 deg R."""
+    assert [f.name for f in fields(SliceWitness)] == ["success", "modulus", "quotient", "K", "R"]
+    wit = SliceWitness(True, None, [], [], [1])
+    assert (wit.quotient_degree, wit.k_degree, wit.r3_degree) == (-1, -1, 0)
+    wit = SliceWitness(True, 139, [1, 2], [0, 0, 0, 0, 0, 0, 0, 0, 1], [3, 1, 1])
+    assert (wit.quotient_degree, wit.k_degree, wit.r3_degree) == (1, 8, 6)
+    with pytest.raises(AttributeError):
+        wit.r3_degree = 6
 
 
 def test_slice_line_evaluation_budget(monkeypatch):

@@ -28,6 +28,11 @@ def test_eisenstein_rejects_other_weights():
         eisenstein(8, 4)
 
 
+def test_eisenstein_rejects_negative_order():
+    with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        eisenstein(4, -1)
+
+
 def test_qseries_indexing_and_truncation_guard():
     f = QSeries(-1, [1, 2, 3], 1)
     assert f[-1] == 1 and f[0] == 2 and f[1] == 3

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from ellk3.scalars import DomainError, ModP, reduce_scalar_mod
 from ellk3.weierstrass import (
     INFINITE_ORDER,
     FiberReport,
+    PlaceRecord,
     SurfaceParams,
     assemble,
     degeneration_component,
@@ -239,6 +241,22 @@ def test_h_identically_zero():
     u = SurfaceParams.make([0] * 8 + [-3], [0] * 12 + [2])
     rep = fiber_profile(u)
     assert rep.h_is_zero and not rep.in_U and rep.places == []
+
+
+def test_report_fields_derive_from_places():
+    """A report stores its places only: h_is_zero, in_U and euler_sum (and
+    each place's residue degree) are read off them, and cannot be set."""
+    assert [f.name for f in fields(FiberReport)] == ["places"]
+    assert [f.name for f in fields(PlaceRecord)] == ["place", "m2", "m3", "d", "kodaira"]
+    empty = FiberReport([])
+    assert (empty.h_is_zero, empty.in_U, empty.euler_sum) == (True, False, 0)
+    conic = PlaceRecord(BinaryForm(2, [1, 0, 1]), 0, 0, 1, "I1")
+    minimal = FiberReport([conic])
+    assert (conic.residue_degree, minimal.h_is_zero, minimal.in_U, minimal.euler_sum) == (2, False, True, 2)
+    rep = FiberReport([conic, PlaceRecord(W_PLACE, 4, 6, 12, "NON-MINIMAL")])
+    assert (rep.h_is_zero, rep.in_U, rep.euler_sum) == (False, False, 14)
+    with pytest.raises(AttributeError):
+        rep.in_U = True
 
 
 def test_infinity_place_counted():
