@@ -6,14 +6,19 @@ sequence on plain Python ints.  Over Z and Q it is the subresultant PRS
 (``_prem``), whose exact divisions keep the integers small: integer forms
 after their contents are stripped, rational forms after their
 denominators are cleared.  Over F_p the coefficients cannot grow, so
-residue forms run Euclid's sequence on true remainders (``_rem_mod``, one
-inverse of the divisor's leading coefficient per step, the step the
-certificate's gcds mod p take too) and collect the powers of the leading
-coefficients that Res picks up.  The value is the Sylvester determinant
-in the row convention of the displayed r96 matrix: for f of degree m and
-g of degree n, n shifted rows of f's coefficients and then m shifted rows
-of g's.  When w divides a form its dense degree drops, and the place at
-infinity is put back by the homogeneous correction in ``_res_dense``.
+residue forms run Euclid's sequence on true remainders and collect the
+powers of the leading coefficients that Res picks up.  The value is the
+Sylvester determinant in the row convention of the displayed r96 matrix:
+for f of degree m and g of degree n, n shifted rows of f's coefficients
+and then m shifted rows of g's.  When w divides a form its dense degree
+drops, and the place at infinity is put back by the homogeneous
+correction in ``_res_dense``.
+
+Euclid over F_p has one kernel, ``_euclid_mod``, for the mod-p resultant
+and the certificate's gcds alike: a polynomial is one int with a
+coefficient per b-bit slot, a remainder step is a few big-int operations,
+and slots are reduced mod p only when a tracked bound says the next
+division could overflow them (the width b grows with p and the degree).
 
 Univariate division is one exact quotient on plain ints
 (``exact_quotient``), mod p or over Z; over Q it divides primitive parts,
@@ -178,40 +183,24 @@ def _prs_resultant(A, B):
 
 def _euclid_resultant(A, B, p):
     """Res(A, B) mod a prime p of dense residue polynomials (high-to-low
-    int lists with nonzero leading coefficients) by Euclid's remainder
-    sequence.  Over F_p the coefficients cannot grow, so the subresultant
-    bookkeeping is not needed.  With R = A mod B of degree dR,
+    int lists with nonzero leading coefficients), read off the degrees d_i
+    and leading coefficients of Euclid's sequence r_0 = A, r_1 = B, ...
+    from ``_euclid_mod``, packed.  With r_(i+1) = r_(i-1) mod r_i,
 
-        Res(A, B) = (-1)^(dA dB) lc(B)^(dA - dR) Res(B, R);
+        Res(r_(i-1), r_i) = (-1)^(d_(i-1) d_i) lc(r_i)^(d_(i-1) - d_(i+1)) Res(r_i, r_(i+1))
 
-    when dA < dB, R is A itself and the step is the swap with its sign."""
-    dA, dB = len(A) - 1, len(B) - 1
+    (a swap with its sign when d_(i-1) < d_i), and the sequence ends in a
+    constant c, Res(r_(k-1), c) = c^(d_(k-1)), or in a common factor."""
+    b = _slot_bits(p, max(len(A), len(B)) - 1)
+    seq = _euclid_mod(_pack(A, b), len(A) - 1, _pack(B, b), len(B) - 1, p, b, p - 1)
+    if seq[-1][0]:
+        return 0
     r = 1
-    while dB:
-        R = _rem_mod(A, B, p)
-        if not R:
-            return 0
-        dR = len(R) - 1
+    for (dA, _, _), (dB, lB, _), (dR, _, _) in zip(seq, seq[1:], seq[2:]):
         if dA & dB & 1:
             r = -r
-        r = r * pow(B[0], dA - dR, p) % p
-        A, B, dA, dB = B, R, dB, dR
-    # B is a nonzero constant c, and Res(A, c) = c^dA
-    return r * pow(B[0], dA, p) % p
-
-
-def _rem_mod(A, B, p):
-    """Remainder of A by B mod a prime p, as high-to-low residue lists with
-    nonzero leading coefficients (A may be empty): one Euclid step, with
-    one inverse of lc(B).  A itself when deg A < deg B."""
-    inv = pow(B[0], -1, p)
-    nb, tail = len(B), B[1:]
-    while len(A) >= nb:
-        c = A[0] * inv % p
-        A = [(x - c * y) % p for x, y in zip(A[1:nb], tail)] + A[nb:]
-        while A and not A[0]:
-            del A[0]
-    return A
+        r = r * pow(lB, dA - dR, p) % p
+    return r * pow(seq[-1][1], seq[-2][0], p) % p
 
 
 def _prem(A, B):
@@ -230,6 +219,75 @@ def _prem(A, B):
         m = lb ** e
         R = [r * m for r in R]
     return R
+
+
+# -- Euclid over F_p on packed ints ----------------------------------
+
+
+def _slot_bits(p, n):
+    """Slot width b for residue polynomials mod p of degree at most n.  A
+    slot must hold (n + 1)^2 p^4, which bounds ``degree_pattern``'s row
+    combinations and one division of reduced polynomials in
+    ``_euclid_mod``, so no fixed width is safe for every p.  The factor
+    p^2 2^64 on top lets the slot bound grow, by about k p per division of
+    k steps, through several divisions before a reduction."""
+    return ((n + 1) ** 2 * p**6).bit_length() + 64
+
+
+def _pack(cs, b):
+    """The nonnegative ints cs (high-to-low coefficients) in b-bit slots of
+    one int, the leading one in the lowest slot."""
+    return sum(c << s for c, s in zip(cs, range(0, b * len(cs), b)))
+
+
+def _unpack(X, n, p, b):
+    """The first n slots of X, each reduced mod p: high-to-low residues."""
+    m = (1 << b) - 1
+    return [(X >> s & m) % p for s in range(0, b * n, b)]
+
+
+def _euclid_mod(A, da, B, db, p, b, m):
+    """Euclid's sequence mod a prime p, r_0 = A, r_1 = B, r_(i+1) = r_(i-1)
+    mod r_i, as (degree, leading coefficient, packed r_i) up to the first
+    zero remainder or a constant; a zero r_0 is (-1, 0, 0), and the last
+    entry is the gcd up to a unit.  A and B come packed (``_pack``, width
+    b = ``_slot_bits(p, n)``, n >= da, db), every slot a nonnegative
+    representative, at most m, of its residue: A of degree da (a leading
+    slot nonzero mod p, or A = 0 and da = -1), B of degree at most db.
+
+    A step adds c B to A, with c = -lc(A)/lc(B) mod p, and shifts out A's
+    leading slot, now a multiple of p.  Slot bound: if A's slots are at
+    most ma and B's at most mb, a division's k = dA - dB + 1 steps add at
+    most k (p - 1) mb to a slot.  While ma + k (p - 1) mb < 2^b no slot
+    carries, so every sum and shift is exact slot by slot; otherwise A,
+    then if need be B, is first reduced mod p, after which the sum is at
+    most (p - 1) + (n + 1) (p - 1)^2 < 2^b by ``_slot_bits``."""
+    mask = (1 << b) - 1
+    ma = mb = m
+    seq = [(da, (A & mask) % p, A)]
+    while True:
+        while db >= 0 and not (lb := (B & mask) % p):
+            B >>= b
+            db -= 1
+        if db >= 0:
+            seq.append((db, lb, B))
+        if db <= 0:
+            return seq
+        k = da - db + 1
+        if k > 0:
+            if ma + k * (p - 1) * mb > mask:
+                A, ma = _pack(_unpack(A, da + 1, p, b), b), p - 1
+                if ma + k * (p - 1) * mb > mask:
+                    B, mb = _pack(_unpack(B, db + 1, p, b), b), p - 1
+            ma += k * (p - 1) * mb
+            inv = p - pow(lb, -1, p)
+            for _ in range(k):
+                c = (A & mask) * inv % p
+                if c:
+                    A += c * B
+                A >>= b
+            da -= k
+        A, da, ma, B, db, mb = B, db, mb, A, da, ma
 
 
 # -- univariate helpers (dense low-to-high lists) --------------------
@@ -307,59 +365,55 @@ def degree_pattern(f, p):
     polynomial f, given as low-to-high residues, in ascending order: its
     distinct-degree factorization (Gathen & Gerhard, Alg. 14.3).
 
-    A residue polynomial of degree < n = deg f is packed into one int, the
-    coefficient of x^i in the b-bit slot i, so that a combination of such
-    polynomials is a handful of big-int products.  The Frobenius rows
-    x^(p j) mod f, j < n, come from stepping x^k to x^(k+1) by a shift and
-    one multiple of x^n mod f, so their cost grows like p n^2: this is
-    meant for small p.  Each x^(p^i) mod f is then one combination of the
-    rows, and the factors of degree i are gcd(g, x^(p^i) - x), with g what
-    is left of f."""
+    A residue polynomial of degree < n = deg f is packed into one int as
+    ``_euclid_mod`` takes it, so that a combination of such polynomials is
+    a handful of big-int products.  The Frobenius rows x^(p j) mod f,
+    j < n, come from stepping x^k to x^(k+1) by a shift and one multiple
+    of x^n mod f, so their cost grows like p n^2: this is meant for small
+    p.  Each x^(p^i) mod f is then one combination of the rows, and the
+    factors of degree i are gcd(g, x^(p^i) - x), with g what is left of f.
+    Slot bound: a step adds at most (p - 1)^2 to a slot, so a row, at most
+    (n - 1) p steps from x^0, has slots at most 1 + (n - 1) p (p - 1)^2,
+    and x^(p^i) - x, a combination of rows with residues, stays below
+    n^2 p^4 (``_slot_bits``); it goes to the gcd unreduced."""
     n = len(f) - 1
-    # slot bound: p steps from residues add < p^2 each, a combination of
-    # n rows sums n products of residues
-    b = (max(p, n) * p * p).bit_length()
-    shifts = [b * i for i in range(n)]
+    b = _slot_bits(p, n)
     mask = (1 << b) - 1
-
-    def pack(cs):
-        return sum(c << s for c, s in zip(cs, shifts))
-
-    def unpack(X):
-        return [(X >> s & mask) % p for s in shifts]
-
-    tail = pack([-c % p for c in f[:-1]])  # x^n = tail mod f
-    top, low = b * (n - 1), (1 << b * (n - 1)) - 1
-    X = 1
+    tail = _pack([-c % p for c in reversed(f[:-1])], b)  # x^n = tail mod f
+    X = 1 << b * (n - 1)
     rows = [X]
     for _ in range(n - 1):
         for _ in range(p):
-            X = ((X & low) << b) + (X >> top) % p * tail
-        X = pack(unpack(X))
+            X = (X >> b) + (X & mask) % p * tail
         rows.append(X)
+    rows.reverse()  # high-to-low, like the coefficients that combine them
+    bound = n * (p - 1) * (1 + (n - 1) * p * (p - 1) ** 2) + p - 1
     pattern = []
-    g, h, i = f, [0, 1] + [0] * (n - 2), 0
+    g, G, h, i = f, _pack(f[::-1], b), [0] * (n - 2) + [1, 0], 0
     while 2 * (i + 1) < len(g):
         i += 1
-        h = unpack(sum(c * row for c, row in zip(h, rows) if c))
-        d = _gcd_mod(g, [h[0], h[1] - 1] + h[2:], p)  # x^(p^i) - x
-        if len(d) > 1:
-            pattern += [i] * ((len(d) - 1) // i)
-            g = exact_quotient(g, d, p)
+        H = sum(c * row for c, row in zip(h, rows) if c)
+        xpx = H + ((p - 1) << b * (n - 2))  # x^(p^i) - x
+        d, _, D = _euclid_mod(G, len(g) - 1, xpx, n - 1, p, b, bound)[-1]
+        if d > 0:
+            pattern += [i] * (d // i)
+            g = exact_quotient(g, _unpack(D, d + 1, p, b)[::-1], p)
+            G = _pack(g[::-1], b)
+        h = _unpack(H, n, p, b)
     if len(g) > 1:
         pattern.append(len(g) - 1)
     return pattern
 
 
 def _gcd_mod(a, b, p):
-    """Monic gcd mod p of two residue lists (low-to-high), by Euclid on
-    high-to-low lists; [] if both are zero."""
-    a = poly_trim([c % p for c in a])[::-1]
-    b = poly_trim([c % p for c in b])[::-1]
-    while b:
-        a, b = b, _rem_mod(a, b, p)
-    inv = pow(a[0], -1, p) if a else 0
-    return [c * inv % p for c in reversed(a)]
+    """Monic gcd mod p of two int lists (low-to-high) by ``_euclid_mod``;
+    [] if both are zero mod p."""
+    a, b = poly_trim([c % p for c in a]), [c % p for c in b]
+    bits = _slot_bits(p, max(len(a), len(b), 1) - 1)
+    A, B = _pack(a[::-1], bits), _pack(b[::-1], bits)
+    d, lc, G = _euclid_mod(A, len(a) - 1, B, len(b) - 1, p, bits, p - 1)[-1]
+    inv = pow(lc, -1, p) if lc else 0
+    return [c * inv % p for c in reversed(_unpack(G, d + 1, p, bits))]
 
 
 def irreducibility_certificate(f):

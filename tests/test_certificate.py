@@ -129,6 +129,48 @@ def test_certified_h_is_irreducible_for_sympy_too():
 LC_140 = SurfaceParams.make([2, 3, 3, -3, -3, -3, -1, 3, -2], [2, 2, 3, 2, 3, -1, -1, 1, -2, 1, -3, 1, 2])
 
 
+def reference_certificate(f):
+    """``irreducibility_certificate``'s verdict and trail, with
+    squarefreeness mod p from ``is_squarefree_mod`` and the patterns from
+    ``modp_factor_degrees`` (sympy over GF(p)), under the same "lc",
+    "singular" and bound rules."""
+    n = len(f) - 1
+    full, sums = 1 | 1 << n, (1 << n + 1) - 1
+    trail, patterns, singular = [], 0, 0
+    for p in CERT_PRIMES:
+        if not f[-1] % p:
+            trail.append((p, "lc"))
+        elif not is_squarefree_mod(f, p):
+            trail.append((p, "singular"))
+            if not patterns:
+                singular += 1
+                if singular == CERT_MAX_SINGULAR:
+                    return "singular bound", trail
+        else:
+            pattern = tuple(modp_factor_degrees(f, p))
+            trail.append((p, pattern))
+            reach = 1
+            for d in pattern:
+                reach |= reach << d
+            sums &= reach
+            if sums == full:
+                return IRREDUCIBLE, trail
+            patterns += 1
+            if patterns == CERT_MAX_PATTERNS:
+                return "pattern bound", trail
+    return "primes exhausted", trail
+
+
+def test_certificate_trails_match_sympy():
+    # seeded h with small and large coefficients, then one input per
+    # way a prime is skipped or the certificate gives up
+    rng = random.Random(17)
+    fs = [h_dense(random_surface(rng, bound)) for bound in [9] * 14 + [10 ** 6] * 6]
+    fs += [h_dense(LC_140), [1, 0, 0, 0, 1], mul(mul([-2, 0, 1], [-2, 0, 1]), [3, 1])]
+    for f in fs:
+        assert irreducibility_certificate(f) == reference_certificate(f)
+
+
 def test_a_prime_dividing_the_leading_coefficient_is_skipped():
     f = h_dense(LC_140)
     assert f[-1] == 140

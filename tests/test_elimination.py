@@ -3,15 +3,18 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import (
     CONVENTION_TAG,
     _domain,
+    _euclid_mod,
     _gcd_mod,
-    _rem_mod,
+    _pack,
+    _slot_bits,
+    _unpack,
     discriminant_binary,
     factor_multiplicity,
     exact_quotient,
@@ -366,10 +369,15 @@ def remainder_cases(draw):
 @given(remainder_cases())
 def test_rem_mod_matches_long_division(case):
     p, a, b, q, r = case
-    got = _rem_mod(a[::-1], b[::-1], p)
-    assert got[::-1] == field_divmod(a, b, p)[1] == r
+    bits = _slot_bits(p, max(len(a), len(b)) - 1)
+    seq = _euclid_mod(_pack(a[::-1], bits), len(a) - 1, _pack(b[::-1], bits), len(b) - 1, p, bits, p - 1)
+    # a mod b is the third member of the sequence, unlisted when it is zero
+    d, lc, R = seq[2] if len(seq) > 2 else (-1, 0, 0)
+    got = _unpack(R, d + 1, p, bits)[::-1]
+    assert got == field_divmod(a, b, p)[1] == r
+    assert (d, lc) == (len(r) - 1, r[-1] if r else 0)
     if not q:
-        assert got == a[::-1]
+        assert got == a
 
 
 @given(st.sampled_from(TINY_PRIMES).flatmap(lambda p: st.tuples(
@@ -391,6 +399,70 @@ def test_gcd_mod_pinned():
     assert _gcd_mod([2, 3, 1], [3, 4, 1], 5) == [1, 1]
     assert _gcd_mod([2, 2], [], 5) == [1, 1] == _gcd_mod([0, 0], [2, 2], 5)
     assert _gcd_mod([], [], 5) == [] == _gcd_mod([5, 10], [0], 5)
+
+
+# the packed kernel at every width it meets: tiny fields (frequent zeros
+# and degree drops), the certificate's largest prime, and the 62-bit one
+KERNEL_PRIMES = (3, 5, 7, 397, 10007, P62)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(p, a, b, m, a_slots, b_slots): residue lists a, b (low-to-high, up
+    to degree 46, a trimmed) and their packing slots for ``_euclid_mod``,
+    each a representative c + p t <= m of its residue.  Zeros are common,
+    so leading coefficients vanish after a step.  m is p - 1 (reduced
+    slots) or the largest slot value, which forces a reduction before the
+    first step.  One case in two is a long quotient: a of degree 46 is
+    b q + r with b of degree 1 or 2."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    sparse = st.one_of(st.just(0), st.integers(0, p - 1))
+    if draw(st.booleans()):
+        b = draw(st.lists(sparse, min_size=1, max_size=2)) + [draw(st.integers(1, p - 1))]
+        q = draw(st.lists(sparse, min_size=47 - len(b), max_size=47 - len(b))) + [draw(st.integers(1, p - 1))]
+        r = draw(st.lists(sparse, max_size=len(b) - 1))
+        a = _mul(b, q)
+        a[:len(r)] = [x + y for x, y in zip(a, r)]
+        a = [c % p for c in a]
+    else:
+        a, b = poly_trim(draw(st.lists(sparse, max_size=47))), draw(st.lists(sparse, max_size=47))
+    bits = _slot_bits(p, max(len(a), len(b)) - 1)
+    m = draw(st.sampled_from((p - 1, (1 << bits) - 1)))
+    lift = st.integers(0, (m - p + 1) // p)
+    a_slots = [c + p * draw(lift) for c in a]
+    b_slots = [c + p * draw(lift) for c in b]
+    return p, a, b, m, a_slots, b_slots
+
+
+def reference_sequence(a, b, p):
+    """Euclid's remainder sequence by schoolbook division: a, then b and
+    each remainder up to the first zero (not listed) or a constant."""
+    seq, prev, cur = [poly_trim(list(a))], a, poly_trim(list(b))
+    while cur:
+        seq.append(cur)
+        if len(cur) == 1:
+            break
+        prev, cur = cur, field_divmod(prev, cur, p)[1]
+    return seq
+
+
+@given(kernel_cases())
+def test_euclid_mod_and_gcd_match_the_reference_sequence(case):
+    p, a, b, m, a_slots, b_slots = case
+    bits = _slot_bits(p, max(len(a), len(b)) - 1)
+    seq = _euclid_mod(_pack(a_slots[::-1], bits), len(a) - 1, _pack(b_slots[::-1], bits), len(b) - 1, p, bits, m)
+    got = [(d, lc, _unpack(R, d + 1, p, bits)[::-1]) for d, lc, R in seq]
+    assert got == [(len(r) - 1, r[-1] if r else 0, r) for r in reference_sequence(a, b, p)]
+    assert _gcd_mod(a, b, p) == field_gcd(a, b, p)
+
+
+@settings(max_examples=40)
+@given(st.sampled_from(KERNEL_PRIMES).flatmap(lambda p: st.tuples(
+    forms(sparse_residues(p), max_degree=46), forms(sparse_residues(p), max_degree=3))))
+def test_engine_matches_sylvester_mod_p_up_to_degree_46(fg):
+    # the Sylvester matrix stays below 50 rows, so Bareiss stays quick
+    assert_engine_matches(*fg, ModP)
+    assert_engine_matches(*fg[::-1], ModP)
 
 
 @given(st.integers(1, 3).flatmap(lambda k: forms(small_ints, w_power=k)), forms(small_ints, min_degree=1))
