@@ -3,7 +3,10 @@ parameter space, three ways:
 
 * the Molien-Weyl residue formula, expanded t-adically so each t-degree
   carries a finite Laurent polynomial in q and the residue is the q^(-1)
-  coefficient of (q^(-1) - q) times the product;
+  coefficient of (q^(-1) - q) times the product.  Each Laurent polynomial
+  is one nonnegative int with a slot per even q-exponent (Kronecker
+  substitution), so a geometric factor costs one big-int shift and add per
+  t-degree;
 * an independent oracle computing the exact kernel dimension of the
   raising operator D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1} from the
   torus-weight-0 to the weight-2 subspace, certified by full row rank mod
@@ -13,7 +16,6 @@ parameter space, three ways:
   free extension with its weight-264 relation.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 # the 22 ambient variables: octic coefficients then duodecic ones
@@ -28,15 +30,25 @@ Q_WEIGHTS = tuple(2 * i - 8 for i in range(9)) + tuple(2 * i - 12 for i in range
 ORACLE_MAX_DEGREE = 30
 
 
-@dataclass
 class HilbertSeries:
-    coefficients: list
+    """Graded dimensions: coefficients[k] is the dimension at t-degree k."""
 
-    def __post_init__(self):
-        if self.coefficients and self.coefficients[0] != 1:
+    __slots__ = ("coefficients",)
+
+    def __init__(self, coefficients):
+        if coefficients and coefficients[0] != 1:
             raise ValueError("a graded ring's Hilbert series starts with 1")
-        if any(c < 0 for c in self.coefficients):
+        if any(c < 0 for c in coefficients):
             raise ValueError("negative graded dimension")
+        self.coefficients = coefficients
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __repr__(self):
+        return "HilbertSeries(coefficients=%r)" % (self.coefficients,)
 
     def __getitem__(self, k):
         return self.coefficients[k]
@@ -49,25 +61,40 @@ def molien_series(N):
     """Graded dimensions of the invariant ring up to t-degree N.
 
     Expands prod (1 - q^a t^b)^(-1) over the 22 variables as a t-adic
-    series with Laurent-in-q coefficients (dicts q-exponent -> count),
-    multiplies by (q^(-1) - q) and reads off the q^(-1) coefficient: for
-    a t-coefficient c(q) this is c_0 - c_(-2).
+    series with Laurent-in-q coefficients, multiplies by (q^(-1) - q) and
+    reads off the q^(-1) coefficient: for a t-coefficient c(q) this is
+    c_0 - c_(-2).
+
+    The coefficient at t-degree d is packed into one int, the count of
+    q^e in slot e/2 + d of w bits.  Every q-weight is even and |a| <= 2b
+    for every variable, so the exponents at t-degree d are even and lie in
+    [-2d, 2d] (slots 0..2d), and the factor's recurrence new[d] = old[d] +
+    q^a new[d-b] is a left shift of the packed new[d-b] by a/2 + b >= 0
+    slots and an add.  A slot counts monomials of t-degree d with one
+    q-weight, so it never exceeds m_d, the number of all monomials of
+    t-degree d; with w = bitlen(max m_d) + 1 no slot carries into the
+    next.  The m_d come from the same recurrence on plain ints for
+    1/((1 - t^4)^9 (1 - t^6)^13).
     """
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    # coeff[d] = Laurent polynomial in q at t-degree d
-    coeff = [dict() for _ in range(N + 1)]
-    coeff[0][0] = 1
-    for a, b in zip(Q_WEIGHTS, U_WEIGHTS):
-        # in-place recurrence for the geometric factor (1 - q^a t^b)^(-1):
-        # new[d] = old[d] + q^a * new[d-b]
+    monomials = [1] + [0] * N
+    for b in U_WEIGHTS:
         for d in range(b, N + 1):
-            dst = coeff[d]
-            for qe, c in coeff[d - b].items():
-                dst[qe + a] = dst.get(qe + a, 0) + c
-    dims = []
-    for d in range(N + 1):
-        dims.append(coeff[d].get(0, 0) - coeff[d].get(-2, 0))
+            monomials[d] += monomials[d - b]
+    w = max(monomials).bit_length() + 1
+    # coeff[d] = packed Laurent polynomial in q at t-degree d
+    coeff = [1] + [0] * N
+    for a, b in zip(Q_WEIGHTS, U_WEIGHTS):
+        shift = (a // 2 + b) * w
+        for d in range(b, N + 1):
+            coeff[d] += coeff[d - b] << shift
+    # q^(-2) sits in slot d - 1 and q^0 in slot d
+    mask = (1 << w) - 1
+    dims = [1]
+    for d in range(1, N + 1):
+        low = coeff[d] >> (d - 1) * w
+        dims.append((low >> w & mask) - (low & mask))
     if any(c < 0 for c in dims):
         raise ArithmeticError("residue extraction produced a negative integer")
     return HilbertSeries(dims)

@@ -3,13 +3,19 @@ Eisenstein series E4 and E6 from their divisor-sum expansions, and the
 nearly holomorphic form 1728 E4 / (E4^3 - E6^2) = 1/q + 264 + 8244 q +
 139520 q^2 + ... whose Borcherds lift is the weight-132 cusp form.
 
+A product of two series is one big-int product (Kronecker substitution):
+each factor's window, cleared of denominators, is packed into an int with
+one signed coefficient per byte-aligned slot, and the slots are wide
+enough that no coefficient of the product reaches half a slot, so its
+balanced digits are the product's coefficients.
+
 Note: the divisor-sum formula gives E6 = 1 - 504 q - 16632 q^2 - ...
 (-504 * sigma_5(2) = -16632); see the README for the known misprint in
 one published display of this coefficient.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class QSeries:
@@ -52,7 +58,9 @@ class QSeries:
     def truncate(self, N):
         if N > self.N:
             raise ValueError("cannot extend a truncated series")
-        return QSeries(self.e0, self.coeffs[: max(0, N - self.e0 + 1)], N)
+        if N < self.e0:
+            return QSeries.zero(N)
+        return QSeries(self.e0, self.coeffs[: N - self.e0 + 1], N)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -76,27 +84,45 @@ class QSeries:
         return self + (-1) * other
 
     def __mul__(self, other):
+        """Product with a scalar or a series.  A term q^(e0_a + i) *
+        q^(e0_b + j) is reliable only while the partner sums are complete,
+        so the product of two series is truncated at the smaller of
+        N_a + e0_b and N_b + e0_a.
+
+        Its n coefficients need only the first n of each factor.  Each
+        factor is scaled by the lcm of its denominators to ints a_i, b_j
+        and packed as sum a_i 2^(s i), s = 8 nb.  Every product
+        coefficient c_k = sum a_i b_(k-i) has at most min(len a, len b)
+        terms, so |c_k| <= min(len a, len b) max|a| max|b| < 2^(s-1) once
+        8 nb - 1 reaches that bound's bit length; then the low n digits of
+        the packed product, read as unsigned bytes, give back each c_k
+        with one borrow pass.  The digits are divided by the two lcms once
+        at the end, so integer series stay on ints."""
         if not isinstance(other, QSeries):
             if not other:
                 return QSeries.zero(self.N)
             return QSeries(self.e0, [c * other for c in self.coeffs], self.N)
-        # truncation: a term q^(e0_a + i) * q^(e0_b + j) is reliable only
-        # while the partner sums are complete, i.e. up to min over the
-        # windows
-        N = min(self.N + other.e0, other.N + self.e0) if not (self.is_zero() or other.is_zero()) else min(self.N, other.N)
         if self.is_zero() or other.is_zero():
             return QSeries.zero(min(self.N, other.N))
+        N = min(self.N + other.e0, other.N + self.e0)
         e0 = self.e0 + other.e0
-        out = [0] * (N - e0 + 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                e = e0 + i + j
-                if e > N:
-                    break
-                if b:
-                    out[i + j] += a * b
+        n = N - e0 + 1
+        a, da = _clear_denominators(self.coeffs[:n])
+        b, db = _clear_denominators(other.coeffs[:n])
+        bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+        nb = bound.bit_length() // 8 + 1
+        s = 8 * nb
+        digits = ((_pack(a, nb) * _pack(b, nb)) & ((1 << s * n) - 1)).to_bytes(nb * n, "little")
+        half, full = 1 << (s - 1), 1 << s
+        out = []
+        borrow = 0
+        for k in range(0, nb * n, nb):
+            c = int.from_bytes(digits[k : k + nb], "little") + borrow
+            borrow = c >= half
+            out.append(c - full if borrow else c)
+        den = da * db
+        if den != 1:
+            out = [Fraction(c, den) for c in out]
         return QSeries(e0, out, N)
 
     __rmul__ = __mul__
@@ -152,6 +178,21 @@ class QSeries:
             else:
                 parts.append("%s*q^%d" % (c, e))
         return " + ".join(parts) + " + O(q^%d)" % (self.N + 1)
+
+
+def _clear_denominators(coeffs):
+    """(ints, d): the coefficients times d, the lcm of their denominators
+    (1 for ints)."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
+def _pack(ints, nb):
+    """sum ints[i] 2^(8 nb i) for signed ints of at most 8 nb bits, from
+    the byte strings of their positive and negative parts."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(nb, "little") for c in ints)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(nb, "little") for c in ints)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def sigma(n, k):

@@ -9,6 +9,9 @@ cross-check the fast paths against:
   dense Gaussian elimination over Q on Fractions and the kernel it
   yields, and the weight spaces by enumerating every monomial of a
   t-degree and filing it under its q-weight;
+* for the Molien series, the t-adic expansion with each Laurent
+  polynomial in q held as a dict exponent -> count;
+* for series products, the schoolbook double loop over the two windows;
 * for the Borcherds input, the power-series reciprocal on Fractions;
 * for slice interpolation, Newton divided differences at arbitrary
   distinct integer points, over Q on Fractions or mod p;
@@ -25,7 +28,7 @@ import sympy
 
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import poly_trim
-from ellk3.hilbert import Q_WEIGHTS, U8_VARS, U12_VARS, U_VARS
+from ellk3.hilbert import Q_WEIGHTS, U8_VARS, U12_VARS, U_VARS, U_WEIGHTS
 from ellk3.invariants import K552_U_DEGREE, R96_U_DEGREE, SliceWitness, _eval_on_line, check_modulus, k552, r96
 from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries, eisenstein
@@ -201,6 +204,35 @@ def filtered_weight_spaces(tdegree):
                 q = q8 + sum(e * qw for e, qw in zip(e12, Q_WEIGHTS[9:]))
                 spaces.setdefault(q, []).append(e8 + e12)
     return spaces
+
+
+def molien_reference(N):
+    """Graded dimensions to t-degree N: prod (1 - q^a t^b)^(-1) expanded
+    with each t-coefficient a dict q-exponent -> count, the residue read
+    as c_0 - c_(-2) at every t-degree."""
+    coeff = [dict() for _ in range(N + 1)]
+    coeff[0][0] = 1
+    for a, b in zip(Q_WEIGHTS, U_WEIGHTS):
+        # new[d] = old[d] + q^a * new[d-b]
+        for d in range(b, N + 1):
+            dst = coeff[d]
+            for qe, c in coeff[d - b].items():
+                dst[qe + a] = dst.get(qe + a, 0) + c
+    return [c.get(0, 0) - c.get(-2, 0) for c in coeff]
+
+
+def schoolbook_product(f, g):
+    """f * g for two nonzero QSeries by the double loop over their
+    windows, truncated at min(N_f + e0_g, N_g + e0_f)."""
+    N = min(f.N + g.e0, g.N + f.e0)
+    e0 = f.e0 + g.e0
+    out = [0] * (N - e0 + 1)
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            if e0 + i + j > N:
+                break
+            out[i + j] += a * b
+    return QSeries(e0, out, N)
 
 
 def fraction_reciprocal(f):

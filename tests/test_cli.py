@@ -359,6 +359,11 @@ def test_hilbert_oracle_loads_only_hilbert():
     assert (code, modules) == (0, {"ellk3", "ellk3.cli", "ellk3.hilbert"})
 
 
+def test_hilbert_oracle_loads_no_dataclasses():
+    code = LOADS % ["hilbert", "--max-degree", "16", "--oracle"] + "; print('dataclasses' in sys.modules)"
+    assert _fresh_python(code).splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("argv", [["hilbert", "--max-degree", "-1"], ["verify", "--trials", "0"]])
 def test_usage_error_loads_no_library_module(argv):
     assert _loads(argv) == (2, {"ellk3", "ellk3.cli"})

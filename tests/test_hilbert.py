@@ -10,6 +10,7 @@ from ellk3.hilbert import (
     U_VARS,
     U_WEIGHTS,
     FeasibilityError,
+    HilbertSeries,
     _raising_matrix,
     character_series,
     invariant_basis,
@@ -25,6 +26,7 @@ from reference import (
     dense_kernel,
     det_bareiss,
     filtered_weight_spaces,
+    molien_reference,
     row_reduce,
     substituted_raising_table,
     sylvester_matrix,
@@ -53,6 +55,27 @@ def test_molien_prefix_stability():
 def test_molien_negative_truncation():
     with pytest.raises(ValueError):
         molien_series(-1)
+
+
+def test_packed_molien_matches_dict_expansion():
+    ref = molien_reference(150)
+    for N in range(151):
+        assert molien_series(N).coefficients == ref[: N + 1]
+    assert molien_series(300).coefficients == molien_reference(300)
+
+
+def test_hilbert_series_checks_compares_and_indexes():
+    H = HilbertSeries([1, 0, 2])
+    assert (len(H), H[2], H[-1], H[:2]) == (3, 2, 2, [1, 0])
+    assert repr(H) == "HilbertSeries(coefficients=[1, 0, 2])"
+    assert H == HilbertSeries([1, 0, 2]) and H != HilbertSeries([1, 0, 3])
+    assert H != [1, 0, 2] and HilbertSeries([]) == HilbertSeries([])
+    with pytest.raises(TypeError):
+        hash(H)
+    with pytest.raises(ValueError, match="starts with 1"):
+        HilbertSeries([2, 0])
+    with pytest.raises(ValueError, match="negative graded dimension"):
+        HilbertSeries([1, -1])
 
 
 def test_character_series_free_extension():

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellk3.qseries import QSeries, borcherds_input, eisenstein, sigma
-from reference import borcherds_reference, fraction_reciprocal
+from reference import borcherds_reference, fraction_reciprocal, schoolbook_product
 
 # 1728 E4 / (E4^3 - E6^2) = q^-1 + 264 + 8244 q + 139520 q^2 + ... (frozen)
 BORCHERDS_HEAD = [1, 264, 8244, 139520, 1672290, 15872256]
@@ -65,6 +67,60 @@ def test_multiplication_truncation_is_conservative():
     f = QSeries(-1, [1] + [0] * 5, 4)
     g = QSeries(0, [1] * 5, 4)
     assert (f * g).N == 3
+
+
+def test_truncate_below_the_leading_exponent_is_zero():
+    assert QSeries(5, [1, 2], 6).truncate(3) == QSeries.zero(3)
+    assert QSeries.zero(4).truncate(2) == QSeries.zero(2)
+    assert QSeries(5, [1, 2], 6).truncate(5) == QSeries(5, [1], 5)
+    assert QSeries(-1, [1, 2], 0).truncate(-2) == QSeries.zero(-2)
+
+
+# coefficients for the packed product: small and 40-digit signed ints,
+# values at or one off a power of 2^8 (the ends of a slot byte), and Fractions
+INTS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-10**40, 10**40),
+    st.builds(lambda k, d, sign: sign * ((1 << 8 * k) + d),
+              st.integers(1, 17), st.sampled_from((-1, 0, 1)), st.sampled_from((-1, 1))),
+)
+FRACTIONS = st.fractions(max_denominator=10**6)
+
+
+def _series(coeff):
+    # blocks of a coefficient followed by a run of zeros, cut to 1..40 terms
+    blocks = st.lists(st.tuples(coeff, st.integers(0, 12)), min_size=1, max_size=20)
+    terms = blocks.map(lambda bs: [x for c, z in bs for x in [c] + [0] * z][:40])
+    return st.builds(lambda e0, cs: QSeries(e0, cs, e0 + len(cs) - 1), st.integers(-3, 3), terms)
+
+
+def _nonzero(f):
+    return not f.is_zero()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_series(INTS).filter(_nonzero), _series(INTS).filter(_nonzero))
+@example(QSeries(0, [1], 0), QSeries(0, [-1], 0))
+@example(QSeries(-3, [255, -256, 257] + [0] * 30 + [-(1 << 64) + 1], 30),
+         QSeries(3, [1 << 64, 0, -255], 5))
+def test_packed_product_matches_schoolbook_on_ints(f, g):
+    prod = f * g
+    assert prod == schoolbook_product(f, g)
+    assert all(type(c) is int for c in prod.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_series(st.one_of(FRACTIONS, INTS)).filter(_nonzero),
+       st.one_of(_series(FRACTIONS), _series(INTS)).filter(_nonzero))
+@example(QSeries(0, [Fraction(1, 3), Fraction(-2, 3)], 1), QSeries(-1, [Fraction(3, 2), 0, 7], 1))
+def test_packed_product_matches_schoolbook_on_fractions(f, g):
+    assert f * g == schoolbook_product(f, g) == g * f
+
+
+def test_product_with_the_zero_series():
+    f = QSeries(-1, [1, 2, 3], 1)
+    assert f * QSeries.zero(4) == QSeries.zero(1)
+    assert QSeries.zero(0) * f == QSeries.zero(0)
 
 
 def test_reciprocal_roundtrip():
