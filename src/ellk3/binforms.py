@@ -82,26 +82,19 @@ class BinaryForm:
         return BinaryForm(n - 1, fx), BinaryForm(n - 1, fw)
 
     def substitute(self, mat):
-        """(gamma . f)(x, w) = f(a x + b w, c x + d w) for
-        gamma = [[a, b], [c, d]].  Right action: (gamma delta) . f =
+        """(gamma . f)(x, w) = f(a x + b w, c x + d w) for gamma = [[a, b],
+        [c, d]], by Horner: P_0 = c_0, P_k = P_(k-1) (a x + b w) + c_k (c x
+        + d w)^k, and P_n is the result.  Right action: (gamma delta) . f =
         gamma . (delta . f)."""
         (a, b), (c, d) = mat
-        n = self.n
-        # powers of the two linear forms as coefficient arrays
-        pow1 = [[1]]
-        pow2 = [[1]]
-        for _ in range(n):
-            pow1.append(_convolve([a, b], pow1[-1]))
-            pow2.append(_convolve([c, d], pow2[-1]))
-        out = [0] * (n + 1)
-        for i, coeff in enumerate(self.coeffs):
-            if not coeff:
-                continue
-            prod = _convolve(pow1[n - i], pow2[i])
-            for j, t in enumerate(prod):
-                if t:
-                    out[j] = out[j] + coeff * t
-        return BinaryForm(n, out)
+        out, power = self.coeffs[:1], [1]
+        for ck in self.coeffs[1:]:
+            out = _convolve([a, b], out)
+            power = _convolve([c, d], power)
+            if ck:
+                # where the power is 0, adding c_k * 0 would only change the slot's type
+                out = [u + ck * v if v else u for u, v in zip(out, power)]
+        return BinaryForm(self.n, out)
 
     def evaluate(self, x0, w0):
         acc = 0

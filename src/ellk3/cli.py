@@ -119,8 +119,6 @@ def cmd_hilbert(args):
 def cmd_qseries(args):
     if args.terms < 1:
         raise UsageError("--terms must be >= 1")
-    from fractions import Fraction
-
     from .qseries import borcherds_input
     from .scalars import scalar_to_str
 
@@ -128,7 +126,7 @@ def cmd_qseries(args):
     series = borcherds_input(max(N, 0))
     data = {
         "leading_exponent": series.e0,
-        "coefficients": [scalar_to_str(Fraction(c)) for c in series.coeffs[: args.terms]],
+        "coefficients": [scalar_to_str(c) for c in series.coeffs[: args.terms]],
     }
     _emit(data, args.output)
     return 0

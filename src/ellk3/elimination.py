@@ -35,10 +35,10 @@ sympy is imported on first use only.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .binforms import BinaryForm
-from .scalars import DomainError, ModP, is_prime
+from .scalars import DomainError, ModP, clear_denominators, is_prime
 
 # sign/normalization conventions, fixed once and reported with Delta_264
 # values so cross-implementation comparisons can reconcile scale
@@ -56,8 +56,8 @@ def resultant(f, g):
     p, rational = _domain(f.coeffs + g.coeffs)
     if f.is_zero() or g.is_zero():
         return _value(0, p, rational, 1)
-    a, da = _plain(f.coeffs, p, rational)
-    b, db = _plain(g.coeffs, p, rational)
+    a, da = _plain(f.coeffs, p)
+    b, db = _plain(g.coeffs, p)
     # Res(da f, db g) = da^n db^m Res(f, g)
     return _value(_res_dense(a, b, p), p, rational, da ** g.n * db ** f.n)
 
@@ -70,7 +70,7 @@ def discriminant_binary(f):
     if f.n < 2:
         raise ValueError("discriminant needs degree >= 2")
     p, rational = _domain(f.coeffs)
-    a, d = _plain(f.coeffs, p, rational)
+    a, d = _plain(f.coeffs, p)
     n = f.n
     fx = [c * (n - i) for i, c in enumerate(a[:-1])]
     fw = [c * (i + 1) for i, c in enumerate(a[1:])]
@@ -104,16 +104,13 @@ def _domain(coeffs):
     return p, rational
 
 
-def _plain(coeffs, p, rational):
+def _plain(coeffs, p):
     """(ints, d): the coefficients of one form as plain ints, with d the
     factor they were scaled by: residues mod p, or over Q the numerators
     over d, the lcm of the denominators; d = 1 but over Q."""
     if p:
         return [c.v if isinstance(c, ModP) else c % p for c in coeffs], 1
-    if rational:
-        d = lcm(*(c.denominator for c in coeffs))
-        return [int(c * d) for c in coeffs], d
-    return list(coeffs), 1
+    return clear_denominators(coeffs)
 
 
 def _value(r, p, rational, d):
@@ -339,8 +336,7 @@ def poly_primitive(a):
     a = poly_trim(list(a))
     if not a:
         return []
-    den = lcm(*(c.denominator for c in a))
-    a = [c.numerator * (den // c.denominator) for c in a]
+    a, _ = clear_denominators(a)
     g = gcd(*a) if a[-1] > 0 else -gcd(*a)
     return [c // g for c in a]
 
@@ -361,23 +357,30 @@ IRREDUCIBLE = "irreducible"
 
 
 def degree_pattern(f, p):
-    """Degrees of the irreducible factors mod p of a monic squarefree
-    polynomial f, given as low-to-high residues, in ascending order: its
-    distinct-degree factorization (Gathen & Gerhard, Alg. 14.3).
+    """Degrees of the irreducible factors mod p of a monic polynomial f,
+    given as low-to-high residues, in ascending order, or None when f is
+    not squarefree mod p: its distinct-degree factorization (Gathen &
+    Gerhard, Alg. 14.3), read off gcd degrees alone.
 
     A residue polynomial of degree < n = deg f is packed into one int as
-    ``_euclid_mod`` takes it, so that a combination of such polynomials is
-    a handful of big-int products.  The Frobenius rows x^(p j) mod f,
+    ``_euclid_mod`` takes it, and f is squarefree when Euclid's sequence
+    of f and f' ends in a constant.  The Frobenius rows x^(p j) mod f,
     j < n, come from stepping x^k to x^(k+1) by a shift and one multiple
     of x^n mod f, so their cost grows like p n^2: this is meant for small
-    p.  Each x^(p^i) mod f is then one combination of the rows, and the
-    factors of degree i are gcd(g, x^(p^i) - x), with g what is left of f.
+    p.  Each x^(p^i) mod f is one combination of the rows.  With r_j
+    factors of degree j, N_i = deg gcd(f, x^(p^i) - x) = sum of j r_j over
+    the divisors j of i gives r_i, and f is never divided; once twice the
+    next degree exceeds the degree left, what is left is one factor.
     Slot bound: a step adds at most (p - 1)^2 to a slot, so a row, at most
     (n - 1) p steps from x^0, has slots at most 1 + (n - 1) p (p - 1)^2,
     and x^(p^i) - x, a combination of rows with residues, stays below
     n^2 p^4 (``_slot_bits``); it goes to the gcd unreduced."""
     n = len(f) - 1
     b = _slot_bits(p, n)
+    F = _pack(f[::-1], b)
+    dF = _pack([i * c % p for i, c in enumerate(f)][:0:-1], b)  # f'
+    if _euclid_mod(F, n, dF, n - 1, p, b, p - 1)[-1][0]:
+        return None
     mask = (1 << b) - 1
     tail = _pack([-c % p for c in reversed(f[:-1])], b)  # x^n = tail mod f
     X = 1 << b * (n - 1)
@@ -388,32 +391,16 @@ def degree_pattern(f, p):
         rows.append(X)
     rows.reverse()  # high-to-low, like the coefficients that combine them
     bound = n * (p - 1) * (1 + (n - 1) * p * (p - 1) ** 2) + p - 1
-    pattern = []
-    g, G, h, i = f, _pack(f[::-1], b), [0] * (n - 2) + [1, 0], 0
-    while 2 * (i + 1) < len(g):
+    counts, left, h, i = [0], n, [0] * (n - 2) + [1, 0], 0
+    while 2 * (i + 1) <= left:
         i += 1
         H = sum(c * row for c, row in zip(h, rows) if c)
         xpx = H + ((p - 1) << b * (n - 2))  # x^(p^i) - x
-        d, _, D = _euclid_mod(G, len(g) - 1, xpx, n - 1, p, b, bound)[-1]
-        if d > 0:
-            pattern += [i] * (d // i)
-            g = exact_quotient(g, _unpack(D, d + 1, p, b)[::-1], p)
-            G = _pack(g[::-1], b)
+        N = _euclid_mod(F, n, xpx, n - 1, p, b, bound)[-1][0]
+        counts.append((N - sum(j * counts[j] for j in range(1, i) if i % j == 0)) // i)
+        left -= i * counts[i]
         h = _unpack(H, n, p, b)
-    if len(g) > 1:
-        pattern.append(len(g) - 1)
-    return pattern
-
-
-def _gcd_mod(a, b, p):
-    """Monic gcd mod p of two int lists (low-to-high) by ``_euclid_mod``;
-    [] if both are zero mod p."""
-    a, b = poly_trim([c % p for c in a]), [c % p for c in b]
-    bits = _slot_bits(p, max(len(a), len(b), 1) - 1)
-    A, B = _pack(a[::-1], bits), _pack(b[::-1], bits)
-    d, lc, G = _euclid_mod(A, len(a) - 1, B, len(b) - 1, p, bits, p - 1)[-1]
-    inv = pow(lc, -1, p) if lc else 0
-    return [c * inv % p for c in reversed(_unpack(G, d + 1, p, bits))]
+    return [j for j in range(1, i + 1) for _ in range(counts[j])] + ([left] if left else [])
 
 
 def irreducibility_certificate(f):
@@ -425,7 +412,10 @@ def irreducibility_certificate(f):
     pattern or the reason p was skipped:
 
     * "lc": p divides the leading coefficient, so f's degree drops mod p;
-    * "singular": f is not squarefree mod p.
+    * "singular": f is not squarefree mod p, for which ``degree_pattern``
+      of f's monic reduction returns None.
+
+    A prime costs one ``degree_pattern`` call and no division mod p.
 
     Why a pattern proves something: if f = g k over Z with 0 < deg g < n
     (Gauss), then mod a prime p not dividing lc(f) the reduction of g
@@ -450,15 +440,14 @@ def irreducibility_certificate(f):
             trail.append((p, "lc"))
             continue
         inv = pow(lc, -1, p)
-        fp = [c * inv % p for c in f]
-        if len(_gcd_mod(fp, [c * i for i, c in enumerate(fp)][1:], p)) > 1:
+        pattern = degree_pattern([c * inv % p for c in f], p)
+        if pattern is None:
             trail.append((p, "singular"))
             if not patterns:
                 singular += 1
                 if singular == CERT_MAX_SINGULAR:
                     return "singular bound", trail
             continue
-        pattern = degree_pattern(fp, p)
         trail.append((p, tuple(pattern)))
         reach = 1
         for d in pattern:

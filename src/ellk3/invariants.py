@@ -11,11 +11,10 @@ one-parameter slices.
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from .binforms import BinaryForm, _convolve
 from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant
-from .scalars import InexactDivision, ModP, exact_scalar_div, is_prime
+from .scalars import PRIME_BOUND, InexactDivision, ModP, clear_denominators, exact_scalar_div, is_prime
 from .weierstrass import SurfaceParams, assemble
 
 DECLARED_WEIGHTS = {"r96": 96, "k552": 552, "delta264": 264}
@@ -176,11 +175,18 @@ def _eval_on_line(u0, u1, s, p=None):
 
 
 def check_modulus(modulus):
-    """ValueError unless modulus is None or a prime above K552_U_DEGREE.
-    The slice points s = 0, ..., K552_LINE_DEGREE stay distinct mod any
-    such prime; the threshold keeps the plain bound, so that the moduli
-    accepted stay the same."""
-    if modulus is not None and (modulus <= K552_U_DEGREE or not is_prime(modulus)):
+    """ValueError unless modulus is None or a prime above K552_U_DEGREE
+    and below PRIME_BOUND, where ``is_prime`` is exact.  The slice points
+    s = 0, ..., K552_LINE_DEGREE stay distinct mod any such prime; the
+    threshold keeps the plain bound, so that the moduli accepted stay the
+    same."""
+    if modulus is None:
+        return
+    try:
+        prime = modulus > K552_U_DEGREE and is_prime(modulus)
+    except ValueError:
+        raise ValueError("modulus must lie below %d, where primality is decided exactly" % PRIME_BOUND) from None
+    if not prime:
         raise ValueError("modulus must be prime and exceed %d" % K552_U_DEGREE)
 
 
@@ -225,8 +231,8 @@ def _interp(ys, p):
     forward differences d_j give den (n-1)! times it as
     sum_j d_j ((n-1)!/j!) s(s-1)...(s-j+1), expanded exactly; den (n-1)!
     is divided out once at the end."""
-    den = lcm(*(y.denominator for y in ys))
-    d, n = [y.numerator * (den // y.denominator) for y in ys], len(ys)
+    d, den = clear_denominators(ys)
+    n = len(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             d[i] = (d[i] - d[i - 1]) % p if p else d[i] - d[i - 1]
@@ -252,7 +258,7 @@ class VerifyDefaults:
     homogeneity_trials: int = 50
     sl2_trials: int = 50
     slice_lines: int = 1
-    homogeneity_prime = 4611686018427388039  # 62-bit; not a field: verify_bulk(modulus=...) sets it
+    homogeneity_prime = 4611686018427388039  # 2**62 + 135; not a field: verify_bulk(modulus=...) sets it
 
 
 DEFAULTS = VerifyDefaults()

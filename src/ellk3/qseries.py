@@ -15,7 +15,9 @@ one published display of this coefficient.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .scalars import clear_denominators
 
 
 class QSeries:
@@ -107,8 +109,8 @@ class QSeries:
         N = min(self.N + other.e0, other.N + self.e0)
         e0 = self.e0 + other.e0
         n = N - e0 + 1
-        a, da = _clear_denominators(self.coeffs[:n])
-        b, db = _clear_denominators(other.coeffs[:n])
+        a, da = clear_denominators(self.coeffs[:n])
+        b, db = clear_denominators(other.coeffs[:n])
         bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
         nb = bound.bit_length() // 8 + 1
         s = 8 * nb
@@ -130,11 +132,9 @@ class QSeries:
     def __pow__(self, k):
         if k < 0:
             raise ValueError("use reciprocal for negative powers")
-        result = None
-        for _ in range(k):
-            result = self if result is None else result * self
-        if result is None:
-            return QSeries(0, [1] + [0] * self.N, self.N)
+        result = self if k else QSeries.one(self.N)
+        for _ in range(k - 1):
+            result = result * self
         return result
 
     def reciprocal(self):
@@ -178,13 +178,6 @@ class QSeries:
             else:
                 parts.append("%s*q^%d" % (c, e))
         return " + ".join(parts) + " + O(q^%d)" % (self.N + 1)
-
-
-def _clear_denominators(coeffs):
-    """(ints, d): the coefficients times d, the lcm of their denominators
-    (1 for ints)."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 def _pack(ints, nb):

@@ -9,6 +9,7 @@ characteristic, is a :class:`DomainError` rather than a silent coercion.
 
 import re
 from fractions import Fraction
+from math import lcm
 
 
 class DomainError(TypeError):
@@ -25,10 +26,11 @@ _ODD_PRIMES = set()
 
 
 class ModP:
-    """Canonical residue in [0, p) for an odd prime p; any size works, and
-    the pinned prime of the mod-p checks is just above 2**62.  A composite
-    or even modulus is refused, since the resultant engine and the slice
-    certificate divide mod p."""
+    """Canonical residue in [0, p) for an odd prime p below PRIME_BOUND, the
+    bound of ``is_prime``; the pinned prime of the mod-p checks is
+    2**62 + 135.  A composite or even modulus is refused, since the
+    resultant engine and the slice certificate divide mod p, and so is one
+    too large to decide."""
 
     __slots__ = ("p", "v")
 
@@ -122,6 +124,13 @@ def exact_scalar_div(a, b):
     return q
 
 
+def clear_denominators(coeffs):
+    """(ints, d): the coefficients (ints or Fractions) times d, the lcm of
+    their denominators (1 for ints)."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 def reduce_scalar_mod(c, p):
     """Image of an integer or rational under the reduction map to F_p."""
     if isinstance(c, ModP):
@@ -171,16 +180,23 @@ def scalar_from_str(s):
     return Fraction(int(num), int(den)) if den else int(num)
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes as Miller-Rabin bases decide primality exactly below
+# PRIME_BOUND (Sorenson & Webster 2015); the first 12 pass 318665857834031151167461
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic Miller-Rabin, valid far beyond 2**64."""
+    """Deterministic Miller-Rabin, exact for every n below PRIME_BOUND =
+    3317044064679887385961981; a larger n with no prime factor among the
+    bases raises ValueError rather than guess."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
+    if n >= PRIME_BOUND:
+        raise ValueError("primality is decided only below %d" % PRIME_BOUND)
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

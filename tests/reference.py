@@ -314,15 +314,6 @@ def field_divmod(a, b, p):
     return poly_trim(q), r
 
 
-def field_gcd(a, b, p):
-    """Monic gcd mod p of low-to-high lists by Euclid's algorithm on
-    schoolbook remainders; [] if both are zero."""
-    a, b = poly_trim([c % p for c in a]), poly_trim([c % p for c in b])
-    while b:
-        a, b = b, field_divmod(a, b, p)[1]
-    return [c * pow(a[-1], -1, p) % p for c in a] if a else []
-
-
 def slice_reference(u0, u1, modulus=None):
     """The slice certificate from the plain u-degree bounds: K from k552 at
     s = 0, ..., K552_U_DEGREE, and R and R3 from r96 and its cube at s = 0,

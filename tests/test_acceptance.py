@@ -1,6 +1,6 @@
 """Acceptance suite: the nine headline claims of the artifact, each as one
 test that prints a single PASS/FAIL line.  All checks are exact (integer or
-rational arithmetic, or arithmetic mod a pinned 62-bit prime); there are no
+rational arithmetic, or arithmetic mod the pinned prime 2**62 + 135); there are no
 numerical tolerances anywhere.
 
 Budget: the whole file runs in well under five minutes on commodity
@@ -27,7 +27,7 @@ from ellk3.qseries import borcherds_input
 from ellk3.scalars import ModP, exact_scalar_div
 from ellk3.weierstrass import SurfaceParams, fiber_profile
 
-P62 = DEFAULTS.homogeneity_prime  # pinned 62-bit prime for mod-p checks
+P62 = DEFAULTS.homogeneity_prime  # 2**62 + 135, pinned for mod-p checks
 
 
 def report(name, ok, detail=""):
@@ -82,7 +82,7 @@ def test_criterion_3_divisibility_on_slices():
 
 def test_criterion_4_weighted_homogeneity():
     """r96, k552, delta264 scale by lambda^96, lambda^552, lambda^264 for
-    50 random (lambda, u), mod the pinned 62-bit prime."""
+    50 random (lambda, u), mod the pinned prime 2**62 + 135."""
     rng = random.Random(44)
     bad = 0
     done = 0

@@ -68,8 +68,11 @@ def test_euler_identity():
 
 def test_substitute_matches_pointwise():
     rng = random.Random(2)
-    for _ in range(25):
-        f = rand_form(rng, rng.choice([3, 4, 8]))
+    entries = (lambda: rng.randint(-9, 9), lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+               lambda: ModP(rng.randint(0, 138), 139))
+    for entry in entries * 25:
+        n = rng.choice([0, 1, 3, 4, 8, 12])
+        f = BinaryForm(n, [entry() for _ in range(n + 1)])
         mat = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(2)]
         g = f.substitute(mat)
         x0, w0 = rng.randint(-5, 5), rng.randint(-5, 5)

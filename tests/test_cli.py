@@ -178,6 +178,14 @@ def test_verify_refuses_modulus_at_most_138(modulus, capsys):
     assert "error: --modulus must be prime and exceed 138" in capsys.readouterr().err
 
 
+def test_verify_refuses_moduli_is_prime_cannot_decide(capsys):
+    # a strong pseudoprime to the bases 2..37, and the bound of exact primality
+    assert run(["verify", "--trials", "2", "--modulus", "318665857834031151167461"]) == 2
+    assert "error: --modulus must be prime and exceed 138" in capsys.readouterr().err
+    assert run(["verify", "--trials", "2", "--modulus", "3317044064679887385961981"]) == 2
+    assert "error: --modulus must lie below 3317044064679887385961981" in capsys.readouterr().err
+
+
 def test_verify_accepts_modulus_139(tmp_path):
     out = tmp_path / "verify.json"
     assert run(["verify", "--trials", "1", "--modulus", "139", "--output", str(out)]) == 0

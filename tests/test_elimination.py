@@ -11,7 +11,6 @@ from ellk3.elimination import (
     CONVENTION_TAG,
     _domain,
     _euclid_mod,
-    _gcd_mod,
     _pack,
     _slot_bits,
     _unpack,
@@ -28,7 +27,7 @@ from ellk3.invariants import r96
 from ellk3.multipoly import MultiPoly
 from ellk3.scalars import DomainError, ModP
 from ellk3.weierstrass import SurfaceParams
-from reference import det_bareiss, field_divmod, field_gcd, sylvester_matrix, sylvester_resultant
+from reference import det_bareiss, field_divmod, sylvester_matrix, sylvester_resultant
 
 
 def rand_form(rng, n, bound=9):
@@ -382,27 +381,20 @@ def test_rem_mod_matches_long_division(case):
 
 @given(st.sampled_from(TINY_PRIMES).flatmap(lambda p: st.tuples(
     st.just(p), *[st.lists(st.integers(0, p - 1), max_size=5)] * 3)))
-def test_gcd_mod_finds_the_common_factor(case):
+def test_euclid_mod_finds_the_common_factor(case):
+    # the last entry of Euclid's sequence is gcd(a, b), which g divides
     p, g, u, v = case
     a, b = poly_trim([c % p for c in _mul(g, u)]), poly_trim([c % p for c in _mul(g, v)])
-    d = _gcd_mod(a, b, p)
-    assert d == field_gcd(a, b, p)
+    bits = _slot_bits(p, max(len(a), len(b)) - 1)
+    d, _, G = _euclid_mod(_pack(a[::-1], bits), len(a) - 1, _pack(b[::-1], bits), len(b) - 1, p, bits, p - 1)[-1]
     if a or b:
-        assert d[-1] == 1
-        assert exact_quotient(a, d, p) is not None and exact_quotient(b, d, p) is not None
-    if any(g) and (a or b):
-        assert exact_quotient(d, g, p) is not None
-
-
-def test_gcd_mod_pinned():
-    # (x + 1)(x + 2) and (x + 1)(x + 3) mod 5; 2 (x + 1) against zero
-    assert _gcd_mod([2, 3, 1], [3, 4, 1], 5) == [1, 1]
-    assert _gcd_mod([2, 2], [], 5) == [1, 1] == _gcd_mod([0, 0], [2, 2], 5)
-    assert _gcd_mod([], [], 5) == [] == _gcd_mod([5, 10], [0], 5)
+        assert d >= len(poly_trim(g)) - 1
+        if any(g):
+            assert exact_quotient(_unpack(G, d + 1, p, bits)[::-1], g, p) is not None
 
 
 # the packed kernel at every width it meets: tiny fields (frequent zeros
-# and degree drops), the certificate's largest prime, and the 62-bit one
+# and degree drops), the certificate's largest prime, and 2**62 + 135
 KERNEL_PRIMES = (3, 5, 7, 397, 10007, P62)
 
 
@@ -453,7 +445,6 @@ def test_euclid_mod_and_gcd_match_the_reference_sequence(case):
     seq = _euclid_mod(_pack(a_slots[::-1], bits), len(a) - 1, _pack(b_slots[::-1], bits), len(b) - 1, p, bits, m)
     got = [(d, lc, _unpack(R, d + 1, p, bits)[::-1]) for d, lc, R in seq]
     assert got == [(len(r) - 1, r[-1] if r else 0, r) for r in reference_sequence(a, b, p)]
-    assert _gcd_mod(a, b, p) == field_gcd(a, b, p)
 
 
 @settings(max_examples=40)

@@ -158,11 +158,11 @@ def test_slice_divisibility_mod_p():
 
 def test_slice_divisibility_two_primes_agree():
     """The quotient's degree structure is modulus-independent; two different
-    62-bit primes must tell the same story."""
+    primes near 2**62 must tell the same story."""
     rng = random.Random(6)
     u0, u1 = random_surface(rng), random_surface(rng)
     p1 = DEFAULTS.homogeneity_prime
-    p2 = 4611686018427387847  # previous 62-bit prime
+    p2 = 4611686018427387847  # 2**62 - 57, the prime below 2**62
     w1 = slice_divisibility(u0, u1, modulus=p1)
     w2 = slice_divisibility(u0, u1, modulus=p2)
     assert w1.success and w2.success

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ellk3.binforms import BinaryForm
 from ellk3.scalars import (
     DomainError,
+    PRIME_BOUND,
     InexactDivision,
     ModP,
     exact_scalar_div,
@@ -135,7 +136,28 @@ def test_scalar_from_str_forms():
         scalar_from_str("1/0")
 
 
+# the smallest strong pseudoprimes to the first 12 and to the first 13
+# prime bases: 399165290221 * 798330580441 and 1287836182261 * 2575672364521
+PSP12 = 318665857834031151167461
+PSP13 = 3317044064679887385961981
+
+
 def test_is_prime():
     assert is_prime(2) and is_prime(3) and is_prime(2147483629)
-    assert is_prime(4611686018427388039)  # the default 62-bit slice prime
+    assert is_prime(4611686018427388039)  # 2**62 + 135, the default slice prime
     assert not is_prime(1) and not is_prime(91) and not is_prime(2147483629 * 3)
+    assert not is_prime(PSP12) and PSP12 == 399165290221 * 798330580441
+    # exact below PSP13, the bound; above it only a base that divides n decides
+    assert PSP13 == PRIME_BOUND == 1287836182261 * 2575672364521
+    assert is_prime(3317044064679887385961813)  # the largest prime below it
+    assert not is_prime(2 * PSP13)
+    for n in (PSP13, 2**89 - 1):
+        with pytest.raises(ValueError, match="decided only below %d" % PRIME_BOUND):
+            is_prime(n)
+
+
+def test_moduli_is_prime_cannot_decide_are_refused():
+    with pytest.raises(ValueError, match="modulus must be an odd prime, got %d" % PSP12):
+        ModP(1, PSP12)
+    with pytest.raises(ValueError, match="decided only below %d" % PRIME_BOUND):
+        ModP(1, PSP13)
