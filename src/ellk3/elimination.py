@@ -29,9 +29,9 @@ ints tries to prove its primitive part irreducible: distinct-degree
 factorizations mod small primes whose factor degrees leave no room for a
 proper factor over Z (Musser 1978; Gathen & Gerhard, ch. 14-15).  The
 generic h = 4 g2^3 + 27 g3^2 passes.  Only a polynomial the certificate
-gives up on goes to sympy, whose univariate gcds, squarefree
-decompositions and irreducible splits over ZZ handle every other case;
-sympy is imported on first use only.
+gives up on goes to sympy: one ``factor_list`` over ZZ of its primitive
+part handles every other case.  ``squarefree_decomposition`` is sympy's
+``sqf_list``, on its own; sympy is imported on first use only.
 """
 
 from fractions import Fraction
@@ -64,22 +64,18 @@ def resultant(f, g):
 
 def discriminant_binary(f):
     """disc(f) := Res(df/dx, df/dw); homogeneous of coefficient-degree
-    2(n-1), vanishing iff f has a repeated root.  The partials are taken
-    on f's plain int coefficients (residues, or numerators over the common
-    denominator d), and Res(d fx, d fw) = d^(2(n-1)) disc(f)."""
+    2(n-1), vanishing iff f has a repeated root.  The partials are
+    ``BinaryForm.partials`` of f's plain int coefficients (residues, then
+    reduced, or numerators over the common denominator d), and Res(d fx,
+    d fw) = d^(2(n-1)) disc(f)."""
     if f.n < 2:
         raise ValueError("discriminant needs degree >= 2")
     p, rational = _domain(f.coeffs)
     a, d = _plain(f.coeffs, p)
-    n = f.n
-    fx = [c * (n - i) for i, c in enumerate(a[:-1])]
-    fw = [c * (i + 1) for i, c in enumerate(a[1:])]
-    if p:
-        fx = [c % p for c in fx]
-        fw = [c % p for c in fw]
+    fx, fw = ([c % p for c in g.coeffs] if p else g.coeffs for g in BinaryForm(f.n, a).partials())
     if not any(fx) or not any(fw):
         return _value(0, p, rational, 1)
-    return _value(_res_dense(fx, fw, p), p, rational, d ** (2 * n - 2))
+    return _value(_res_dense(fx, fw, p), p, rational, d ** (2 * f.n - 2))
 
 
 def _domain(coeffs):
@@ -461,7 +457,7 @@ def irreducibility_certificate(f):
     return "primes exhausted", trail
 
 
-# -- gcds, squarefree and irreducible splitting (sympy over ZZ) ------
+# -- squarefree and irreducible factors (sympy over ZZ) -------------
 
 
 def _zz(a):
@@ -488,23 +484,17 @@ def squarefree_decomposition(a):
     return [(_ints(part), mult) for part, mult in parts]
 
 
-def _irreducible_split(prim):
-    """Split a squarefree primitive integer polynomial into its
-    irreducible primitive integer factors."""
-    _, parts = _zz(prim).factor_list()
-    assert all(mult == 1 for _, mult in parts), "input was squarefree"
-    return [_ints(fac) for fac, _ in parts]
-
-
 def _irreducible_factors(dense):
     """[(irreducible primitive integer factor, multiplicity)] of a nonzero
     polynomial over Q: its primitive part alone when the mod-p certificate
-    proves that irreducible, and otherwise sympy's squarefree parts, each
-    split into irreducibles."""
+    proves that irreducible, and otherwise one sympy ``factor_list`` of the
+    primitive part, in sympy's order (a constant has no factors)."""
     prim = poly_primitive(dense)
-    if len(prim) > 1 and irreducibility_certificate(prim)[0] == IRREDUCIBLE:
+    if len(prim) <= 1:
+        return []
+    if irreducibility_certificate(prim)[0] == IRREDUCIBLE:
         return [(prim, 1)]
-    return [(irr, mult) for part, mult in squarefree_decomposition(dense) for irr in _irreducible_split(part)]
+    return [(_ints(fac), mult) for fac, mult in _zz(prim).factor_list()[1]]
 
 
 # -- gcd and factor bookkeeping for binary forms ---------------------
@@ -519,7 +509,7 @@ def gcd_and_squarefree(f):
     (unit, [(BinaryForm factor, multiplicity)]); the place at infinity
     [1:0] appears as the factor w like any other.  f(x, 1) is one place
     when ``irreducibility_certificate`` proves it irreducible; otherwise
-    sympy splits its squarefree parts into irreducibles over Q.
+    sympy factors its primitive part, and lists them in its own order.
     """
     if p := _domain(f.coeffs)[0]:
         raise DomainError("factoring works over Q, not on residues mod %d" % p)
@@ -530,10 +520,8 @@ def gcd_and_squarefree(f):
     if winf:
         factors.append((BinaryForm.homogenize([1], 1, 1), winf))
     for irr, mult in _irreducible_factors(dense):
-        k = len(irr) - 1
-        lc = Fraction(irr[-1])
-        monic = [Fraction(c) / lc for c in irr]
-        factors.append((BinaryForm.homogenize(monic, k), mult))
+        monic = [Fraction(c, irr[-1]) for c in irr]
+        factors.append((BinaryForm.homogenize(monic, len(irr) - 1), mult))
     # monic factors absorb everything but the leading coefficient of f(x, 1)
     unit = Fraction(dense[-1])
     total = sum(form.n * mult for form, mult in factors)

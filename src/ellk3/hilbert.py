@@ -95,8 +95,6 @@ def molien_series(N):
     for d in range(1, N + 1):
         low = coeff[d] >> (d - 1) * w
         dims.append((low >> w & mask) - (low & mask))
-    if any(c < 0 for c in dims):
-        raise ArithmeticError("residue extraction produced a negative integer")
     return HilbertSeries(dims)
 
 
@@ -212,7 +210,7 @@ def _raising_matrix(tdegree):
             out[k] -= 1
             out[tgt] += 1
             row = rows[index2[tuple(out)]]
-            row[col] = row.get(col, 0) + e * c
+            row[col] = e * c
     return v0, v2, rows
 
 

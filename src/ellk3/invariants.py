@@ -122,7 +122,9 @@ def grading_constants():
 @dataclass
 class SliceWitness:
     """R^3 | K on a line, over Q (modulus None) or mod a prime: the quotient
-    (empty on failure) and K = k552, R = r96 on the line, low-to-high."""
+    (empty on failure) and K = k552, R = r96 on the line, low-to-high.  K =
+    0 (on a line in the I2 locus, say) succeeds with the empty quotient, so
+    quotient_degree = k_degree = -1, not k_degree - r3_degree."""
 
     success: bool
     modulus: object
@@ -313,32 +315,27 @@ def verify_bulk(seed, trials=None, modulus=None):
             failures.append(("pointwise", u.to_json_dict()))
         done += 1
 
-    # (b) weighted homogeneity mod p.  Where h = 0 mod p, k552 is undefined
-    # (its one ValueError), and (b) and (c) compare r96 only.  h = 0 gives
-    # g2 and g3 a common root, so only draws with r96 = 0 assemble h.
-    for _ in range(DEFAULTS.homogeneity_trials):
-        u = random_surface(rng)
-        lam = rng.choice([2, 3, 5])
-        up = u.reduce_mod(p)
-        lamp = ModP(lam, p)
-        r = r96(up).value
-        if r96(gm_act(lamp, up)).value != lamp ** 96 * r:
-            failures.append(("homogeneity-r96", u.to_json_dict()))
-        if (r or not assemble(up)[2].is_zero()) and k552(gm_act(lamp, up)).value != lamp ** 552 * k552(up).value:
-            failures.append(("homogeneity-k552", u.to_json_dict()))
+    # (b) weighted homogeneity and (c) SL2-invariance mod p: act(u) gives u
+    # and g.u mod p and the factors chi96, chi552 that r96 and k552 pick up,
+    # lambda^96 and lambda^552 for lambda in Gm, 1 and 1 for SL2.  Where h =
+    # 0 mod p, k552 is undefined (its one ValueError) and r96 is compared
+    # alone; only draws with r96 = 0 can assemble h = 0.
+    def gm(u):
+        lam = ModP(rng.choice([2, 3, 5]), p)
+        return u.reduce_mod(p), gm_act(lam, u), lam ** 96, lam ** 552
 
-    # (c) SL2-invariance mod p (exactness of the mod-p check is enough to
-    # kill any wrong implementation; the acceptance suite also runs it
-    # over Z)
-    for _ in range(DEFAULTS.sl2_trials):
-        u = random_surface(rng)
-        g = random_sl2(rng)
-        up, vp = u.reduce_mod(p), sl2_act(g, u).reduce_mod(p)
-        r = r96(up).value
-        if r != r96(vp).value:
-            failures.append(("sl2-r96", u.to_json_dict()))
-        if (r or not assemble(up)[2].is_zero()) and k552(up).value != k552(vp).value:
-            failures.append(("sl2-k552", u.to_json_dict()))
+    def sl2(u):
+        return u.reduce_mod(p), sl2_act(random_sl2(rng), u).reduce_mod(p), 1, 1
+
+    for label, count, act in (("homogeneity", DEFAULTS.homogeneity_trials, gm), ("sl2", DEFAULTS.sl2_trials, sl2)):
+        for _ in range(count):
+            u = random_surface(rng)
+            up, vp, chi96, chi552 = act(u)
+            r = r96(up).value
+            if r96(vp).value != chi96 * r:
+                failures.append((label + "-r96", u.to_json_dict()))
+            if (r or not assemble(up)[2].is_zero()) and k552(vp).value != chi552 * k552(up).value:
+                failures.append((label + "-k552", u.to_json_dict()))
 
     # (d) one slice division
     for _ in range(DEFAULTS.slice_lines):

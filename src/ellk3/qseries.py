@@ -67,7 +67,7 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.N == other.N and self.e0 == other.e0 and [Fraction(c) for c in self.coeffs] == [Fraction(c) for c in other.coeffs]
+        return self.N == other.N and self.e0 == other.e0 and self.coeffs == other.coeffs
 
     def __add__(self, other):
         N = min(self.N, other.N)

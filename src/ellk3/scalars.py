@@ -35,7 +35,7 @@ class ModP:
     __slots__ = ("p", "v")
 
     def __init__(self, v, p):
-        if p not in _ODD_PRIMES:
+        if type(p) is not int or p not in _ODD_PRIMES:
             if p < 3 or not is_prime(p):
                 raise ValueError("modulus must be an odd prime, got %r" % (p,))
             _ODD_PRIMES.add(p)
@@ -111,13 +111,10 @@ class ModP:
 
 
 def exact_scalar_div(a, b):
-    """a / b in the common domain; exact or InexactDivision."""
-    if isinstance(a, ModP) or isinstance(b, ModP):
-        if isinstance(b, ModP):
-            return b._coerce(a) * b.inverse()
-        return a * a._coerce(b).inverse()
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a) / Fraction(b)
+    """a / b in the common domain: ModP's or Fraction's own division, and for
+    two ints an exact int quotient or InexactDivision."""
+    if isinstance(a, (ModP, Fraction)) or isinstance(b, (ModP, Fraction)):
+        return a / b
     q, r = divmod(a, b)
     if r:
         raise InexactDivision("%r not divisible by %r" % (a, b))
@@ -189,7 +186,9 @@ PRIME_BOUND = 3317044064679887385961981
 def is_prime(n):
     """Deterministic Miller-Rabin, exact for every n below PRIME_BOUND =
     3317044064679887385961981; a larger n with no prime factor among the
-    bases raises ValueError rather than guess."""
+    bases raises ValueError rather than guess, and a non-int n TypeError."""
+    if not isinstance(n, int):
+        raise TypeError("primality of a %s" % type(n).__name__)
     if n < 2:
         return False
     for q in _MR_BASES:

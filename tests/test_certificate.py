@@ -111,8 +111,8 @@ def test_x4_plus_1_reaches_the_pattern_bound_and_sympy_keeps_it_whole(monkeypatc
     assert verdict == "pattern bound" and len(patterns) == CERT_MAX_PATTERNS
     assert all(o in ((1, 1, 1, 1), (1, 1, 2), (2, 2)) for o in patterns)
     calls = []
-    split = elimination._irreducible_split
-    monkeypatch.setattr(elimination, "_irreducible_split", lambda prim: calls.append(prim) or split(prim))
+    zz = elimination._zz
+    monkeypatch.setattr(elimination, "_zz", lambda prim: calls.append(prim) or zz(prim))
     unit, factors = gcd_and_squarefree(BinaryForm(4, [1, 0, 0, 0, 1]))
     assert calls == [f]
     assert unit == 1 and [(g.coeffs, m) for g, m in factors] == [([1, 0, 0, 0, 1], 1)]

@@ -496,6 +496,19 @@ def test_discriminant_cubic_scalar_property(p, q):
     assert discriminant_binary(f.reduce_mod(P62)) == 3 * (4 * p**3 + 27 * q**2)
 
 
+def test_discriminant_mod_a_prime_dividing_a_partial_multiplier():
+    # df/dw has coefficients (i + 1) a_(i+1); with a_1 = ... = a_(p-1) = 0
+    # its first nonzero int slot is p a_p, which is 0 mod p, so the partials
+    # must be reduced before the place at infinity is read off them
+    rng = random.Random(3)
+    for p in (3, 5, 7):
+        for n in range(p, 13):
+            c = [rng.randint(-9, 9) for _ in range(n + 1)]
+            c[1:p] = [0] * (p - 1)
+            f = BinaryForm(n, c)
+            assert discriminant_binary(f.reduce_mod(p)) == ModP(discriminant_binary(f), p)
+
+
 def test_zero_resultant_is_the_zero_of_the_coefficient_domain():
     # g2 = 7 * (...) vanishes mod 7, so r96 is the zero of F_7, not int 0
     u = SurfaceParams.make([7] * 9, range(1, 14)).reduce_mod(7)

@@ -201,6 +201,26 @@ def test_verify_bulk_catches_corrupted_invariant(monkeypatch):
     assert all(kind == "pointwise" for kind, _ in rep["failures"])
 
 
+def test_verify_bulk_flags_both_actions_on_corrupted_residues(monkeypatch):
+    """r96 and k552 shifted by the x^8-coefficient of g2, on residues only:
+    the shift is neither Gm-homogeneous nor SL2-invariant, so the one check
+    of both actions flags each invariant under each action, and the
+    pointwise check over Z stays clean."""
+    def shifted(invariant):
+        def wrapper(u):
+            v = invariant(u)
+            a0 = u.g2_coeffs[0]
+            return InvariantValue(v.name, v.value + a0) if isinstance(a0, ModP) else v
+        return wrapper
+
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
+        homogeneity_trials=3, sl2_trials=3, slice_lines=0))
+    monkeypatch.setattr(invariants, "r96", shifted(r96))
+    monkeypatch.setattr(invariants, "k552", shifted(k552))
+    kinds = {kind for kind, _ in verify_bulk(seed=0, trials=2)["failures"]}
+    assert kinds == {"homogeneity-r96", "homogeneity-k552", "sl2-r96", "sl2-k552"}
+
+
 # g2 = -3 w^8, g3 = 2 w^12: h = 4 g2^3 + 27 g3^2 is the zero form, mod every p
 H_ZERO = SurfaceParams.make([0] * 8 + [-3], [0] * 12 + [2])
 
@@ -403,3 +423,21 @@ def test_slice_witness_interpolants_factor_exactly(modulus):
     u = invariants._eval_on_line(u0, u1, s, modulus)
     for poly, invariant in ((wit.K, k552), (wit.R, r96)):
         assert invariant(u).value == sum(c * s ** i for i, c in enumerate(poly))
+
+
+def test_slice_inside_the_i2_locus_succeeds_with_the_empty_quotient():
+    """On a line where g2 = -3 w^8 and g3 = 2 w^12 mod x^2, x^2 divides h
+    (h = 4 g2^3 + 27 g3^2 vanishes at x = 0 to order 2), so K = k552 is
+    zero on the whole line while R = r96 is not.  Zero is divisible by
+    R^3: the witness succeeds with the empty quotient, over Q and mod p,
+    and quotient_degree = k_degree - r3_degree does not hold."""
+    rng = random.Random(14)
+    r0, r1 = ([rng.randint(-9, 9) for _ in range(7)] for _ in range(2))
+    q0, q1 = ([rng.randint(-9, 9) for _ in range(11)] for _ in range(2))
+    u0 = SurfaceParams.make(r0 + [0, -3], q0 + [0, 2])
+    u1 = SurfaceParams.make(r1 + [0, 0], q1 + [0, 0])
+    for modulus in (None, P62):
+        wit = slice_divisibility(u0, u1, modulus=modulus)
+        assert wit.success and wit.quotient == [] and wit.K == []
+        assert (wit.quotient_degree, wit.k_degree) == (-1, -1)
+        assert wit.r3_degree == 3 * (len(wit.R) - 1) > 0

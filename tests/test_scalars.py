@@ -7,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ellk3.binforms import BinaryForm
+from ellk3.invariants import check_modulus
 from ellk3.scalars import (
     DomainError,
     PRIME_BOUND,
@@ -75,6 +76,15 @@ def test_exact_scalar_div():
         exact_scalar_div(7, 2)
     with pytest.raises(ZeroDivisionError):
         exact_scalar_div(1, 0)
+
+
+def test_exact_scalar_div_refuses_mixed_domains():
+    # the residue's own division decides, and refuses what it refuses
+    for a, b in ((ModP(3, 7), Fraction(1, 2)), (Fraction(1, 2), ModP(3, 7)), (ModP(3, 7), ModP(3, 11))):
+        with pytest.raises(DomainError):
+            exact_scalar_div(a, b)
+    assert exact_scalar_div(2, ModP(3, 7)) == ModP(3, 7)
+    assert type(exact_scalar_div(-12, 4)) is int and exact_scalar_div(-12, 4) == -3
 
 
 def test_reduce_scalar_mod():
@@ -161,3 +171,13 @@ def test_moduli_is_prime_cannot_decide_are_refused():
         ModP(1, PSP12)
     with pytest.raises(ValueError, match="decided only below %d" % PRIME_BOUND):
         ModP(1, PSP13)
+
+
+def test_float_moduli_are_refused():
+    with pytest.raises(TypeError, match="primality of a float"):
+        is_prime(7.0)
+    ModP(1, 7)  # 7 is now a known odd prime, which 7.0 must not pass for
+    with pytest.raises(TypeError, match="primality of a float"):
+        ModP(5, 7.0)
+    with pytest.raises(TypeError, match="primality of a float"):
+        check_modulus(139.0)
