@@ -218,19 +218,21 @@ def _prem(A, B):
 
 
 def _slot_bits(p, n):
-    """Slot width b for residue polynomials mod p of degree at most n.  A
+    """Slot width b for residue polynomials mod p of degree at most n, a
+    whole number of bytes so that ``_pack`` is one ``int.from_bytes``.  A
     slot must hold (n + 1)^2 p^4, which bounds ``degree_pattern``'s row
     combinations and one division of reduced polynomials in
     ``_euclid_mod``, so no fixed width is safe for every p.  The factor
     p^2 2^64 on top lets the slot bound grow, by about k p per division of
     k steps, through several divisions before a reduction."""
-    return ((n + 1) ** 2 * p**6).bit_length() + 64
+    return -(-(((n + 1) ** 2 * p**6).bit_length() + 64) // 8) * 8
 
 
 def _pack(cs, b):
     """The nonnegative ints cs (high-to-low coefficients) in b-bit slots of
-    one int, the leading one in the lowest slot."""
-    return sum(c << s for c, s in zip(cs, range(0, b * len(cs), b)))
+    one int, the leading one in the lowest slot; b is a multiple of 8."""
+    w = b // 8
+    return int.from_bytes(b"".join([c.to_bytes(w, "little") for c in cs]), "little")
 
 
 def _unpack(X, n, p, b):

@@ -9,13 +9,14 @@ one-parameter slices.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .binforms import BinaryForm, _convolve
-from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant
+from .elimination import (
+    CONVENTION_TAG, _domain, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant,
+)
 from .scalars import PRIME_BOUND, InexactDivision, ModP, clear_denominators, exact_scalar_div, is_prime
-from .weierstrass import SurfaceParams, assemble
+from .weierstrass import FrozenRecord, Record, SurfaceParams, assemble
 
 DECLARED_WEIGHTS = {"r96": 96, "k552": 552, "delta264": 264}
 
@@ -24,17 +25,16 @@ G2_WEIGHT = 4
 G3_WEIGHT = 6
 
 
-@dataclass(frozen=True)
-class InvariantValue:
+class InvariantValue(FrozenRecord):
     """A value of an invariant named in DECLARED_WEIGHTS, its weight table."""
 
-    name: str
-    value: object
+    __slots__ = ("name", "value")
     convention_tag = CONVENTION_TAG  # a class constant, not a field
 
-    def __post_init__(self):
-        if self.name not in DECLARED_WEIGHTS:
-            raise ValueError("unknown invariant %r" % (self.name,))
+    def __init__(self, name, value):
+        if name not in DECLARED_WEIGHTS:
+            raise ValueError("unknown invariant %r" % (name,))
+        super().__init__(name, value)
 
     @property
     def declared_weight(self):
@@ -80,10 +80,14 @@ def k552(u):
     """Discriminant of the degree-24 form h, the 46 x 46 Sylvester
     determinant Res(dh/dx, dh/dw); weighted homogeneous of degree
     2*23*12 = 552, SL2-invariant, and zero iff h has a repeated root."""
-    _, _, h = assemble(u)
+    return InvariantValue("k552", _disc_h(assemble(u)[2]))
+
+
+def _disc_h(h):
+    """k552 from the form h; ValueError on the zero form."""
     if h.is_zero():
         raise ValueError("degenerate family: h vanishes identically")
-    return InvariantValue("k552", discriminant_binary(h))
+    return discriminant_binary(h)
 
 
 def delta264(u):
@@ -119,18 +123,18 @@ def grading_constants():
 # -- slice divisibility ---------------------------------------------
 
 
-@dataclass
-class SliceWitness:
+class SliceWitness(Record):
     """R^3 | K on a line, over Q (modulus None) or mod a prime: the quotient
     (empty on failure) and K = k552, R = r96 on the line, low-to-high.  K =
     0 (on a line in the I2 locus, say) succeeds with the empty quotient, so
-    quotient_degree = k_degree = -1, not k_degree - r3_degree."""
+    quotient_degree = k_degree = -1, not k_degree - r3_degree.  repr shows
+    success and modulus only."""
 
-    success: bool
-    modulus: object
-    quotient: list = field(repr=False)
-    K: list = field(repr=False)
-    R: list = field(repr=False)
+    __slots__ = ("success", "modulus", "quotient", "K", "R")
+    SHOWN = 2
+
+    def __init__(self, success, modulus, quotient, K, R):
+        self.success, self.modulus, self.quotient, self.K, self.R = success, modulus, quotient, K, R
 
     @property
     def quotient_degree(self):
@@ -167,21 +171,47 @@ K552_U_DEGREE = 138
 K552_LINE_DEGREE = 122
 
 
-def _eval_on_line(u0, u1, s, p=None):
-    g2 = [a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)]
-    g3 = [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]
-    u = SurfaceParams.make(g2, g3)
-    if p is not None:
-        u = u.reduce_mod(p)
-    return u
+def line_restriction(u0, u1):
+    """(g2 and g3, h) on the line u(s) = u0 + s u1: two functions of an int
+    s, giving (g2, g3) and h at u(s) as the BinaryForms ``assemble(u(s))``
+    gives, on ints and Fractions or on residues of one modulus.  g2(s) and
+    g3(s) are built coefficient by coefficient.  With g2 = a + s b and g3 =
+    c + s d, h = 4 g2^3 + 27 g3^2 is the cubic H0 + s H1 + s^2 H2 + s^3 H3
+    in s whose four forms
+
+        H0 = 4 a^3 + 27 c^2,  H1 = 12 a^2 b + 54 c d,
+        H2 = 12 a b^2 + 27 d^2,  H3 = 4 b^3
+
+    are convolved once per line (on plain ints for residues, reduced
+    once), and h(s) is Horner's rule in s on each coefficient."""
+    p, _ = _domain(u0.g2_coeffs + u0.g3_coeffs + u1.g2_coeffs + u1.g3_coeffs)
+    a, b, c, d = ([x.v if isinstance(x, ModP) else x for x in f]
+                  for f in (u0.g2_coeffs, u1.g2_coeffs, u0.g3_coeffs, u1.g3_coeffs))
+    aa, bb = _convolve(a, a), _convolve(b, b)
+    H = [[4 * x + 27 * y for x, y in zip(_convolve(aa, a), _convolve(c, c))],
+         [12 * x + 54 * y for x, y in zip(_convolve(aa, b), _convolve(c, d))],
+         [12 * x + 27 * y for x, y in zip(_convolve(bb, a), _convolve(d, d))],
+         [4 * x for x in _convolve(bb, b)]]
+    if p:
+        H = [[x % p for x in f] for f in H]
+
+    def form(n, cs):
+        return BinaryForm(n, [ModP(x, p) for x in cs] if p else cs)
+
+    def pair(s):
+        return form(8, [x + s * y for x, y in zip(a, b)]), form(12, [x + s * y for x, y in zip(c, d)])
+
+    def h(s):
+        return form(24, [((h3 * s + h2) * s + h1) * s + h0 for h0, h1, h2, h3 in zip(*H)])
+
+    return pair, h
 
 
 def check_modulus(modulus):
     """ValueError unless modulus is None or a prime above K552_U_DEGREE
     and below PRIME_BOUND, where ``is_prime`` is exact.  The slice points
-    s = 0, ..., K552_LINE_DEGREE stay distinct mod any such prime; the
-    threshold keeps the plain bound, so that the moduli accepted stay the
-    same."""
+    s = -61, ..., 61 stay distinct mod any such prime; the threshold keeps
+    the plain bound, so that the moduli accepted stay the same."""
     if modulus is None:
         return
     try:
@@ -195,27 +225,32 @@ def check_modulus(modulus):
 def slice_divisibility(u0, u1, modulus=None):
     """Polynomial-level divisibility witness on the line u(s) = u0 + s u1,
     over Q or mod a prime modulus above K552_U_DEGREE (a smaller one raises
-    ValueError).  Each restriction is interpolated by forward differences
-    from as many points as its degree bound needs: R(s) = r96(u(s)) from
-    s = 0, ..., R96_U_DEGREE and K(s) = k552(u(s)) from s = 0, ...,
-    K552_LINE_DEGREE.  K is divided by R^3 exactly, on ints: mod p on the
-    residues, and over Q on the primitive parts, by Gauss's lemma.  There K
-    = a Kp and R = c P with a, c rational and Kp, P primitive; P^3 is
-    primitive too, so it divides Kp in Z[s] exactly when R^3 divides K in
-    Q[s], and the integer quotient is scaled by a / c^3 once.  A failed
-    witness carries the empty quotient."""
+    ValueError).  Each restriction is interpolated by ``_interp`` from as
+    many points, centred on s = 0, as its degree bound needs, with the
+    forms of ``line_restriction``: R(s) = r96(u(s)) is the resultant of
+    g2(s) and g3(s) at s = -10, ..., 10 (R96_U_DEGREE = 20), and K(s) =
+    k552(u(s)) the discriminant of h(s) at s = -61, ..., 61
+    (K552_LINE_DEGREE = 122); an h(s) that vanishes identically there
+    raises ValueError, as k552 does.  K is divided by R^3 exactly, on ints:
+    mod p on the residues, and over Q on the primitive parts, by Gauss's
+    lemma.  There K = a Kp and R = c P with a, c rational and Kp, P
+    primitive; P^3 is primitive too, so it divides Kp in Z[s] exactly when
+    R^3 divides K in Q[s], and the integer quotient is scaled by a / c^3
+    once.  A failed witness carries the empty quotient."""
     check_modulus(modulus)
     p = modulus or 0
-    points = [_eval_on_line(u0, u1, s, modulus) for s in range(K552_LINE_DEGREE + 1)]
+    if p:
+        u0, u1 = u0.reduce_mod(p), u1.reduce_mod(p)
+    pair, h = line_restriction(u0, u1)
 
-    def restriction(invariant, degree):
-        vals = [invariant(u).value for u in points[:degree + 1]]
+    def restriction(value, degree):
+        vals = [value(s) for s in _centred(degree + 1)]
         return _interp([v.v for v in vals] if p else vals, p)
 
-    R = restriction(r96, R96_U_DEGREE)
+    R = restriction(lambda s: resultant(*pair(s)), R96_U_DEGREE)
     if not R:
         raise ValueError("r96 vanishes identically on this line")
-    K = restriction(k552, K552_LINE_DEGREE)
+    K = restriction(lambda s: _disc_h(h(s)), K552_LINE_DEGREE)
     P, Kp = (R, K) if p else (poly_primitive(R), poly_primitive(K))
     R3 = _convolve(_convolve(P, P), P)
     q = exact_quotient(Kp, R3, p)
@@ -225,24 +260,31 @@ def slice_divisibility(u0, u1, modulus=None):
     return SliceWitness(q is not None, modulus, q or [], K, R)
 
 
+def _centred(n):
+    """The n points centred on 0, s = s0, ..., s0 + n - 1 with s0 = -(n //
+    2): s = -61, ..., 61 for n = 123."""
+    return range(-(n // 2), n - n // 2)
+
+
 def _interp(ys, p):
-    """Interpolant of the values ys at s = 0, ..., n - 1, low-to-high and
-    trimmed: over Q on ints or Fractions (p = 0, Fraction coefficients) or
-    mod a prime p >= n on int residues.  Over Q the values' common
-    denominator den is cleared first, so all the work is on ints.  The
-    forward differences d_j give den (n-1)! times it as
-    sum_j d_j ((n-1)!/j!) s(s-1)...(s-j+1), expanded exactly; den (n-1)!
-    is divided out once at the end."""
+    """Interpolant of the values ys at the n = len(ys) points ``_centred(n)``,
+    low-to-high and trimmed: over Q on ints or Fractions (p = 0,
+    Fraction coefficients) or mod a prime p >= n on int residues.  Over Q
+    the values' common denominator den is cleared first, so all the work is
+    on ints.  The forward differences d_j give den (n-1)! times it as
+    sum_j d_j ((n-1)!/j!) (s-s0)(s-s0-1)...(s-s0-j+1), expanded exactly;
+    den (n-1)! is divided out once at the end."""
     d, den = clear_denominators(ys)
     n = len(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             d[i] = (d[i] - d[i - 1]) % p if p else d[i] - d[i - 1]
-    # Horner on the falling factorials: poly = poly * (s - j) + d_j (n-1)!/j!
-    poly, scale = d[-1:], 1
+    # Horner on the falling factorials: poly = poly * (s - t_j) + d_j (n-1)!/j!
+    poly, scale, points = d[-1:], 1, _centred(n)
     for j in range(n - 2, -1, -1):
         scale *= j + 1
-        poly = [d[j] * scale - j * poly[0]] + [a - j * b for a, b in zip(poly, poly[1:])] + poly[-1:]
+        t = points[j]  # t_j
+        poly = [d[j] * scale - t * poly[0]] + [a - t * b for a, b in zip(poly, poly[1:])] + poly[-1:]
         if p:
             poly = [c % p for c in poly]
     inv = pow(scale, -1, p) if p else None
@@ -252,15 +294,14 @@ def _interp(ys, p):
 # -- reproducible verification harness -------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyDefaults:
+class VerifyDefaults(FrozenRecord):
     """Trial counts of verify_bulk, whose surfaces have entries in [-9, 9]."""
 
-    pointwise_trials: int = 200
-    homogeneity_trials: int = 50
-    sl2_trials: int = 50
-    slice_lines: int = 1
+    __slots__ = ("pointwise_trials", "homogeneity_trials", "sl2_trials", "slice_lines")
     homogeneity_prime = 4611686018427388039  # 2**62 + 135; not a field: verify_bulk(modulus=...) sets it
+
+    def __init__(self, pointwise_trials=200, homogeneity_trials=50, sl2_trials=50, slice_lines=1):
+        super().__init__(pointwise_trials, homogeneity_trials, sl2_trials, slice_lines)
 
 
 DEFAULTS = VerifyDefaults()

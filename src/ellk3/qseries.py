@@ -16,6 +16,7 @@ one published display of this coefficient.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from .scalars import clear_denominators
 
@@ -138,22 +139,30 @@ class QSeries:
         return result
 
     def reciprocal(self):
-        """1/f for f with nonzero leading coefficient; the result is
-        truncated so that f * (1/f) = 1 holds up to its order.  An int
-        leader of +-1 is its own inverse, so each step multiplies by it and
-        an integer series with such a leader keeps an integer reciprocal;
-        any other leader is divided on Fractions."""
+        """1/f for f with nonzero leading coefficient c; the result is
+        truncated so that f * (1/f) = 1 holds up to its order.  With f = c
+        + a_1 q + a_2 q^2 + ..., the k-th coefficient of 1/f is b_k /
+        c^(k+1), where b_0 = 1 and b_k = -sum_j a_j c^(j-1) b_(k-j): the
+        recurrence 1/f satisfies, scaled by c^(k+1).  On an integer series
+        the b_k are ints, and each coefficient costs one division at the
+        end, none for an int leader of +-1 (its own inverse), which keeps
+        the reciprocal an integer series."""
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of the zero series")
         c0 = self.coeffs[0]
         unit = isinstance(c0, int) and c0 in (1, -1)
         n = self.N - self.e0  # number of known terms past the leading one
-        inv = [c0 if unit else Fraction(1, 1) / c0]
-        for k in range(1, n + 1):
-            s = 0
-            for j in range(1, min(k, len(self.coeffs) - 1) + 1):
-                s += self.coeffs[j] * inv[k - j]
-            inv.append(-s * c0 if unit else -s / c0)
+        scaled, power = [], 1  # scaled[j - 1] = a_j c0^(j-1)
+        for a in self.coeffs[1:]:
+            scaled.append(a * power)
+            power *= c0
+        b = [1]
+        for _ in range(n):
+            b.append(-sum(map(mul, scaled, reversed(b))))
+        inv, power = [], c0
+        for bk in b:
+            inv.append(bk * power if unit else Fraction(bk, power))
+            power *= c0
         e0 = -self.e0
         return QSeries(e0, inv, e0 + n)
 

@@ -3,8 +3,6 @@ surfaces: assembly of (g2, g3, h), Kodaira classification of singular
 fibers from vanishing orders, and the at-worst-RDP membership flag.
 """
 
-from dataclasses import dataclass
-
 from .binforms import BinaryForm, _convolve
 from .elimination import _domain, factor_multiplicity, gcd_and_squarefree
 from .scalars import ModP, reduce_scalar_mod, scalar_from_str, scalar_to_str
@@ -13,18 +11,61 @@ from .scalars import ModP, reduce_scalar_mod, scalar_from_str, scalar_to_str
 INFINITE_ORDER = 10 ** 9
 
 
-@dataclass(frozen=True)
-class SurfaceParams:
+class Record:
+    """A value class on __slots__, in place of a dataclass, whose import
+    would cost every CLI start-up: its fields are its slots, in order, and
+    == (between instances of one class) and repr run over them; repr shows
+    the first SHOWN of them, all by default.  Like a dataclass with ==, a
+    record that can change has no hash."""
+
+    __slots__ = ()
+    __hash__ = None
+    SHOWN = None
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        shown = ("%s=%r" % (name, getattr(self, name)) for name in self.__slots__[:self.SHOWN])
+        return "%s(%s)" % (type(self).__name__, ", ".join(shown))
+
+
+class FrozenRecord(Record):
+    """A record whose fields __init__ sets once, in slot order: they are
+    read-only after, and the record hashes them."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __hash__(self):
+        return hash(self._fields())
+
+
+class SurfaceParams(FrozenRecord):
     """u = (9 octic coefficients, 13 duodecic coefficients)."""
 
-    g2_coeffs: tuple
-    g3_coeffs: tuple
+    __slots__ = ("g2_coeffs", "g3_coeffs")
 
-    def __post_init__(self):
-        if len(self.g2_coeffs) != 9:
+    def __init__(self, g2_coeffs, g3_coeffs):
+        if len(g2_coeffs) != 9:
             raise ValueError("g2 needs exactly 9 coefficients")
-        if len(self.g3_coeffs) != 13:
+        if len(g3_coeffs) != 13:
             raise ValueError("g3 needs exactly 13 coefficients")
+        super().__init__(g2_coeffs, g3_coeffs)
 
     @classmethod
     def make(cls, g2_coeffs, g3_coeffs):
@@ -97,13 +138,11 @@ def kodaira_type(m2, m3, d):
     raise ValueError("inconsistent vanishing orders (m2, m3, d) = (%s, %s, %s)" % (m2, m3, d))
 
 
-@dataclass
-class PlaceRecord:
-    place: BinaryForm
-    m2: int
-    m3: int
-    d: int
-    kodaira: str
+class PlaceRecord(Record):
+    __slots__ = ("place", "m2", "m3", "d", "kodaira")
+
+    def __init__(self, place, m2, m3, d, kodaira):
+        self.place, self.m2, self.m3, self.d, self.kodaira = place, m2, m3, d, kodaira
 
     @property
     def residue_degree(self):
@@ -120,11 +159,13 @@ class PlaceRecord:
         }
 
 
-@dataclass
-class FiberReport:
+class FiberReport(Record):
     """The places of h, sorted; the flags and the Euler sum derive from them."""
 
-    places: list
+    __slots__ = ("places",)
+
+    def __init__(self, places):
+        self.places = places
 
     @property
     def h_is_zero(self):

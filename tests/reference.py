@@ -29,10 +29,11 @@ import sympy
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import poly_trim
 from ellk3.hilbert import Q_WEIGHTS, U8_VARS, U12_VARS, U_VARS, U_WEIGHTS
-from ellk3.invariants import K552_U_DEGREE, R96_U_DEGREE, SliceWitness, _eval_on_line, check_modulus, k552, r96
+from ellk3.invariants import K552_U_DEGREE, R96_U_DEGREE, SliceWitness, check_modulus, k552, r96
 from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries, eisenstein
 from ellk3.scalars import InexactDivision, ModP, exact_scalar_div
+from ellk3.weierstrass import SurfaceParams
 
 
 def sylvester_matrix(f, g):
@@ -312,6 +313,17 @@ def field_divmod(a, b, p):
             r[k + i] = (r[k + i] - c * y) % p if p else r[k + i] - c * y
         poly_trim(r)
     return poly_trim(q), r
+
+
+def _eval_on_line(u0, u1, s, p=None):
+    """The point u0 + s u1 of a line, computed over Q and then reduced mod
+    p when p is given."""
+    g2 = [a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)]
+    g3 = [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]
+    u = SurfaceParams.make(g2, g3)
+    if p is not None:
+        u = u.reduce_mod(p)
+    return u
 
 
 def slice_reference(u0, u1, modulus=None):

@@ -372,6 +372,13 @@ def test_hilbert_oracle_loads_no_dataclasses():
     assert _fresh_python(code).splitlines()[-1] == "False"
 
 
+@pytest.mark.parametrize("argv", [["invariant", "r96"], ["classify"]])
+def test_invariant_and_classify_load_no_dataclasses(tmp_path, argv):
+    # the records of weierstrass and invariants are __slots__ classes
+    code = LOADS % (argv + ["--input", write_surface(tmp_path, GENERIC)]) + "; print('dataclasses' in sys.modules)"
+    assert _fresh_python(code).splitlines()[-1] == "False"
+
+
 @pytest.mark.parametrize("argv", [["hilbert", "--max-degree", "-1"], ["verify", "--trials", "0"]])
 def test_usage_error_loads_no_library_module(argv):
     assert _loads(argv) == (2, {"ellk3", "ellk3.cli"})

@@ -447,6 +447,24 @@ def test_euclid_mod_and_gcd_match_the_reference_sequence(case):
     assert got == [(len(r) - 1, r[-1] if r else 0, r) for r in reference_sequence(a, b, p)]
 
 
+@pytest.mark.parametrize("p", [3, 139, P62])
+def test_slot_bits_are_whole_bytes_above_the_slot_bound(p):
+    for n in range(60):
+        b = _slot_bits(p, n)
+        assert b % 8 == 0 and b >= ((n + 1) ** 2 * p**6).bit_length() + 64
+
+
+@given(st.sampled_from([3, 139, P62]).flatmap(lambda p: st.tuples(
+    st.just(p), st.lists(st.integers(0, p - 1), min_size=1, max_size=48))))
+def test_pack_round_trips_through_unpack(case):
+    p, cs = case
+    b = _slot_bits(p, len(cs) - 1)
+    X = _pack(cs, b)
+    assert _unpack(X, len(cs), p, b) == cs
+    # the leading coefficient sits in the lowest slot, read off the bytes
+    assert int.from_bytes(X.to_bytes(len(cs) * b // 8, byteorder="little")[:b // 8], byteorder="little") == cs[0]
+
+
 @settings(max_examples=40)
 @given(st.sampled_from(KERNEL_PRIMES).flatmap(lambda p: st.tuples(
     forms(sparse_residues(p), max_degree=46), forms(sparse_residues(p), max_degree=3))))

@@ -1,5 +1,4 @@
 import random
-from dataclasses import fields
 from fractions import Fraction
 from math import gcd
 
@@ -28,11 +27,12 @@ from ellk3.invariants import (
     slice_divisibility,
     verify_bulk,
     _interp,
+    line_restriction,
 )
-from ellk3.elimination import CONVENTION_TAG, poly_trim
+from ellk3.elimination import CONVENTION_TAG, discriminant_binary, poly_trim, resultant
 from ellk3.scalars import ModP, reduce_scalar_mod
-from ellk3.weierstrass import SurfaceParams
-from reference import newton_interp, slice_reference
+from ellk3.weierstrass import SurfaceParams, assemble
+from reference import _eval_on_line, newton_interp, slice_reference
 
 # smallest interesting surface: g2 = x^8 + w^8, g3 = x^12 + w^12
 BASE = SurfaceParams.make([1] + [0] * 7 + [1], [1] + [0] * 11 + [1])
@@ -45,6 +45,31 @@ def test_invariant_value_unknown_name_refused():
     assert InvariantValue("delta264", 1).declared_weight == 264
     with pytest.raises(ValueError, match="unknown invariant"):
         InvariantValue("r95", 1)
+
+
+def test_records_compare_print_and_hash_like_dataclasses():
+    """The __slots__ records keep the dataclasses' ==, repr and hash, and
+    SurfaceParams, InvariantValue and VerifyDefaults stay read-only."""
+    u = SurfaceParams.make(range(9), range(13))
+    assert u == SurfaceParams(tuple(range(9)), tuple(range(13))) and u != (u.g2_coeffs, u.g3_coeffs)
+    assert hash(u) == hash((u.g2_coeffs, u.g3_coeffs))
+    assert repr(u) == "SurfaceParams(g2_coeffs=%r, g3_coeffs=%r)" % (tuple(range(9)), tuple(range(13)))
+    v = InvariantValue("r96", 5)
+    assert (repr(v), hash(v)) == ("InvariantValue(name='r96', value=5)", hash(("r96", 5)))
+    d = VerifyDefaults(**{"slice_lines": 0})
+    assert d == VerifyDefaults(200, 50, 50, 0) and hash(d) == hash((200, 50, 50, 0))
+    assert repr(d) == "VerifyDefaults(pointwise_trials=200, homogeneity_trials=50, sl2_trials=50, slice_lines=0)"
+    assert d.homogeneity_prime == VerifyDefaults.homogeneity_prime == 2**62 + 135
+    for record, name in ((u, "g2_coeffs"), (v, "value"), (d, "sl2_trials")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    w = SliceWitness(True, 139, [1], [2], [3])
+    assert repr(w) == "SliceWitness(success=True, modulus=139)"
+    assert w == SliceWitness(True, 139, [1], [2], [3]) != SliceWitness(True, 139, [1], [2], [4])
+    with pytest.raises(TypeError):
+        hash(w)
 
 
 def test_r96_zero_iff_common_root():
@@ -258,7 +283,8 @@ def test_verify_bulk_refuses_composite_modulus():
 
 @pytest.mark.parametrize("modulus", [2, 3, 137])
 def test_modulus_at_most_k552_degree_refused(modulus):
-    # the slice points s = 0..138 are not distinct mod any prime below 139
+    # the slice points s = -61..61 are not distinct mod any prime below 123;
+    # the threshold stays at the plain bound 138, so 127..137 are refused too
     rng = random.Random(8)
     u0, u1 = random_surface(rng), random_surface(rng)
     with pytest.raises(ValueError, match="exceed %d" % K552_U_DEGREE):
@@ -295,7 +321,7 @@ def test_interp_matches_divided_differences(domain, data):
     n = data.draw(st.sampled_from([1, 2, K552_U_DEGREE + 1]) | st.integers(1, K552_U_DEGREE + 1))
     ys = data.draw(st.lists(values, min_size=n, max_size=n))
     # bit-identical: same values and same types (Fractions over Q, ints mod p)
-    assert repr(_interp(ys, p)) == repr(newton_interp(list(range(n)), ys, p))
+    assert repr(_interp(ys, p)) == repr(newton_interp(list(range(-(n // 2), n - n // 2)), ys, p))
 
 
 # -- the slice certificate against the plain-degree reference ----------
@@ -344,6 +370,51 @@ def test_slice_divisibility_matches_reference(kind, modulus):
     check()
 
 
+def residues(p):
+    return st.integers(0, p - 1).map(lambda v: ModP(v, p))
+
+
+RESTRICTION_LINES = {
+    "int": surfaces(large),
+    "rational": surfaces(st.fractions(-9, 9, max_denominator=7)),
+    "139": surfaces(residues(139)),
+    "P62": surfaces(residues(P62)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESTRICTION_LINES))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_line_restriction_matches_assemble(kind, data):
+    """g2(s), g3(s) and the cubic h(s) on a line are assemble's forms at
+    u0 + s u1, for s in [-61, 61]; on ints and residues the coefficients
+    have the same types as well."""
+    u0, u1 = data.draw(RESTRICTION_LINES[kind]), data.draw(RESTRICTION_LINES[kind])
+    pair, h = line_restriction(u0, u1)
+    for s in data.draw(st.lists(st.integers(-61, 61), min_size=1, max_size=4)):
+        want = assemble(SurfaceParams.make([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
+                                           [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
+        got = pair(s) + (h(s),)
+        assert got == want
+        if kind != "rational":
+            assert [type(c) for f in got for c in f.coeffs] == [type(c) for f in want for c in f.coeffs]
+
+
+def test_slice_through_the_h_zero_locus_raises():
+    """u0 with g2 = -3 f^2 and g3 = 2 f^3 has h = 0, and s = 0 is a slice
+    point: the slice raises ValueError there, as k552(u0) does, over Q and
+    mod p."""
+    rng = random.Random(15)
+    f = [rng.randint(-3, 3) for _ in range(5)]
+    f2 = _convolve(f, f)
+    u0 = SurfaceParams.make([-3 * c for c in f2], [2 * c for c in _convolve(f2, f)])
+    u1 = random_surface(rng)
+    assert any(f) and assemble(u0)[2].is_zero()
+    for modulus in (None, 139, P62):
+        with pytest.raises(ValueError, match="h vanishes identically"):
+            slice_divisibility(u0, u1, modulus=modulus)
+
+
 def test_slice_divisibility_integer_line_with_content():
     """On a line with every coefficient of u0 and u1 even, R has content
     > 1 (r96 is homogeneous of degree 20), so the quotient over Q must be
@@ -357,13 +428,12 @@ def test_slice_divisibility_integer_line_with_content():
 
 
 def test_slice_failed_witness_carries_no_quotient(monkeypatch):
-    """With k552 shifted by 1, R^3 (of degree > 0) cannot divide K: the
-    witness fails and carries the empty quotient, over Q and mod p."""
-    def shifted(u):
-        v = k552(u)
-        return InvariantValue("k552", v.value + 1)
+    """With k552 = disc(h) shifted by 1, R^3 (of degree > 0) cannot divide
+    K: the witness fails and carries the empty quotient, over Q and mod p."""
+    def shifted(h):
+        return discriminant_binary(h) + 1
 
-    monkeypatch.setattr(invariants, "k552", shifted)
+    monkeypatch.setattr(invariants, "discriminant_binary", shifted)
     rng = random.Random(12)
     u0, u1 = random_surface(rng), random_surface(rng)
     for modulus in (None, P62):
@@ -375,7 +445,7 @@ def test_slice_witness_degrees_derive_from_polynomials():
     """A witness stores (success, modulus, quotient, K, R); its degrees are
     read off the polynomials: an empty quotient or K has degree -1, and
     r3_degree is 3 deg R."""
-    assert [f.name for f in fields(SliceWitness)] == ["success", "modulus", "quotient", "K", "R"]
+    assert list(SliceWitness.__slots__) == ["success", "modulus", "quotient", "K", "R"]
     wit = SliceWitness(True, None, [], [], [1])
     assert (wit.quotient_degree, wit.k_degree, wit.r3_degree) == (-1, -1, 0)
     wit = SliceWitness(True, 139, [1, 2], [0, 0, 0, 0, 0, 0, 0, 0, 1], [3, 1, 1])
@@ -385,24 +455,25 @@ def test_slice_witness_degrees_derive_from_polynomials():
 
 
 def test_slice_line_evaluation_budget(monkeypatch):
-    """One line costs K552_LINE_DEGREE + 1 = 123 k552 and R96_U_DEGREE + 1
-    = 21 r96 evaluations, over Q and mod p."""
-    calls = {"k552": 0, "r96": 0}
+    """One line costs K552_LINE_DEGREE + 1 = 123 evaluations of k552, the
+    discriminant of h, and R96_U_DEGREE + 1 = 21 of r96, the resultant of
+    (g2, g3), over Q and mod p."""
+    calls = {"disc": 0, "res": 0}
 
     def counted(name, fn):
-        def wrapper(u):
+        def wrapper(*forms):
             calls[name] += 1
-            return fn(u)
+            return fn(*forms)
         return wrapper
 
-    monkeypatch.setattr(invariants, "k552", counted("k552", k552))
-    monkeypatch.setattr(invariants, "r96", counted("r96", r96))
+    monkeypatch.setattr(invariants, "discriminant_binary", counted("disc", discriminant_binary))
+    monkeypatch.setattr(invariants, "resultant", counted("res", resultant))
     rng = random.Random(12)
     u0, u1 = random_surface(rng), random_surface(rng)
     for modulus in (None, P62):
-        calls.update(k552=0, r96=0)
+        calls.update(disc=0, res=0)
         assert slice_divisibility(u0, u1, modulus=modulus).success
-        assert calls == {"k552": 123, "r96": 21}
+        assert calls == {"disc": 123, "res": 21}
     assert (K552_LINE_DEGREE, R96_U_DEGREE) == (122, 20)
 
 
@@ -420,7 +491,7 @@ def test_slice_witness_interpolants_factor_exactly(modulus):
     assert product == wit.K
     # the interpolants are those of k552 and r96 at points of the line
     s = 200
-    u = invariants._eval_on_line(u0, u1, s, modulus)
+    u = _eval_on_line(u0, u1, s, modulus)
     for poly, invariant in ((wit.K, k552), (wit.R, r96)):
         assert invariant(u).value == sum(c * s ** i for i, c in enumerate(poly))
 

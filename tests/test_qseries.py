@@ -144,6 +144,18 @@ def test_reciprocal_of_unit_leader_stays_on_ints():
             assert prod.e0 == 0 and prod.coeffs == [1] + [0] * prod.N
 
 
+def test_reciprocal_of_integer_leader_matches_the_fraction_recurrence():
+    """The recurrence scaled by powers of the leader gives, on integer
+    series with leaders 2, -3 and 1728, exactly the Fractions that dividing
+    by the leader at every step gives: same values, same types."""
+    rng = random.Random(5)
+    for lead in (2, -3, 1728):
+        for e0 in (-1, 0, 2):
+            f = QSeries(e0, [lead] + [rng.randint(-99, 99) for _ in range(25)], e0 + 25)
+            g, want = f.reciprocal(), fraction_reciprocal(f)
+            assert (g.e0, g.N, repr(g.coeffs)) == (want.e0, want.N, repr(want.coeffs))
+
+
 def test_reciprocal_of_laurent_leader():
     f = QSeries(-1, [1, 2, 3], 1)
     g = f.reciprocal()
