@@ -30,14 +30,13 @@ factorizations mod small primes whose factor degrees leave no room for a
 proper factor over Z (Musser 1978; Gathen & Gerhard, ch. 14-15).  The
 generic h = 4 g2^3 + 27 g3^2 passes.  Only a polynomial the certificate
 gives up on goes to sympy: one ``factor_list`` over ZZ of its primitive
-part handles every other case.  ``squarefree_decomposition`` is sympy's
-``sqf_list``, on its own; sympy is imported on first use only.
+part handles every other case, and sympy is imported on first use only.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .binforms import BinaryForm
+from .binforms import BinaryForm, _convolve
 from .scalars import DomainError, ModP, clear_denominators, is_prime
 
 # sign/normalization conventions, fixed once and reported with Delta_264
@@ -475,17 +474,6 @@ def _ints(poly):
     return [int(c) for c in reversed(poly.all_coeffs())]
 
 
-def squarefree_decomposition(a):
-    """Squarefree decomposition over Q: [(primitive integer factor,
-    multiplicity)] with pairwise coprime squarefree factors, each
-    low-to-high with positive leading coefficient."""
-    a = poly_primitive(a)
-    if len(a) <= 1:
-        return []
-    _, parts = _zz(a).sqf_list()
-    return [(_ints(part), mult) for part, mult in parts]
-
-
 def _irreducible_factors(dense):
     """[(irreducible primitive integer factor, multiplicity)] of a nonzero
     polynomial over Q: its primitive part alone when the mod-p certificate
@@ -497,6 +485,18 @@ def _irreducible_factors(dense):
     if irreducibility_certificate(prim)[0] == IRREDUCIBLE:
         return [(prim, 1)]
     return [(_ints(fac), mult) for fac, mult in _zz(prim).factor_list()[1]]
+
+
+def squarefree_decomposition(a):
+    """Squarefree decomposition over Q: [(primitive integer factor,
+    multiplicity)] with pairwise coprime squarefree factors, each
+    low-to-high with positive leading coefficient, in ascending
+    multiplicity.  Each is the product of the irreducible factors of that
+    multiplicity, so the certificate comes first here too."""
+    parts = {}
+    for fac, mult in _irreducible_factors(a):
+        parts[mult] = _convolve(parts.get(mult, [1]), fac)
+    return [(parts[mult], mult) for mult in sorted(parts)]
 
 
 # -- gcd and factor bookkeeping for binary forms ---------------------

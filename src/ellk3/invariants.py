@@ -15,8 +15,8 @@ from .binforms import BinaryForm, _convolve
 from .elimination import (
     CONVENTION_TAG, _domain, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant,
 )
-from .scalars import PRIME_BOUND, InexactDivision, ModP, clear_denominators, exact_scalar_div, is_prime
-from .weierstrass import FrozenRecord, Record, SurfaceParams, assemble
+from .scalars import PRIME_BOUND, InexactDivision, ModP, Record, clear_denominators, exact_scalar_div, is_prime
+from .weierstrass import SurfaceParams, assemble
 
 DECLARED_WEIGHTS = {"r96": 96, "k552": 552, "delta264": 264}
 
@@ -25,7 +25,7 @@ G2_WEIGHT = 4
 G3_WEIGHT = 6
 
 
-class InvariantValue(FrozenRecord):
+class InvariantValue(Record):
     """A value of an invariant named in DECLARED_WEIGHTS, its weight table."""
 
     __slots__ = ("name", "value")
@@ -132,9 +132,6 @@ class SliceWitness(Record):
 
     __slots__ = ("success", "modulus", "quotient", "K", "R")
     SHOWN = 2
-
-    def __init__(self, success, modulus, quotient, K, R):
-        self.success, self.modulus, self.quotient, self.K, self.R = success, modulus, quotient, K, R
 
     @property
     def quotient_degree(self):
@@ -294,7 +291,7 @@ def _interp(ys, p):
 # -- reproducible verification harness -------------------------------
 
 
-class VerifyDefaults(FrozenRecord):
+class VerifyDefaults(Record):
     """Trial counts of verify_bulk, whose surfaces have entries in [-9, 9]."""
 
     __slots__ = ("pointwise_trials", "homogeneity_trials", "sl2_trials", "slice_lines")

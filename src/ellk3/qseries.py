@@ -1,7 +1,7 @@
 """Truncated Laurent series in q with exact rational coefficients, the
 Eisenstein series E4 and E6 from their divisor-sum expansions, and the
-nearly holomorphic form 1728 E4 / (E4^3 - E6^2) = 1/q + 264 + 8244 q +
-139520 q^2 + ... whose Borcherds lift is the weight-132 cusp form.
+nearly holomorphic form E4 / Delta = 1/q + 264 + 8244 q + 139520 q^2 +
+... whose Borcherds lift is the weight-132 cusp form.
 
 A product of two series is one big-int product (Kronecker substitution):
 each factor's window, cleared of denominators, is packed into an int with
@@ -15,13 +15,12 @@ one published display of this coefficient.
 """
 
 from fractions import Fraction
-from math import gcd
 from operator import mul
 
-from .scalars import clear_denominators
+from .scalars import Record, clear_denominators
 
 
-class QSeries:
+class QSeries(Record):
     """coeffs[k] is the coefficient of q^(e0 + k); truncation order N is
     the largest retained exponent."""
 
@@ -35,9 +34,7 @@ class QSeries:
         while coeffs and not coeffs[0]:
             coeffs.pop(0)
             e0 += 1
-        self.e0 = e0
-        self.coeffs = coeffs
-        self.N = N
+        super().__init__(e0, coeffs, N)
 
     @classmethod
     def zero(cls, N):
@@ -64,11 +61,6 @@ class QSeries:
         if N < self.e0:
             return QSeries.zero(N)
         return QSeries(self.e0, self.coeffs[: N - self.e0 + 1], N)
-
-    def __eq__(self, other):
-        if not isinstance(other, QSeries):
-            return NotImplemented
-        return self.N == other.N and self.e0 == other.e0 and self.coeffs == other.coeffs
 
     def __add__(self, other):
         N = min(self.N, other.N)
@@ -227,21 +219,15 @@ def eisenstein(k, N):
 
 
 def borcherds_input(N):
-    """1728 E4 / (E4^3 - E6^2), a Laurent series with leading term 1/q,
-    truncated at q^N.
+    """E4 / Delta = 1728 E4 / (E4^3 - E6^2), a Laurent series with leading
+    term 1/q, truncated at q^N.
 
-    The denominator is split into its integer content c and a primitive
-    part with leading coefficient 1 (c = 1728 and the part is Delta), so
-    the reciprocal and the product with 1728 E4 run on ints; each
-    coefficient is divided by c once at the end, leaving ints."""
+    Delta is E4^3 - E6^2 divided by 1728, exactly; its leading coefficient
+    is 1, so its reciprocal, and the product with E4, stay on ints."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     M = N + 2
     e4 = eisenstein(4, M)
-    e6 = eisenstein(6, M)
-    den = e4 ** 3 - e6 ** 2  # = 1728 q - 41472 q^2 + ...
-    c = gcd(*den.coeffs)
-    prim = QSeries(den.e0, [a // c for a in den.coeffs], den.N)
-    out = (1728 * e4 * prim.reciprocal()).truncate(N)
-    # exact: the quotient is E4 / Delta, whose coefficients are integers
-    return QSeries(out.e0, [a // c for a in out.coeffs], N)
+    disc = e4 ** 3 - eisenstein(6, M) ** 2  # = 1728 q - 41472 q^2 + ...
+    delta = QSeries(disc.e0, [a // 1728 for a in disc.coeffs], M)
+    return (e4 * delta.reciprocal()).truncate(N)

@@ -5,57 +5,13 @@ fibers from vanishing orders, and the at-worst-RDP membership flag.
 
 from .binforms import BinaryForm, _convolve
 from .elimination import _domain, factor_multiplicity, gcd_and_squarefree
-from .scalars import ModP, reduce_scalar_mod, scalar_from_str, scalar_to_str
+from .scalars import ModP, Record, reduce_scalar_mod, scalar_from_str, scalar_to_str
 
 # order of vanishing of the zero form at any place
 INFINITE_ORDER = 10 ** 9
 
 
-class Record:
-    """A value class on __slots__, in place of a dataclass, whose import
-    would cost every CLI start-up: its fields are its slots, in order, and
-    == (between instances of one class) and repr run over them; repr shows
-    the first SHOWN of them, all by default.  Like a dataclass with ==, a
-    record that can change has no hash."""
-
-    __slots__ = ()
-    __hash__ = None
-    SHOWN = None
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        shown = ("%s=%r" % (name, getattr(self, name)) for name in self.__slots__[:self.SHOWN])
-        return "%s(%s)" % (type(self).__name__, ", ".join(shown))
-
-
-class FrozenRecord(Record):
-    """A record whose fields __init__ sets once, in slot order: they are
-    read-only after, and the record hashes them."""
-
-    __slots__ = ()
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __hash__(self):
-        return hash(self._fields())
-
-
-class SurfaceParams(FrozenRecord):
+class SurfaceParams(Record):
     """u = (9 octic coefficients, 13 duodecic coefficients)."""
 
     __slots__ = ("g2_coeffs", "g3_coeffs")
@@ -141,9 +97,6 @@ def kodaira_type(m2, m3, d):
 class PlaceRecord(Record):
     __slots__ = ("place", "m2", "m3", "d", "kodaira")
 
-    def __init__(self, place, m2, m3, d, kodaira):
-        self.place, self.m2, self.m3, self.d, self.kodaira = place, m2, m3, d, kodaira
-
     @property
     def residue_degree(self):
         return self.place.n
@@ -163,9 +116,6 @@ class FiberReport(Record):
     """The places of h, sorted; the flags and the Euler sum derive from them."""
 
     __slots__ = ("places",)
-
-    def __init__(self, places):
-        self.places = places
 
     @property
     def h_is_zero(self):

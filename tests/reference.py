@@ -348,4 +348,4 @@ def slice_reference(u0, u1, modulus=None):
     # the cube of R, interpolated on its own, has the degree r3_degree states
     assert len(R3) - 1 == 3 * (len(R) - 1)
     q, rem = field_divmod(K, R3, p)
-    return SliceWitness(success=not rem, modulus=modulus, quotient=q, K=K, R=R)
+    return SliceWitness(not rem, modulus, q, K, R)

@@ -22,6 +22,7 @@ from ellk3.elimination import (
     gcd_and_squarefree,
     irreducibility_certificate,
     poly_primitive,
+    squarefree_decomposition,
 )
 from ellk3.invariants import random_surface
 from ellk3.weierstrass import SurfaceParams, assemble, fiber_profile
@@ -116,6 +117,33 @@ def test_x4_plus_1_reaches_the_pattern_bound_and_sympy_keeps_it_whole(monkeypatc
     unit, factors = gcd_and_squarefree(BinaryForm(4, [1, 0, 0, 0, 1]))
     assert calls == [f]
     assert unit == 1 and [(g.coeffs, m) for g, m in factors] == [([1, 0, 0, 0, 1], 1)]
+
+
+def test_squarefree_decomposition_needs_no_sqf_list(monkeypatch):
+    """The parts are the irreducible factors multiplied up by multiplicity:
+    sympy's sqf_list parts, without a call to it."""
+    x = sympy.Symbol("x")
+    h = h_dense(random_surface(random.Random(3)))
+    cases = ([-3, 7, -5, 1], mul(mul([1, 0, 0, 0, 1], [1, 0, 0, 0, 1]), [0, 2, 1]),
+             mul(mul(h, h), mul([-1, 3], [-1, 3])), [6, 0, -18, 12], [5])
+    want = []
+    for a in cases:
+        _, parts = sympy.Poly(poly_primitive(a)[::-1], x, domain="ZZ").sqf_list()
+        want.append([([int(c) for c in reversed(f.all_coeffs())], m) for f, m in parts])
+
+    def refused(self):
+        raise AssertionError("sqf_list called")
+
+    monkeypatch.setattr(sympy.Poly, "sqf_list", refused)
+    assert [squarefree_decomposition(a) for a in cases] == want
+
+
+def test_certified_squarefree_decomposition_makes_no_sympy_call(monkeypatch):
+    f = h_dense(random_surface(random.Random(8)))
+    assert irreducibility_certificate(f)[0] == IRREDUCIBLE
+    calls = []
+    monkeypatch.setattr(elimination, "_zz", lambda prim: calls.append(prim))
+    assert squarefree_decomposition([3 * c for c in f]) == [(f, 1)] and calls == []
 
 
 def test_certified_h_is_irreducible_for_sympy_too():

@@ -7,7 +7,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from ellk3 import invariants
-from ellk3.binforms import _convolve
+from ellk3.binforms import BinaryForm, _convolve
 from ellk3.invariants import (
     DEFAULTS,
     K552_LINE_DEGREE,
@@ -30,8 +30,9 @@ from ellk3.invariants import (
     line_restriction,
 )
 from ellk3.elimination import CONVENTION_TAG, discriminant_binary, poly_trim, resultant
+from ellk3.qseries import QSeries
 from ellk3.scalars import ModP, reduce_scalar_mod
-from ellk3.weierstrass import SurfaceParams, assemble
+from ellk3.weierstrass import FiberReport, PlaceRecord, SurfaceParams, assemble
 from reference import _eval_on_line, newton_interp, slice_reference
 
 # smallest interesting surface: g2 = x^8 + w^8, g3 = x^12 + w^12
@@ -49,7 +50,7 @@ def test_invariant_value_unknown_name_refused():
 
 def test_records_compare_print_and_hash_like_dataclasses():
     """The __slots__ records keep the dataclasses' ==, repr and hash, and
-    SurfaceParams, InvariantValue and VerifyDefaults stay read-only."""
+    every record, QSeries included, is read-only."""
     u = SurfaceParams.make(range(9), range(13))
     assert u == SurfaceParams(tuple(range(9)), tuple(range(13))) and u != (u.g2_coeffs, u.g3_coeffs)
     assert hash(u) == hash((u.g2_coeffs, u.g3_coeffs))
@@ -66,10 +67,26 @@ def test_records_compare_print_and_hash_like_dataclasses():
         with pytest.raises(AttributeError):
             delattr(record, name)
     w = SliceWitness(True, 139, [1], [2], [3])
-    assert repr(w) == "SliceWitness(success=True, modulus=139)"
-    assert w == SliceWitness(True, 139, [1], [2], [3]) != SliceWitness(True, 139, [1], [2], [4])
-    with pytest.raises(TypeError):
-        hash(w)
+    assert w != SliceWitness(True, 139, [1], [2], [4])
+    conic = PlaceRecord(BinaryForm(2, [1, 0, 1]), 0, 0, 1, "I1")
+    conic_repr = "PlaceRecord(place=BinaryForm(2, 1 * x^2 + 1 * w^2), m2=0, m3=0, d=1, kodaira='I1')"
+    # (record, an equal record built apart, a field, the repr)
+    unhashable = (
+        (conic, PlaceRecord(BinaryForm(2, [1, 0, 1]), 0, 0, 1, "I1"), "kodaira", conic_repr),
+        (FiberReport([conic]), FiberReport([conic]), "places", "FiberReport(places=[%s])" % conic_repr),
+        (w, SliceWitness(True, 139, [1], [2], [3]), "quotient", "SliceWitness(success=True, modulus=139)"),
+        (QSeries(-1, [1, 264], 0), QSeries(-2, [0, 1, 264], 0), "coeffs", "QSeries(1*q^-1 + 264 + O(q^1))"),
+    )
+    for record, twin, name, rep in unhashable:
+        fields = tuple(getattr(record, slot) for slot in record.__slots__)
+        assert record == twin and record != fields and record != list(fields)
+        assert repr(record) == rep
+        with pytest.raises(TypeError):
+            hash(record)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
 
 
 def test_r96_zero_iff_common_root():
