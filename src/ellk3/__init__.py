@@ -9,9 +9,52 @@ loads no submodule, and ``ellk3.fiber_profile`` imports
 ``ellk3.weierstrass`` on first use.  So ``python -m ellk3.cli`` pays only
 for the modules its command runs.  Submodules are reachable as attributes
 too (``ellk3.hilbert``).
+
+:class:`Record`, the one read-only value class that the library's values
+are built on, is defined here rather than in a submodule: the package runs
+before any of its submodules, so each of them, ``hilbert`` included, takes
+``from . import Record`` without loading another module.
 """
 
 import importlib
+
+
+class Record:
+    """A value class on __slots__, in place of a dataclass, whose import
+    would cost every CLI start-up.  Its fields are its slots, in order,
+    which __init__ sets once from its positional arguments; they are
+    read-only after.  == (between instances of one class) and hash run
+    over the fields, so a record holding a list or a form has no hash,
+    and repr shows the first SHOWN of them, all by default."""
+
+    __slots__ = ()
+    SHOWN = None
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __repr__(self):
+        shown = ("%s=%r" % (name, getattr(self, name)) for name in self.__slots__[:self.SHOWN])
+        return "%s(%s)" % (type(self).__name__, ", ".join(shown))
+
 
 _EXPORTS = {
     "binforms": ("BinaryForm",),

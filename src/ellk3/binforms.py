@@ -4,14 +4,16 @@ Coefficient entry i is the coefficient of x^(n-i) w^i.  Entries are exact
 scalars, or any ring elements with +, * and truthiness (only the tests'
 reference derivation of the raising table substitutes into generic forms
 with MultiPoly entries).  The zero form keeps its declared degree.
+
+Forms are read-only :class:`Record`s: every operation returns a new form.
 """
 
+from . import Record
 from .scalars import reduce_scalar_mod, scalar_to_str
 
 
-class BinaryForm:
+class BinaryForm(Record):
     __slots__ = ("n", "coeffs")
-    __hash__ = None
 
     def __init__(self, n, coeffs):
         coeffs = list(coeffs)
@@ -19,8 +21,7 @@ class BinaryForm:
             raise ValueError("degree must be nonnegative")
         if len(coeffs) != n + 1:
             raise ValueError("degree-%d form needs %d coefficients, got %d" % (n, n + 1, len(coeffs)))
-        self.n = n
-        self.coeffs = coeffs
+        super().__init__(n, coeffs)
 
     @classmethod
     def zero(cls, n):
@@ -35,13 +36,6 @@ class BinaryForm:
 
     def is_zero(self):
         return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryForm):
-            return NotImplemented
-        return self.n == other.n and all(
-            a == b or (not a and not b) for a, b in zip(self.coeffs, other.coeffs)
-        )
 
     def __add__(self, other):
         if self.n != other.n:

@@ -18,6 +18,8 @@ parameter space, three ways:
 
 from fractions import Fraction
 
+from . import Record
+
 # the 22 ambient variables: octic coefficients then duodecic ones
 U8_VARS = tuple("u_{%d,%d}" % (8 - i, i) for i in range(9))
 U12_VARS = tuple("u_{%d,%d}" % (12 - i, i) for i in range(13))
@@ -30,7 +32,7 @@ Q_WEIGHTS = tuple(2 * i - 8 for i in range(9)) + tuple(2 * i - 12 for i in range
 ORACLE_MAX_DEGREE = 30
 
 
-class HilbertSeries:
+class HilbertSeries(Record):
     """Graded dimensions: coefficients[k] is the dimension at t-degree k."""
 
     __slots__ = ("coefficients",)
@@ -40,15 +42,7 @@ class HilbertSeries:
             raise ValueError("a graded ring's Hilbert series starts with 1")
         if any(c < 0 for c in coefficients):
             raise ValueError("negative graded dimension")
-        self.coefficients = coefficients
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coefficients == other.coefficients
-
-    def __repr__(self):
-        return "HilbertSeries(coefficients=%r)" % (self.coefficients,)
+        super().__init__(coefficients)
 
     def __getitem__(self, k):
         return self.coefficients[k]

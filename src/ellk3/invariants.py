@@ -11,11 +11,12 @@ one-parameter slices.
 import random
 from fractions import Fraction
 
+from . import Record
 from .binforms import BinaryForm, _convolve
 from .elimination import (
     CONVENTION_TAG, _domain, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant,
 )
-from .scalars import PRIME_BOUND, InexactDivision, ModP, Record, clear_denominators, exact_scalar_div, is_prime
+from .scalars import PRIME_BOUND, InexactDivision, ModP, clear_denominators, exact_scalar_div, is_prime
 from .weierstrass import SurfaceParams, assemble
 
 DECLARED_WEIGHTS = {"r96": 96, "k552": 552, "delta264": 264}

@@ -6,6 +6,7 @@ Terms are a map from dense exponent tuples to nonzero scalars; sorted in
 descending graded-lex order so output is byte-stable.
 """
 
+from . import Record
 from .scalars import DomainError
 
 
@@ -14,21 +15,20 @@ def _gradedlex_key(exp):
     return (-sum(exp), tuple(-e for e in exp))
 
 
-class MultiPoly:
+class MultiPoly(Record):
     __slots__ = ("vars", "terms")
-    __hash__ = None
 
     def __init__(self, vars, terms=None):
-        self.vars = tuple(vars)
+        vars = tuple(vars)
         clean = {}
         if terms:
-            nvars = len(self.vars)
+            nvars = len(vars)
             for exp, c in terms.items():
                 if len(exp) != nvars:
                     raise ValueError("exponent vector of wrong length")
                 if c:
                     clean[tuple(exp)] = c
-        self.terms = clean
+        super().__init__(vars, clean)
 
     # -- constructors -------------------------------------------------
 
@@ -91,16 +91,12 @@ class MultiPoly:
                 terms[exp] = s
             else:
                 terms.pop(exp, None)
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        return MultiPoly(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = MultiPoly(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, MultiPoly):
@@ -114,9 +110,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             if not other:
                 return MultiPoly.zero(self.vars)
-            out = MultiPoly(self.vars)
-            out.terms = {e: c * other for e, c in self.terms.items()}
-            return out
+            return MultiPoly(self.vars, {e: c * other for e, c in self.terms.items()})
         self._compat(other)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -127,9 +121,7 @@ class MultiPoly:
                     terms[e] = s
                 else:
                     terms.pop(e, None)
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        return MultiPoly(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -144,15 +136,12 @@ class MultiPoly:
             e = list(exp)
             e[i] -= 1
             terms[tuple(e)] = c * exp[i]
-        out = MultiPoly(self.vars)
-        out.terms = terms
-        return out
+        return MultiPoly(self.vars, terms)
 
     def substitute_var(self, var, value):
         """Replace one variable by a scalar, returning a polynomial in the
         remaining variables."""
         i = self.vars.index(var)
-        out = MultiPoly.zero(self.vars[:i] + self.vars[i + 1:])
         terms = {}
         for exp, c in self.terms.items():
             e = exp[:i] + exp[i + 1:]
@@ -161,8 +150,7 @@ class MultiPoly:
                 terms[e] = s
             else:
                 terms.pop(e, None)
-        out.terms = terms
-        return out
+        return MultiPoly(self.vars[:i] + self.vars[i + 1:], terms)
 
 
 def _power(value, e):

@@ -17,7 +17,8 @@ one published display of this coefficient.
 from fractions import Fraction
 from operator import mul
 
-from .scalars import Record, clear_denominators
+from . import Record
+from .scalars import clear_denominators, scalar_to_str
 
 
 class QSeries(Record):
@@ -172,8 +173,9 @@ class QSeries(Record):
             if not c:
                 continue
             e = self.e0 + k
+            c = scalar_to_str(c)
             if e == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif e == 1:
                 parts.append("%s*q" % c)
             else:
@@ -189,23 +191,10 @@ def _pack(ints, nb):
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def sigma(n, k):
-    """Divisor power sum sigma_k(n) by direct enumeration."""
-    s = 0
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            s += i ** k
-            j = n // i
-            if j != i:
-                s += j ** k
-        i += 1
-    return s
-
-
 def eisenstein(k, N):
     """E4 or E6 from the divisor-sum expansion: coefficient of q^n is
-    240 sigma_3(n) resp. -504 sigma_5(n)."""
+    240 sigma_3(n) resp. -504 sigma_5(n), with every sigma_k(n), n <= N,
+    from one divisor sieve."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
     if k == 4:
@@ -214,8 +203,12 @@ def eisenstein(k, N):
         c, power = -504, 5
     else:
         raise ValueError("only E4 and E6 are provided, got k=%d" % k)
-    coeffs = [1] + [c * sigma(n, power) for n in range(1, N + 1)]
-    return QSeries(0, coeffs, N)
+    sigma = [0] * (N + 1)
+    for d in range(1, N + 1):
+        dk = d ** power
+        for n in range(d, N + 1, d):
+            sigma[n] += dk
+    return QSeries(0, [1] + [c * s for s in sigma[1:]], N)
 
 
 def borcherds_input(N):

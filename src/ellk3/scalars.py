@@ -1,6 +1,5 @@
 """Exact coefficient domains: arbitrary-precision integers, normalized
-rationals, and odd-prime residue fields; and :class:`Record`, the one
-read-only value class that the library's results are built on.
+rationals, and odd-prime residue fields.
 
 Integers and ``fractions.Fraction`` are used as-is (the integers embed in
 the rationals, so they may mix freely).  Mod-p residues are wrapped in
@@ -19,43 +18,6 @@ class DomainError(TypeError):
 
 class InexactDivision(ArithmeticError):
     """Raised when an exact division leaves a remainder."""
-
-
-class Record:
-    """A value class on __slots__, in place of a dataclass, whose import
-    would cost every CLI start-up.  Its fields are its slots, in order,
-    which __init__ sets once from its positional arguments; they are
-    read-only after.  == (between instances of one class) and hash run
-    over the fields, so a record holding a list or a form has no hash,
-    and repr shows the first SHOWN of them, all by default."""
-
-    __slots__ = ()
-    SHOWN = None
-
-    def __init__(self, *fields):
-        for name, value in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, value)
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __repr__(self):
-        shown = ("%s=%r" % (name, getattr(self, name)) for name in self.__slots__[:self.SHOWN])
-        return "%s(%s)" % (type(self).__name__, ", ".join(shown))
 
 
 # the moduli ModP has already found to be odd primes: after the first
@@ -113,6 +75,8 @@ class ModP:
         return ModP(-self.v, self.p)
 
     def __pow__(self, e):
+        if e < 0:
+            return self.inverse() ** -e
         return ModP(pow(self.v, e, self.p), self.p)
 
     def inverse(self):

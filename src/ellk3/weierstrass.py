@@ -3,9 +3,10 @@ surfaces: assembly of (g2, g3, h), Kodaira classification of singular
 fibers from vanishing orders, and the at-worst-RDP membership flag.
 """
 
+from . import Record
 from .binforms import BinaryForm, _convolve
 from .elimination import _domain, factor_multiplicity, gcd_and_squarefree
-from .scalars import ModP, Record, reduce_scalar_mod, scalar_from_str, scalar_to_str
+from .scalars import ModP, reduce_scalar_mod, scalar_from_str, scalar_to_str
 
 # order of vanishing of the zero form at any place
 INFINITE_ORDER = 10 ** 9

@@ -24,7 +24,7 @@ from ellk3.invariants import (
     slice_divisibility,
 )
 from ellk3.qseries import borcherds_input
-from ellk3.scalars import ModP, exact_scalar_div
+from ellk3.scalars import ModP
 from ellk3.weierstrass import SurfaceParams, fiber_profile
 
 P62 = DEFAULTS.homogeneity_prime  # 2**62 + 135, pinned for mod-p checks

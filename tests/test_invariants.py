@@ -30,6 +30,8 @@ from ellk3.invariants import (
     line_restriction,
 )
 from ellk3.elimination import CONVENTION_TAG, discriminant_binary, poly_trim, resultant
+from ellk3.hilbert import HilbertSeries
+from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries
 from ellk3.scalars import ModP, reduce_scalar_mod
 from ellk3.weierstrass import FiberReport, PlaceRecord, SurfaceParams, assemble
@@ -50,7 +52,7 @@ def test_invariant_value_unknown_name_refused():
 
 def test_records_compare_print_and_hash_like_dataclasses():
     """The __slots__ records keep the dataclasses' ==, repr and hash, and
-    every record, QSeries included, is read-only."""
+    every record, the forms and series included, is read-only."""
     u = SurfaceParams.make(range(9), range(13))
     assert u == SurfaceParams(tuple(range(9)), tuple(range(13))) and u != (u.g2_coeffs, u.g3_coeffs)
     assert hash(u) == hash((u.g2_coeffs, u.g3_coeffs))
@@ -76,6 +78,10 @@ def test_records_compare_print_and_hash_like_dataclasses():
         (FiberReport([conic]), FiberReport([conic]), "places", "FiberReport(places=[%s])" % conic_repr),
         (w, SliceWitness(True, 139, [1], [2], [3]), "quotient", "SliceWitness(success=True, modulus=139)"),
         (QSeries(-1, [1, 264], 0), QSeries(-2, [0, 1, 264], 0), "coeffs", "QSeries(1*q^-1 + 264 + O(q^1))"),
+        (conic.place, BinaryForm(2, (1, 0, 1)), "coeffs", "BinaryForm(2, 1 * x^2 + 1 * w^2)"),
+        (HilbertSeries([1, 0, 1]), HilbertSeries([1, 0, 1]), "coefficients", "HilbertSeries(coefficients=[1, 0, 1])"),
+        (MultiPoly("xy", {(1, 0): 2, (0, 1): 0}), MultiPoly(("x", "y"), {(1, 0): 2}), "terms",
+         "MultiPoly(('x', 'y'), [((1, 0), 2)])"),
     )
     for record, twin, name, rep in unhashable:
         fields = tuple(getattr(record, slot) for slot in record.__slots__)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellk3.qseries import QSeries, borcherds_input, eisenstein, sigma
+from ellk3.qseries import QSeries, borcherds_input, eisenstein
 from reference import borcherds_reference, fraction_reciprocal, schoolbook_product
 
 # 1728 E4 / (E4^3 - E6^2) = q^-1 + 264 + 8244 q + 139520 q^2 + ... (frozen)
@@ -13,9 +13,12 @@ BORCHERDS_HEAD = [1, 264, 8244, 139520, 1672290, 15872256]
 
 
 def test_sigma_divisor_sums():
-    assert [sigma(n, 1) for n in range(1, 7)] == [1, 3, 4, 7, 6, 12]
-    assert sigma(6, 3) == 1 + 8 + 27 + 216
-    assert sigma(12, 5) == sum(d**5 for d in (1, 2, 3, 4, 6, 12))
+    # the divisor sieve inside eisenstein against trial division
+    def sigma(n, k):
+        return sum(d**k for d in range(1, n + 1) if n % d == 0)
+
+    assert eisenstein(4, 200).coeffs == [1] + [240 * sigma(n, 3) for n in range(1, 201)]
+    assert eisenstein(6, 200).coeffs == [1] + [-504 * sigma(n, 5) for n in range(1, 201)]
 
 
 def test_eisenstein_heads():
@@ -33,6 +36,12 @@ def test_eisenstein_rejects_other_weights():
 def test_eisenstein_rejects_negative_order():
     with pytest.raises(ValueError, match="truncation order must be nonnegative"):
         eisenstein(4, -1)
+
+
+def test_repr_past_the_digit_limit():
+    # str(int) stops at the interpreter's digit limit; the repr must not
+    text = repr(QSeries(0, [10**5000, 1], 1))
+    assert text == "QSeries(1" + "0" * 5000 + " + 1*q + O(q^2))"
 
 
 def test_qseries_indexing_and_truncation_guard():

@@ -63,8 +63,11 @@ def test_composite_moduli_refused(modulus):
 
 
 def test_modp_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        ModP(1, 7) / ModP(0, 7)
+    # a negative power is a power of the inverse, so 0 ** -1 fails like 1 / 0
+    for divide in (lambda: ModP(1, 7) / ModP(0, 7), lambda: ModP(0, 7) ** -1, ModP(0, 7).inverse):
+        with pytest.raises(ZeroDivisionError):
+            divide()
+    assert ModP(3, 7) ** -2 == ModP(3, 7).inverse() ** 2 == ModP(4, 7)
 
 
 def test_exact_scalar_div():

@@ -1,11 +1,12 @@
-"""Static checks on the library source, stdlib only."""
+"""Static checks on the library and test sources, stdlib only."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ellk3"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ellk3"
 MODULES = sorted(p.name for p in SRC.glob("*.py"))
 
 
@@ -30,6 +31,11 @@ def test_unused_imports_detects_a_dead_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_module_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+@pytest.mark.parametrize("test_file", sorted(p.name for p in TESTS.glob("*.py")))
+def test_no_unused_test_imports(test_file):
+    assert unused_imports((TESTS / test_file).read_text()) == []
 
 
 def imported_modules(source):
@@ -60,3 +66,21 @@ def test_weierstrass_does_not_import_invariants():
 def test_library_does_not_import_multipoly(module):
     # MultiPoly serves only the tests' reference derivations
     assert "multipoly" not in imported_modules((SRC / module).read_text())
+
+
+def test_value_classes_take_eq_hash_and_read_only_fields_from_record():
+    # ModP compares with ints, and MultiPoly with the scalars that generic
+    # form entries meet; every other value class is a Record
+    defines, assigns = {}, set()
+    for module in MODULES:
+        for cls in ast.walk(ast.parse((SRC / module).read_text())):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef):
+                        defines.setdefault(node.name, set()).add(cls.name)
+                    elif isinstance(node, ast.Assign):
+                        assigns.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    assert defines["__eq__"] == {"Record", "ModP", "MultiPoly"}
+    assert defines["__hash__"] == {"Record", "ModP"}
+    assert defines["__setattr__"] == defines["__delattr__"] == {"Record"}
+    assert not assigns & {"__eq__", "__hash__", "__setattr__", "__delattr__"}
