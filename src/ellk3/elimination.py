@@ -63,18 +63,22 @@ def resultant(f, g):
 
 def discriminant_binary(f):
     """disc(f) := Res(df/dx, df/dw); homogeneous of coefficient-degree
-    2(n-1), vanishing iff f has a repeated root.  The partials are
-    ``BinaryForm.partials`` of f's plain int coefficients (residues, then
-    reduced, or numerators over the common denominator d), and Res(d fx,
-    d fw) = d^(2(n-1)) disc(f)."""
-    if f.n < 2:
+    2(n-1), vanishing iff f has a repeated root.  The partials are taken
+    of f's plain int coefficients (residues, then reduced, or numerators
+    over the common denominator d), and Res(d fx, d fw) = d^(2(n-1))
+    disc(f)."""
+    n = f.n
+    if n < 2:
         raise ValueError("discriminant needs degree >= 2")
     p, rational = _domain(f.coeffs)
     a, d = _plain(f.coeffs, p)
-    fx, fw = ([c % p for c in g.coeffs] if p else g.coeffs for g in BinaryForm(f.n, a).partials())
+    fx = [c * (n - i) for i, c in enumerate(a[:n])]
+    fw = [c * (i + 1) for i, c in enumerate(a[1:])]
+    if p:
+        fx, fw = [c % p for c in fx], [c % p for c in fw]
     if not any(fx) or not any(fw):
         return _value(0, p, rational, 1)
-    return _value(_res_dense(fx, fw, p), p, rational, d ** (2 * f.n - 2))
+    return _value(_res_dense(fx, fw, p), p, rational, d ** (2 * n - 2))
 
 
 def _domain(coeffs):

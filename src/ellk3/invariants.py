@@ -8,6 +8,7 @@ integer factorization in bulk and by exact polynomial division on random
 one-parameter slices.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -50,9 +51,9 @@ def sl2_act(gamma, u):
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
         raise ValueError("matrix is not in SL2: det = %s" % (a * d - b * c,))
-    g2 = BinaryForm(8, list(u.g2_coeffs)).substitute(gamma)
-    g3 = BinaryForm(12, list(u.g3_coeffs)).substitute(gamma)
-    return SurfaceParams.make(g2.coeffs, g3.coeffs)
+    g2 = BinaryForm(8, u.g2_coeffs).substitute(gamma)
+    g3 = BinaryForm(12, u.g3_coeffs).substitute(gamma)
+    return SurfaceParams(g2.coeffs, g3.coeffs)
 
 
 def gm_act(lam, u):
@@ -61,7 +62,7 @@ def gm_act(lam, u):
         raise ValueError("lambda must be nonzero")
     l4 = lam ** G2_WEIGHT
     l6 = lam ** G3_WEIGHT
-    return SurfaceParams.make(
+    return SurfaceParams(
         [c * l4 for c in u.g2_coeffs], [c * l6 for c in u.g3_coeffs]
     )
 
@@ -69,18 +70,45 @@ def gm_act(lam, u):
 # -- invariants ------------------------------------------------------
 
 
+def _per_surface(invariant):
+    """invariant(u), remembered for the last surface u: asked again of
+    that same object, it returns the value without computing it.  The slot
+    holds u itself, so a recycled id never matches; errors are not kept."""
+    last = None, None
+
+    @functools.wraps(invariant)
+    def remembered(u):
+        nonlocal last
+        surface, value = last
+        if surface is not u:
+            value = invariant(u)
+            last = u, value
+        return value
+
+    return remembered
+
+
+@_per_surface
 def r96(u):
     """Resultant of (g2, g3): the 20 x 20 Sylvester determinant, weighted
-    homogeneous of degree 12*4 + 8*6 = 96 and SL2-invariant."""
-    g2 = BinaryForm(8, list(u.g2_coeffs))
-    g3 = BinaryForm(12, list(u.g3_coeffs))
+    homogeneous of degree 12*4 + 8*6 = 96 and SL2-invariant.  The value
+    for the last surface asked is remembered and returned when that same
+    object is asked again: keyed by identity, since an == surface may hold
+    Fractions or residues, whose r96 is one too (``_per_surface``)."""
+    g2 = BinaryForm(8, u.g2_coeffs)
+    g3 = BinaryForm(12, u.g3_coeffs)
     return InvariantValue("r96", resultant(g2, g3))
 
 
+@_per_surface
 def k552(u):
     """Discriminant of the degree-24 form h, the 46 x 46 Sylvester
     determinant Res(dh/dx, dh/dw); weighted homogeneous of degree
-    2*23*12 = 552, SL2-invariant, and zero iff h has a repeated root."""
+    2*23*12 = 552, SL2-invariant, and zero iff h has a repeated root.  The
+    value for the last surface asked is remembered and returned when that
+    same object is asked again: keyed by identity, since an == surface may
+    hold Fractions or residues, whose k552 is one too (``_per_surface``).
+    The ValueError on h = 0 is raised on every call."""
     return InvariantValue("k552", _disc_h(assemble(u)[2]))
 
 
@@ -95,7 +123,9 @@ def delta264(u):
     """k552(u) / r96(u)^3, exact; weighted degree 552 - 3*96 = 264.
 
     Integer inputs divide exactly in Z (polynomial divisibility plus
-    Gauss's lemma); inexactness is a hard error, as is r96(u) = 0.
+    Gauss's lemma); inexactness is a hard error, as is r96(u) = 0.  A
+    surface report asks r96 and k552 of u first, which remember their
+    values, and this is then one exact division.
     """
     r = r96(u).value
     if not r:
@@ -306,7 +336,7 @@ DEFAULTS = VerifyDefaults()
 
 
 def random_surface(rng, bound=9):
-    return SurfaceParams.make(
+    return SurfaceParams(
         [rng.randint(-bound, bound) for _ in range(9)],
         [rng.randint(-bound, bound) for _ in range(13)],
     )

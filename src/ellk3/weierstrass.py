@@ -13,11 +13,14 @@ INFINITE_ORDER = 10 ** 9
 
 
 class SurfaceParams(Record):
-    """u = (9 octic coefficients, 13 duodecic coefficients)."""
+    """u = (9 octic coefficients, 13 duodecic coefficients), held in
+    tuples: a surface cannot change after it is built, which lets r96 and
+    k552 remember their value for the last surface object asked."""
 
     __slots__ = ("g2_coeffs", "g3_coeffs")
 
     def __init__(self, g2_coeffs, g3_coeffs):
+        g2_coeffs, g3_coeffs = tuple(g2_coeffs), tuple(g3_coeffs)
         if len(g2_coeffs) != 9:
             raise ValueError("g2 needs exactly 9 coefficients")
         if len(g3_coeffs) != 13:
@@ -26,12 +29,13 @@ class SurfaceParams(Record):
 
     @classmethod
     def make(cls, g2_coeffs, g3_coeffs):
-        return cls(tuple(g2_coeffs), tuple(g3_coeffs))
+        """The same as SurfaceParams(g2_coeffs, g3_coeffs)."""
+        return cls(g2_coeffs, g3_coeffs)
 
     def reduce_mod(self, p):
         return SurfaceParams(
-            tuple(reduce_scalar_mod(c, p) for c in self.g2_coeffs),
-            tuple(reduce_scalar_mod(c, p) for c in self.g3_coeffs),
+            (reduce_scalar_mod(c, p) for c in self.g2_coeffs),
+            (reduce_scalar_mod(c, p) for c in self.g3_coeffs),
         )
 
     def to_json_dict(self):
@@ -47,7 +51,7 @@ class SurfaceParams(Record):
         # JSON integers are read through their decimal form
         g2 = [scalar_from_str(str(c)) for c in d["g2"]]
         g3 = [scalar_from_str(str(c)) for c in d["g3"]]
-        return cls.make(g2, g3)
+        return cls(g2, g3)
 
 
 def assemble(u):
@@ -56,8 +60,8 @@ def assemble(u):
     The coefficients are ints and Fractions, or residues of one modulus
     (DomainError otherwise); residues are convolved as plain ints and h's
     coefficients wrapped once."""
-    g2 = BinaryForm(8, list(u.g2_coeffs))
-    g3 = BinaryForm(12, list(u.g3_coeffs))
+    g2 = BinaryForm(8, u.g2_coeffs)
+    g3 = BinaryForm(12, u.g3_coeffs)
     p, _ = _domain(g2.coeffs + g3.coeffs)
     a, b = ([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3))
     h = [4 * s + 27 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]

@@ -140,6 +140,64 @@ def test_delta264_division_by_zero():
         delta264(u)
 
 
+def counted_eliminations(monkeypatch):
+    """Live counts of the resultant and discriminant calls made through
+    the invariants module."""
+    calls = {"res": 0, "disc": 0}
+
+    def counted(name, fn):
+        def wrapper(*forms):
+            calls[name] += 1
+            return fn(*forms)
+        return wrapper
+
+    monkeypatch.setattr(invariants, "resultant", counted("res", resultant))
+    monkeypatch.setattr(invariants, "discriminant_binary", counted("disc", discriminant_binary))
+    return calls
+
+
+def test_a_surface_report_computes_r96_and_k552_once(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    u = random_surface(random.Random(21))
+    r, k, d = r96(u).value, k552(u).value, delta264(u).value
+    assert calls == {"res": 1, "disc": 1} and k == d * r**3
+
+
+def test_an_equal_surface_built_apart_is_computed_again(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    u = random_surface(random.Random(22))
+    twin = SurfaceParams(u.g2_coeffs, u.g3_coeffs)
+    assert twin == u and twin is not u
+    assert k552(u) == k552(twin) and r96(u) == r96(twin)
+    assert calls == {"res": 2, "disc": 2}
+
+
+def test_equal_surfaces_over_z_q_and_fp_keep_their_domains():
+    """The same coefficients as ints, Fractions and residues mod 139 give
+    surfaces equal to over_z (1 == Fraction(1) and 1 == ModP(1, 139)),
+    whose invariants are an int, a Fraction and a residue: asked back to
+    back, none may be handed another's value."""
+    g2, g3 = [1, 2, 0, 5, 0, 0, 1, 0, 3], [2, 0, 1, 0, 0, 4, 0, 0, 1, 0, 0, 2, 1]
+    over_z = SurfaceParams(g2, g3)
+    over_q = SurfaceParams([Fraction(c) for c in g2], [Fraction(c) for c in g3])
+    over_p = over_z.reduce_mod(139)
+    assert over_q == over_z == over_p
+    for invariant in (r96, k552, delta264, k552, r96):
+        values = [invariant(u).value for u in (over_z, over_q, over_p)]
+        assert [type(v) for v in values] == [int, Fraction, ModP]
+        assert values[0] == values[1] and reduce_scalar_mod(values[0], 139) == values[2]
+
+
+def test_degenerate_surfaces_raise_on_every_call():
+    h_zero = SurfaceParams([0] * 8 + [-3], [0] * 12 + [2])  # h = 0, r96 = 0
+    for _ in range(2):
+        assert r96(h_zero).value == 0
+        with pytest.raises(ValueError, match="vanishes identically"):
+            k552(h_zero)
+        with pytest.raises(ZeroDivisionError):
+            delta264(h_zero)
+
+
 def test_weighted_homogeneity_exact():
     rng = random.Random(2)
     for _ in range(3):
@@ -481,16 +539,7 @@ def test_slice_line_evaluation_budget(monkeypatch):
     """One line costs K552_LINE_DEGREE + 1 = 123 evaluations of k552, the
     discriminant of h, and R96_U_DEGREE + 1 = 21 of r96, the resultant of
     (g2, g3), over Q and mod p."""
-    calls = {"disc": 0, "res": 0}
-
-    def counted(name, fn):
-        def wrapper(*forms):
-            calls[name] += 1
-            return fn(*forms)
-        return wrapper
-
-    monkeypatch.setattr(invariants, "discriminant_binary", counted("disc", discriminant_binary))
-    monkeypatch.setattr(invariants, "resultant", counted("res", resultant))
+    calls = counted_eliminations(monkeypatch)
     rng = random.Random(12)
     u0, u1 = random_surface(rng), random_surface(rng)
     for modulus in (None, P62):

@@ -113,6 +113,15 @@ def test_surface_params_validation():
         SurfaceParams.make([0] * 9, [0] * 12)
 
 
+def test_surface_params_keep_their_values_when_the_input_lists_change():
+    g2, g3 = list(range(9)), list(range(13))
+    for u in (SurfaceParams(g2, g3), SurfaceParams.make(g2, g3)):
+        g2[0], g3[0] = 7, 7
+        assert type(u.g2_coeffs) is tuple and type(u.g3_coeffs) is tuple
+        assert u.g2_coeffs == tuple(range(9)) and u.g3_coeffs == tuple(range(13))
+        g2[0], g3[0] = 0, 0
+
+
 # ints beyond 2**64 and negative Fractions, mixed within one surface
 json_coeffs = st.one_of(st.integers(), st.integers(-2**200, 2**200),
                         st.fractions(max_denominator=2**80), st.fractions(max_value=-1))
