@@ -9,9 +9,10 @@ parameter space, three ways:
   t-degree;
 * an independent oracle computing the exact kernel dimension of the
   raising operator D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1} from the
-  torus-weight-0 to the weight-2 subspace, certified by full row rank mod
-  a single prime (one sparse elimination, which over Q also yields
-  explicit invariants as exponent-tuple -> Fraction dicts);
+  torus-weight-0 to the weight-2 subspace, its matrix built per bidegree
+  as D8 (x) 1 + 1 (x) D12 on q-weighted compositions and certified by
+  full row rank mod a single prime (one sparse elimination, which over Q
+  also yields explicit invariants as exponent-tuple -> Fraction dicts);
 * the character-extended series (1 + t^132) H(t) realizing the rank-2
   free extension with its weight-264 relation.
 """
@@ -105,19 +106,20 @@ def character_series(N):
 
 # -- the raising operator --------------------------------------------
 
-# D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1}, the infinitesimal upper shear: the
-# coordinate at index k maps to (index of its image, coefficient); the
-# top coordinates u_{0,8} and u_{0,12} die and have no entry
-_SHIFT = {off + i: (off + i + 1, i + 1) for off, n in ((0, 8), (9, 12)) for i in range(n)}
+
+def _raise(e):
+    """D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1}, the infinitesimal upper shear,
+    on a monomial of one form given by its exponents e over u_{n,0}, ...,
+    u_{0,n}: [(image exponents, coefficient)] in increasing i < n."""
+    return [(e[:i] + (e[i] - 1, e[i + 1] + 1) + e[i + 2:], e[i] * (i + 1))
+            for i in range(len(e) - 1) if e[i]]
 
 
 def raising_table():
     """Images D(u_{n-i,i}) as {name: [(image name, coefficient)]}, the
     empty list for the two top coordinates."""
-    table = {name: [] for name in U_VARS}
-    for k, (tgt, c) in _SHIFT.items():
-        table[U_VARS[k]] = [(U_VARS[tgt], c)]
-    return table
+    return {name: [(names[img.index(1)], c) for img, c in _raise(tuple(int(v == name) for v in names))]
+            for names in (U8_VARS, U12_VARS) for name in names}
 
 
 def raising_operator(p):
@@ -129,82 +131,94 @@ def raising_operator(p):
     for mono, c in p.items():
         if len(mono) != len(U_VARS):
             raise ValueError("exponent vector of length %d, not %d" % (len(mono), len(U_VARS)))
-        for k, (tgt, f) in _SHIFT.items():
-            e = mono[k]
-            if not e:
-                continue
-            image = list(mono)
-            image[k] -= 1
-            image[tgt] += 1
-            image = tuple(image)
-            out[image] = out.get(image, 0) + e * f * c
+        e8, e12 = mono[:9], mono[9:]
+        images = [(img + e12, f) for img, f in _raise(e8)] + [(e8 + img, f) for img, f in _raise(e12)]
+        for image, f in images:
+            out[image] = out.get(image, 0) + f * c
     return {m: c for m, c in out.items() if c}
 
 
 # -- monomial bases and the kernel oracle ----------------------------
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative integers summing to `total`, in
-    lexicographic order.  Built one part at a time from the front: each
-    round turns the compositions of every sum up to `total` into those
-    with one more part, by prepending the first part."""
-    level = [[(s,)] for s in range(total + 1)]
-    for _ in range(parts - 1):
-        level = [[(first,) + rest for first in range(s + 1) for rest in level[s - first]]
+def _weighted_compositions(total, qweights):
+    """(e, e . qweights) for every tuple e of len(qweights) nonnegative
+    integers summing to `total`, in lexicographic order: each round turns
+    the compositions of every sum up to `total` into those with one more
+    part, by prepending the first part and adding its weight."""
+    level = [[((s,), s * qweights[-1])] for s in range(total + 1)]
+    for qw in qweights[-2::-1]:
+        level = [[((first,) + rest, q + first * qw) for first in range(s + 1) for rest, q in level[s - first]]
                  for s in range(total + 1)]
     return level[total]
 
 
-def monomial_basis(tdegree, qweight):
-    """Exponent vectors of the u-monomials with the given weighted
-    t-degree and torus q-weight, ordered by the octic degree a8, then by
-    the octic exponents and then the duodecic ones (compositions in
-    lexicographic order).
-
-    For each split of the t-degree into octic and duodecic parts the
-    duodecic compositions are bucketed by q-weight once; each octic
-    composition of q-weight q8 then takes the bucket at qweight - q8
-    whole, so a split costs |octic| + |duodecic| steps rather than their
-    product."""
-    out = []
+def _bidegrees(tdegree):
+    """Per bidegree (octic degree a8 and duodecic degree b12 with 4 a8 +
+    6 b12 = tdegree, in increasing a8): the octic compositions of a8 with
+    their q-weights, and those of b12 bucketed as {q-weight: [exponents]},
+    all in lexicographic order."""
     for a8 in range(tdegree // 4 + 1):
         rem = tdegree - 4 * a8
         if rem % 6:
             continue
         buckets = {}
-        for e12 in _compositions(rem // 6, 13):
-            q12 = sum(e * qw for e, qw in zip(e12, Q_WEIGHTS[9:]))
+        for e12, q12 in _weighted_compositions(rem // 6, Q_WEIGHTS[9:]):
             buckets.setdefault(q12, []).append(e12)
-        for e8 in _compositions(a8, 9):
-            q8 = sum(e * qw for e, qw in zip(e8, Q_WEIGHTS[:9]))
+        yield _weighted_compositions(a8, Q_WEIGHTS[:9]), buckets
+
+
+def monomial_basis(tdegree, qweight):
+    """Exponent vectors of the u-monomials with the given weighted
+    t-degree and torus q-weight, ordered by octic degree, then by octic and
+    then duodecic exponents (lexicographic): per bidegree each octic
+    composition of q-weight q8 takes the duodecic bucket at qweight - q8
+    whole, so a bidegree costs |octic| + |duodecic| steps, not their product."""
+    out = []
+    for octic, buckets in _bidegrees(tdegree):
+        for e8, q8 in octic:
             out.extend(e8 + e12 for e12 in buckets.get(qweight - q8, ()))
     return out
 
 
 def _raising_matrix(tdegree):
-    """Sparse matrix of the raising operator from the q-weight-0 basis to
-    the q-weight-2 basis at one t-degree: (v0, v2, rows), where rows[i]
-    maps each column with a nonzero integer entry in row i to that entry.
-    Refuses t-degrees above ORACLE_MAX_DEGREE."""
+    """D from monomial_basis(tdegree, 0) to (tdegree, 2) as (v0, v2, rows),
+    rows[i] mapping each column with a nonzero entry in row i to it.  D
+    keeps the bidegree and is D8 (x) 1 + 1 (x) D12 on it.  An octic e8 of
+    q-weight q8 owns a block of V0 (its partners: the bucket at -q8) and
+    one of V2 (at 2 - q8); an entry's row is its image's block start plus
+    the image partner's bucket position.  Refuses t-degrees below 0 or
+    above ORACLE_MAX_DEGREE."""
+    if tdegree < 0:
+        raise ValueError("t-degree must be nonnegative")
     if tdegree > ORACLE_MAX_DEGREE:
-        raise FeasibilityError(
-            "t-degree %d exceeds the oracle feasibility bound %d" % (tdegree, ORACLE_MAX_DEGREE)
-        )
-    v0 = monomial_basis(tdegree, 0)
-    v2 = monomial_basis(tdegree, 2)
-    index2 = {m: i for i, m in enumerate(v2)}
-    rows = [{} for _ in v2]
-    for col, mono in enumerate(v0):
-        for k, (tgt, c) in _SHIFT.items():
-            e = mono[k]
-            if not e:
+        raise FeasibilityError("t-degree %d exceeds the oracle feasibility bound %d"
+                               % (tdegree, ORACLE_MAX_DEGREE))
+    v0, v2, rows = [], [], []
+    for octic, buckets in _bidegrees(tdegree):
+        start2 = {}
+        for e8, q8 in octic:
+            start2[e8] = len(v2)
+            v2.extend(e8 + e12 for e12 in buckets.get(2 - q8, ()))
+        rows += [{} for _ in range(len(v2) - len(rows))]
+        raised12 = {}
+        for e8, q8 in octic:
+            bucket = buckets.get(-q8)
+            if not bucket:
                 continue
-            out = list(mono)
-            out[k] -= 1
-            out[tgt] += 1
-            row = rows[index2[tuple(out)]]
-            row[col] = e * c
+            if q8 not in raised12:
+                pos = {e12: i for i, e12 in enumerate(buckets.get(2 - q8, ()))}
+                raised12[q8] = [[(pos[img], c) for img, c in _raise(e12)] for e12 in bucket]
+            col = len(v0)
+            v0.extend(e8 + e12 for e12 in bucket)
+            for img, c in _raise(e8):
+                start = start2[img]
+                for j in range(len(bucket)):
+                    rows[start + j][col + j] = c
+            start = start2[e8]
+            for j, images in enumerate(raised12[q8], col):
+                for i, c in images:
+                    rows[start + i][j] = c
     return v0, v2, rows
 
 

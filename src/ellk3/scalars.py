@@ -93,14 +93,15 @@ class ModP:
         return other * self.inverse()
 
     def __eq__(self, other):
+        # equal to an int only if it is v itself, so equal values hash alike
         if isinstance(other, ModP):
             return self.p == other.p and self.v == other.v
         if isinstance(other, int):
-            return self.v == other % self.p
+            return self.v == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.v))
+        return hash(self.v)
 
     def __bool__(self):
         return self.v != 0

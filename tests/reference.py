@@ -7,8 +7,9 @@ cross-check the fast paths against:
 * for the Hilbert oracle, the raising table derived by substituting the
   shear [[1, 0], [eps, 1]] into generic forms with MultiPoly entries,
   dense Gaussian elimination over Q on Fractions and the kernel it
-  yields, and the weight spaces by enumerating every monomial of a
-  t-degree and filing it under its q-weight;
+  yields, the weight spaces by enumerating every monomial of a t-degree
+  and filing it under its q-weight, and the raising matrix by applying
+  ``raising_operator`` to each weight-0 monomial;
 * for the Molien series, the t-adic expansion with each Laurent
   polynomial in q held as a dict exponent -> count;
 * for series products, the schoolbook double loop over the two windows;
@@ -28,7 +29,7 @@ import sympy
 
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import poly_trim
-from ellk3.hilbert import Q_WEIGHTS, U8_VARS, U12_VARS, U_VARS, U_WEIGHTS
+from ellk3.hilbert import Q_WEIGHTS, U8_VARS, U12_VARS, U_VARS, U_WEIGHTS, raising_operator
 from ellk3.invariants import K552_U_DEGREE, R96_U_DEGREE, SliceWitness, check_modulus, k552, r96
 from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries, eisenstein
@@ -205,6 +206,22 @@ def filtered_weight_spaces(tdegree):
                 q = q8 + sum(e * qw for e, qw in zip(e12, Q_WEIGHTS[9:]))
                 spaces.setdefault(q, []).append(e8 + e12)
     return spaces
+
+
+def raising_matrix_reference(tdegree):
+    """(v0, v2, rows) of the raising operator at one t-degree, as
+    ``hilbert._raising_matrix`` returns them: v0 and v2 the weight-0 and
+    weight-2 lists of ``filtered_weight_spaces``, and rows[i] {column j:
+    the coefficient of v2[i] in raising_operator of the monomial v0[j]},
+    filled column by column."""
+    spaces = filtered_weight_spaces(tdegree)
+    v0, v2 = spaces.get(0, []), spaces.get(2, [])
+    index2 = {m: i for i, m in enumerate(v2)}
+    rows = [{} for _ in v2]
+    for col, mono in enumerate(v0):
+        for image, c in raising_operator({mono: 1}).items():
+            rows[index2[image]][col] = c
+    return v0, v2, rows
 
 
 def molien_reference(N):

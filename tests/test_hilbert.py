@@ -27,6 +27,7 @@ from reference import (
     det_bareiss,
     filtered_weight_spaces,
     molien_reference,
+    raising_matrix_reference,
     row_reduce,
     substituted_raising_table,
     sylvester_matrix,
@@ -149,6 +150,26 @@ def test_monomial_basis_matches_filter_reference():
         spaces = filtered_weight_spaces(d)
         for q in (-2, 0, 2, 4):
             assert monomial_basis(d, q) == spaces.get(q, []), "degree %d, q-weight %d" % (d, q)
+
+
+def test_raising_matrix_matches_operator_reference():
+    # the per-bidegree build against raising_operator applied monomial by
+    # monomial: the same bases, the same entries and, as every column is
+    # filled in order, the same column order within each row
+    for d in list(range(0, 27, 2)) + [30]:
+        v0, v2, rows = _raising_matrix(d)
+        ref0, ref2, ref_rows = raising_matrix_reference(d)
+        assert (v0, v2) == (ref0, ref2), "degree %d" % d
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in ref_rows], "degree %d" % d
+
+
+def test_oracle_refuses_negative_degrees():
+    # as molien_series does, rather than report an empty space
+    for call in (_raising_matrix, invariant_dimension_oracle, invariant_basis):
+        for d in (-1, -4):
+            with pytest.raises(ValueError, match="nonnegative") as info:
+                call(d)
+            assert not isinstance(info.value, FeasibilityError)
 
 
 def test_oracle_matches_molien_small_degrees():

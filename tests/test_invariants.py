@@ -565,7 +565,8 @@ def test_slice_witness_interpolants_factor_exactly(modulus):
     s = 200
     u = _eval_on_line(u0, u1, s, modulus)
     for poly, invariant in ((wit.K, k552), (wit.R, r96)):
-        assert invariant(u).value == sum(c * s ** i for i, c in enumerate(poly))
+        want = sum(c * s ** i for i, c in enumerate(poly))
+        assert invariant(u).value == (ModP(want, modulus) if modulus else want)
 
 
 def test_slice_inside_the_i2_locus_succeeds_with_the_empty_quotient():

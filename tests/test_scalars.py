@@ -40,6 +40,35 @@ def test_modp_int_mixing_allowed():
     assert 2 * a == ModP(6, 7)
 
 
+# residues mod two primes, and ints and Fractions on both sides of [0, p)
+_EQ_SAMPLES = st.one_of(
+    st.builds(ModP, st.integers(-300, 300), st.sampled_from([7, 139])),
+    st.integers(-300, 300),
+    st.builds(Fraction, st.integers(-300, 300), st.integers(1, 3)),
+)
+
+
+@given(_EQ_SAMPLES, _EQ_SAMPLES)
+@example(ModP(1, 139), 1)
+@example(ModP(1, 139), 140)
+@example(ModP(1, 7), ModP(1, 139))
+def test_modp_equality_agrees_with_hash(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a == b) == (b == a)
+
+
+def test_modp_equals_only_its_canonical_int():
+    assert ModP(1, 139) == 1 == ModP(140, 139) and 1 == ModP(1, 139)
+    assert ModP(1, 139) != 140 and ModP(138, 139) != -1 and -1 != ModP(138, 139)
+    assert ModP(0, 7) == 0 and ModP(0, 7) != 7
+    # surfaces over Z and their reductions are equal exactly when every
+    # coefficient already lies in [0, p), and then hash alike
+    u = SurfaceParams.make(range(9), range(13))
+    assert u == u.reduce_mod(139) and hash(u) == hash(u.reduce_mod(139))
+    assert SurfaceParams.make([-1] * 9, range(13)) != SurfaceParams.make([-1] * 9, range(13)).reduce_mod(139)
+
+
 def test_modp_cross_domain_rejected():
     with pytest.raises(DomainError):
         ModP(1, 7) + ModP(1, 11)
