@@ -9,15 +9,17 @@ parameter space, three ways:
   t-degree;
 * an independent oracle computing the exact kernel dimension of the
   raising operator D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1} from the
-  torus-weight-0 to the weight-2 subspace, its matrix built per bidegree
-  as D8 (x) 1 + 1 (x) D12 on q-weighted compositions and certified by
-  full row rank mod a single prime (one sparse elimination, which over Q
-  also yields explicit invariants as exponent-tuple -> Fraction dicts);
+  torus-weight-0 to the weight-2 subspace, its matrix D8 (x) 1 + 1 (x)
+  D12 between the two monomial bases (q-weighted compositions enumerated
+  inside a weight window) and certified by full row rank mod a single
+  prime (one sparse elimination, which over Q also yields explicit
+  invariants as exponent-tuple -> Fraction dicts);
 * the character-extended series (1 + t^132) H(t) realizing the rank-2
   free extension with its weight-264 relation.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from . import Record
 
@@ -141,84 +143,68 @@ def raising_operator(p):
 # -- monomial bases and the kernel oracle ----------------------------
 
 
-def _weighted_compositions(total, qweights):
-    """(e, e . qweights) for every tuple e of len(qweights) nonnegative
-    integers summing to `total`, in lexicographic order: each round turns
-    the compositions of every sum up to `total` into those with one more
-    part, by prepending the first part and adding its weight."""
+def _weighted_compositions(total, qweights, lo, hi):
+    """(e, e . qweights) for every tuple e of len(qweights) >= 2
+    nonnegative integers summing to `total` with weight e . qweights in
+    [lo, hi], in lexicographic order; qweights increase.  Parts are
+    prepended from the last on, and the first takes what is left.  A
+    composition of s is dropped once the total - s still to prepend, at
+    weights from qweights[0] up to the next part's, cannot bring it into
+    [lo, hi]."""
+    q0 = qweights[0]
     level = [[((s,), s * qweights[-1])] for s in range(total + 1)]
-    for qw in qweights[-2::-1]:
+    for qw in qweights[-2:0:-1]:
+        level = [[(e, q) for e, q in level[s] if lo <= q + (total - s) * qw and q + (total - s) * q0 <= hi]
+                 for s in range(total + 1)]
         level = [[((first,) + rest, q + first * qw) for first in range(s + 1) for rest, q in level[s - first]]
                  for s in range(total + 1)]
-    return level[total]
-
-
-def _bidegrees(tdegree):
-    """Per bidegree (octic degree a8 and duodecic degree b12 with 4 a8 +
-    6 b12 = tdegree, in increasing a8): the octic compositions of a8 with
-    their q-weights, and those of b12 bucketed as {q-weight: [exponents]},
-    all in lexicographic order."""
-    for a8 in range(tdegree // 4 + 1):
-        rem = tdegree - 4 * a8
-        if rem % 6:
-            continue
-        buckets = {}
-        for e12, q12 in _weighted_compositions(rem // 6, Q_WEIGHTS[9:]):
-            buckets.setdefault(q12, []).append(e12)
-        yield _weighted_compositions(a8, Q_WEIGHTS[:9]), buckets
+    return [((total - s,) + rest, q + (total - s) * q0)
+            for s in range(total, -1, -1) for rest, q in level[s] if lo <= q + (total - s) * q0 <= hi]
 
 
 def monomial_basis(tdegree, qweight):
-    """Exponent vectors of the u-monomials with the given weighted
-    t-degree and torus q-weight, ordered by octic degree, then by octic and
-    then duodecic exponents (lexicographic): per bidegree each octic
-    composition of q-weight q8 takes the duodecic bucket at qweight - q8
-    whole, so a bidegree costs |octic| + |duodecic| steps, not their product."""
+    """Exponent vectors of the u-monomials of weighted t-degree tdegree
+    and q-weight qweight, ordered by octic degree a8, then lexicographically.
+    Per split 4 a8 + 6 b12 = tdegree the duodecic part's weight lies in
+    [-12 b12, 12 b12] and the octic part's in [-8 a8, 8 a8], which bounds
+    the other's; the duodecic compositions are bucketed by weight, and each
+    octic one takes the bucket that completes qweight."""
     out = []
-    for octic, buckets in _bidegrees(tdegree):
-        for e8, q8 in octic:
+    for a8 in range(tdegree // 4 + 1):
+        b12, rem = divmod(tdegree - 4 * a8, 6)
+        if rem:
+            continue
+        buckets = {}
+        for e12, q12 in _weighted_compositions(b12, Q_WEIGHTS[9:], qweight - 8 * a8, qweight + 8 * a8):
+            buckets.setdefault(q12, []).append(e12)
+        for e8, q8 in _weighted_compositions(a8, Q_WEIGHTS[:9], qweight - 12 * b12, qweight + 12 * b12):
             out.extend(e8 + e12 for e12 in buckets.get(qweight - q8, ()))
     return out
 
 
 def _raising_matrix(tdegree):
-    """D from monomial_basis(tdegree, 0) to (tdegree, 2) as (v0, v2, rows),
-    rows[i] mapping each column with a nonzero entry in row i to it.  D
-    keeps the bidegree and is D8 (x) 1 + 1 (x) D12 on it.  An octic e8 of
-    q-weight q8 owns a block of V0 (its partners: the bucket at -q8) and
-    one of V2 (at 2 - q8); an entry's row is its image's block start plus
-    the image partner's bucket position.  Refuses t-degrees below 0 or
-    above ORACLE_MAX_DEGREE."""
+    """D from V0 = monomial_basis(tdegree, 0) to V2 = monomial_basis(tdegree,
+    2) as (v0, v2, rows), rows[i] mapping each column with a nonzero entry
+    in row i to it, in column order.  D = D8 (x) 1 + 1 (x) D12 raises a
+    column's octic part beside its duodecic part and vice versa, each
+    distinct part once.  Refuses t-degrees below 0 or above
+    ORACLE_MAX_DEGREE before enumerating."""
     if tdegree < 0:
         raise ValueError("t-degree must be nonnegative")
     if tdegree > ORACLE_MAX_DEGREE:
         raise FeasibilityError("t-degree %d exceeds the oracle feasibility bound %d"
                                % (tdegree, ORACLE_MAX_DEGREE))
-    v0, v2, rows = [], [], []
-    for octic, buckets in _bidegrees(tdegree):
-        start2 = {}
-        for e8, q8 in octic:
-            start2[e8] = len(v2)
-            v2.extend(e8 + e12 for e12 in buckets.get(2 - q8, ()))
-        rows += [{} for _ in range(len(v2) - len(rows))]
-        raised12 = {}
-        for e8, q8 in octic:
-            bucket = buckets.get(-q8)
-            if not bucket:
-                continue
-            if q8 not in raised12:
-                pos = {e12: i for i, e12 in enumerate(buckets.get(2 - q8, ()))}
-                raised12[q8] = [[(pos[img], c) for img, c in _raise(e12)] for e12 in bucket]
-            col = len(v0)
-            v0.extend(e8 + e12 for e12 in bucket)
-            for img, c in _raise(e8):
-                start = start2[img]
-                for j in range(len(bucket)):
-                    rows[start + j][col + j] = c
-            start = start2[e8]
-            for j, images in enumerate(raised12[q8], col):
-                for i, c in images:
-                    rows[start + i][j] = c
+    v0 = monomial_basis(tdegree, 0)
+    v2 = monomial_basis(tdegree, 2)
+    pos = {m: i for i, m in enumerate(v2)}
+    rows = [{} for _ in v2]
+    raised = cache(_raise)
+    for j, m in enumerate(v0):
+        e8, e12 = m[:9], m[9:]
+        for img, c in raised(e8):
+            rows[pos[img + e12]][j] = c
+        for img, c in raised(e12):
+            rows[pos[e8 + img]][j] = c
     return v0, v2, rows
 
 

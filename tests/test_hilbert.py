@@ -3,6 +3,7 @@ from math import prod
 
 import pytest
 
+from ellk3 import hilbert
 from ellk3.binforms import BinaryForm
 from ellk3.hilbert import (
     ORACLE_MAX_DEGREE,
@@ -145,16 +146,35 @@ def test_monomial_basis_counts_match_molien():
 
 def test_monomial_basis_matches_filter_reference():
     # same monomials in the same order, so columns, pivots and
-    # invariant_basis do not depend on how the weight spaces are built
+    # invariant_basis do not depend on how the weight spaces are built; at
+    # every weight present, and at an odd one and one past the largest |q|,
+    # where the enumeration's weight windows must come out empty
     for d in range(31):
         spaces = filtered_weight_spaces(d)
-        for q in (-2, 0, 2, 4):
+        top = max(map(abs, spaces), default=0)
+        for q in sorted(spaces) + [-1, 1, -top - 2, top + 2]:
             assert monomial_basis(d, q) == spaces.get(q, []), "degree %d, q-weight %d" % (d, q)
 
 
+def test_raising_matrix_reads_monomial_basis(monkeypatch):
+    # the oracle's bases are monomial_basis's, asked positionally: the
+    # benchmark's tracer reads the degree and weight from args[0] and args[1]
+    calls = []
+    basis = hilbert.monomial_basis
+
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(hilbert, "monomial_basis", recorder)
+    v0, v2, _ = _raising_matrix(24)
+    assert calls == [((24, 0), {}), ((24, 2), {})]
+    assert (len(v0), len(v2)) == (1024, 1008)
+
+
 def test_raising_matrix_matches_operator_reference():
-    # the per-bidegree build against raising_operator applied monomial by
-    # monomial: the same bases, the same entries and, as every column is
+    # the matrix against raising_operator applied monomial by monomial:
+    # the same bases, the same entries and, as every column is
     # filled in order, the same column order within each row
     for d in list(range(0, 27, 2)) + [30]:
         v0, v2, rows = _raising_matrix(d)
