@@ -2,10 +2,13 @@
 weighted invariants: the resultant r96 of (g2, g3), the discriminant k552
 of h, and their exact quotient Delta264 = k552 / r96^3.
 
-k552 and Delta264 are never expanded symbolically in all 22 variables;
-the degree and divisibility claims are certified by exact pointwise
-integer factorization in bulk and by exact polynomial division on random
-one-parameter slices.
+k552 is computed as 2^42 3^70 r96 Res(h, J), with J = (g2, g3)_1 the
+Jacobian covariant of degree 18: one resultant of degrees 24 and 18 on top
+of r96 (the proof is in ``k552``'s docstring).  k552 and Delta264 are
+never expanded symbolically in all 22 variables; the degree and
+divisibility claims are certified by exact pointwise integer factorization
+in bulk, where k552 is also checked against its definition disc(h), and by
+exact polynomial division on random one-parameter slices.
 """
 
 import functools
@@ -100,23 +103,76 @@ def r96(u):
     return InvariantValue("r96", resultant(g2, g3))
 
 
+# k552 = JACOBIAN_SCALE r96 Res(h, J), fixed by evaluation (``k552``)
+JACOBIAN_SCALE = 2**42 * 3**70
+
+
 @_per_surface
 def k552(u):
-    """Discriminant of the degree-24 form h, the 46 x 46 Sylvester
-    determinant Res(dh/dx, dh/dw); weighted homogeneous of degree
-    2*23*12 = 552, SL2-invariant, and zero iff h has a repeated root.  The
-    value for the last surface asked is remembered and returned when that
-    same object is asked again: keyed by identity, since an == surface may
-    hold Fractions or residues, whose k552 is one too (``_per_surface``).
-    The ValueError on h = 0 is raised on every call."""
-    return InvariantValue("k552", _disc_h(assemble(u)[2]))
+    """Discriminant of the degree-24 form h, disc(h) = Res(dh/dx, dh/dw) (a
+    46 x 46 Sylvester determinant); weighted homogeneous of degree 2*23*12
+    = 552, SL2-invariant, and zero iff h has a repeated root.  It is
+    computed as
+
+        k552 = 2^42 3^70 r96 Res(h, J),  J = (g2, g3)_1 = g2_x g3_w - g2_w g3_x,
+
+    one resultant of degrees 24 and 18 on top of r96, which a surface
+    report has already asked for.  h = 0 raises ValueError first (h = 0
+    forces r96 = 0, and Res(0, J) = 0 would hide it); r96 = 0 gives the
+    zero of r96's domain, as the identity does.
+
+    Proof of the identity (Olver, Classical Invariant Theory; Gelfand,
+    Kapranov and Zelevinsky 1994, ch. 12).  Both sides are polynomials in
+    u, so it is enough to prove it where lc(h) != 0 and g2 vanishes at no
+    root of h.  At a root t = (a, 1) of h put tau = -3 g3 / (2 g2); h = 0
+    gives g2 = -3 tau^2 and g3 = 2 tau^3 there.  Euler's identities x f_x +
+    w f_w = deg(f) f for g2 and g3 give w J = 12 g3 g2_x - 8 g2 g3_x, so at
+    t
+
+        w J = 24 tau^2 (tau g2_x + g3_x),  h_x = 12 g2^2 g2_x + 54 g3 g3_x
+            = 108 tau^3 (tau g2_x + g3_x),  hence h_x = (9/2) tau w J.
+
+    Take the product over the 24 roots, with w = 1 at each.  Euler for h
+    gives 24^23 Res(h, h_x) = Res(w h_w, h_x) = +-24 lc(h) disc(h), and
+    Res(h, h_x) = lc(h)^23 prod h_x(t), so disc(h) = c lc(h)^22 prod tau
+    prod J(t) with prod J(t) = Res(h, J) / lc(h)^18.  Further prod tau^2 =
+    prod (-g2(t) / 3) = 3^-24 Res(h, g2) / lc(h)^8, and Res(h, g2) =
+    Res(27 g3^2, g2) = 3^24 r96^2, so prod tau = +-r96 / lc(h)^4: a
+    rational function with a constant sign on the irreducible parameter
+    space.  The powers of lc(h) cancel, disc(h) = c r96 Res(h, J) with c
+    a constant, and evaluation at any one surface gives c = 2^42 3^70.
+
+    The value for the last surface asked is remembered and returned when
+    that same object is asked again: keyed by identity, since an ==
+    surface may hold Fractions or residues, whose k552 is one too
+    (``_per_surface``).  The ValueError on h = 0 is raised on every
+    call."""
+    g2, g3, h = assemble(u)
+    _require_nonzero(h)
+    r = r96(u).value
+    if not r:
+        return InvariantValue("k552", r)
+    p = r.p if isinstance(r, ModP) else 0
+    J = _jacobian(*([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3)))
+    J = BinaryForm(18, [ModP(c, p) for c in J] if p else J)
+    return InvariantValue("k552", JACOBIAN_SCALE * r * resultant(h, J))
 
 
-def _disc_h(h):
-    """k552 from the form h; ValueError on the zero form."""
+def _require_nonzero(h):
+    """ValueError when the form h is zero, where k552 is undefined."""
     if h.is_zero():
         raise ValueError("degenerate family: h vanishes identically")
-    return discriminant_binary(h)
+
+
+def _jacobian(a, b):
+    """The 19 coefficients of J = g2_x g3_w - g2_w g3_x, high-to-low, from
+    the coefficient lists a of g2 (degree 8) and b of g3 (degree 12), on
+    plain ints or Fractions."""
+    ax = [c * (8 - i) for i, c in enumerate(a[:8])]
+    aw = [c * (i + 1) for i, c in enumerate(a[1:])]
+    bx = [c * (12 - i) for i, c in enumerate(b[:12])]
+    bw = [c * (i + 1) for i, c in enumerate(b[1:])]
+    return [s - t for s, t in zip(_convolve(ax, bw), _convolve(aw, bx))]
 
 
 def delta264(u):
@@ -157,9 +213,11 @@ def grading_constants():
 class SliceWitness(Record):
     """R^3 | K on a line, over Q (modulus None) or mod a prime: the quotient
     (empty on failure) and K = k552, R = r96 on the line, low-to-high.  K =
-    0 (on a line in the I2 locus, say) succeeds with the empty quotient, so
-    quotient_degree = k_degree = -1, not k_degree - r3_degree.  repr shows
-    success and modulus only."""
+    JACOBIAN_SCALE R T with T = Res(h, J) on the line (``k552``), so the
+    quotient K / R^3 is JACOBIAN_SCALE T / R^2.  K = 0 (on a line in the I2
+    locus, say) succeeds with the empty quotient, so quotient_degree =
+    k_degree = -1, not k_degree - r3_degree.  repr shows success and
+    modulus only."""
 
     __slots__ = ("success", "modulus", "quotient", "K", "R")
     SHOWN = 2
@@ -182,36 +240,31 @@ class SliceWitness(Record):
 R96_U_DEGREE = 20
 K552_U_DEGREE = 138
 
-# The true degree of k552 in u, and so a bound on its degree on any line.
-# h(t u) = t^2 (27 g3^2 + 4 t g2^3) and disc is homogeneous of degree 46 in
-# h's coefficients, so k552(t u) = t^92 D(t) with D(t) = disc(27 g3^2 +
-# 4 t g2^3) of degree <= 46 in t; and D(t) = t^46 E(1/t) with E(e) =
-# disc(4 g2^3 + 27 e g3^2).  Take g2 with 8 simple roots, none of them a
-# root of g3 or at infinity.  For small e each root of g2 splits into three
-# roots of 4 g2^3 + 27 e g3^2 at mutual distance of order |e|^(1/3), so
-# their three pairs put |e|^2 into the product of squared root differences,
-# while every other factor of E stays away from 0.  So E vanishes to order
-# >= 16 at e = 0 for such (g2, g3); its coefficients of e^0, ..., e^15 are
-# polynomials in u vanishing on a dense set, hence identically, and deg D
-# <= 46 - 16 = 30.  The homogeneous parts of k552 of degree above 92 + 30
-# = 122 therefore vanish, over Z and so mod every prime, and every line
-# restriction of k552 has degree <= 122 (a random line reaches it).
-K552_LINE_DEGREE = 122
+# Res(h, J) is the 42 x 42 Sylvester determinant of 18 rows of h's
+# coefficients, cubic in u, and 24 rows of J's, quadratic in u: on a line
+# it has degree <= 18*3 + 24*2 = 102
+RES_HJ_LINE_DEGREE = 102
+# k552 = JACOBIAN_SCALE r96 Res(h, J), so its degree on any line is at most
+# 20 + 102 = 122 (a random line reaches it)
+K552_LINE_DEGREE = R96_U_DEGREE + RES_HJ_LINE_DEGREE
 
 
 def line_restriction(u0, u1):
-    """(g2 and g3, h) on the line u(s) = u0 + s u1: two functions of an int
-    s, giving (g2, g3) and h at u(s) as the BinaryForms ``assemble(u(s))``
-    gives, on ints and Fractions or on residues of one modulus.  g2(s) and
-    g3(s) are built coefficient by coefficient.  With g2 = a + s b and g3 =
-    c + s d, h = 4 g2^3 + 27 g3^2 is the cubic H0 + s H1 + s^2 H2 + s^3 H3
-    in s whose four forms
+    """(g2 and g3, h, J) on the line u(s) = u0 + s u1: three functions of an
+    int s, giving (g2, g3) and h at u(s) as the BinaryForms
+    ``assemble(u(s))`` gives, and the Jacobian covariant J = (g2, g3)_1 of
+    ``k552`` there, on ints and Fractions or on residues of one modulus.
+    g2(s) and g3(s) are built coefficient by coefficient.  With g2 = a + s
+    b and g3 = c + s d, h = 4 g2^3 + 27 g3^2 is the cubic H0 + s H1 + s^2
+    H2 + s^3 H3 in s whose four forms
 
         H0 = 4 a^3 + 27 c^2,  H1 = 12 a^2 b + 54 c d,
-        H2 = 12 a b^2 + 27 d^2,  H3 = 4 b^3
+        H2 = 12 a b^2 + 27 d^2,  H3 = 4 b^3,
 
-    are convolved once per line (on plain ints for residues, reduced
-    once), and h(s) is Horner's rule in s on each coefficient."""
+    and J, bilinear in (g2, g3), is the quadratic J0 + s J1 + s^2 J2 with
+    J0 = J(a, c), J1 = J(a, d) + J(b, c) and J2 = J(b, d).  These seven
+    forms are convolved once per line (on plain ints for residues, reduced
+    once), and h(s) and J(s) are Horner's rule in s on each coefficient."""
     p, _ = _domain(u0.g2_coeffs + u0.g3_coeffs + u1.g2_coeffs + u1.g3_coeffs)
     a, b, c, d = ([x.v if isinstance(x, ModP) else x for x in f]
                   for f in (u0.g2_coeffs, u1.g2_coeffs, u0.g3_coeffs, u1.g3_coeffs))
@@ -220,8 +273,9 @@ def line_restriction(u0, u1):
          [12 * x + 54 * y for x, y in zip(_convolve(aa, b), _convolve(c, d))],
          [12 * x + 27 * y for x, y in zip(_convolve(bb, a), _convolve(d, d))],
          [4 * x for x in _convolve(bb, b)]]
+    J = [_jacobian(a, c), [x + y for x, y in zip(_jacobian(a, d), _jacobian(b, c))], _jacobian(b, d)]
     if p:
-        H = [[x % p for x in f] for f in H]
+        H, J = ([[x % p for x in f] for f in F] for F in (H, J))
 
     def form(n, cs):
         return BinaryForm(n, [ModP(x, p) for x in cs] if p else cs)
@@ -232,13 +286,16 @@ def line_restriction(u0, u1):
     def h(s):
         return form(24, [((h3 * s + h2) * s + h1) * s + h0 for h0, h1, h2, h3 in zip(*H)])
 
-    return pair, h
+    def jacobian(s):
+        return form(18, [(j2 * s + j1) * s + j0 for j0, j1, j2 in zip(*J)])
+
+    return pair, h, jacobian
 
 
 def check_modulus(modulus):
     """ValueError unless modulus is None or a prime above K552_U_DEGREE
     and below PRIME_BOUND, where ``is_prime`` is exact.  The slice points
-    s = -61, ..., 61 stay distinct mod any such prime; the threshold keeps
+    s = -51, ..., 51 stay distinct mod any such prime; the threshold keeps
     the plain bound, so that the moduli accepted stay the same."""
     if modulus is None:
         return
@@ -256,41 +313,54 @@ def slice_divisibility(u0, u1, modulus=None):
     ValueError).  Each restriction is interpolated by ``_interp`` from as
     many points, centred on s = 0, as its degree bound needs, with the
     forms of ``line_restriction``: R(s) = r96(u(s)) is the resultant of
-    g2(s) and g3(s) at s = -10, ..., 10 (R96_U_DEGREE = 20), and K(s) =
-    k552(u(s)) the discriminant of h(s) at s = -61, ..., 61
-    (K552_LINE_DEGREE = 122); an h(s) that vanishes identically there
-    raises ValueError, as k552 does.  K is divided by R^3 exactly, on ints:
-    mod p on the residues, and over Q on the primitive parts, by Gauss's
-    lemma.  There K = a Kp and R = c P with a, c rational and Kp, P
-    primitive; P^3 is primitive too, so it divides Kp in Z[s] exactly when
-    R^3 divides K in Q[s], and the integer quotient is scaled by a / c^3
-    once.  A failed witness carries the empty quotient."""
+    g2(s) and g3(s) at s = -10, ..., 10 (R96_U_DEGREE = 20), and T(s) =
+    Res(h(s), J(s)) at s = -51, ..., 51 (RES_HJ_LINE_DEGREE = 102); an h(s)
+    that vanishes identically there raises ValueError, as k552 does.  Then
+    K = k552(u(s)) = JACOBIAN_SCALE R T, and R^3 divides K exactly when R^2
+    divides T.  T is divided by R^2 on ints: mod p on the residues, and
+    over Q on the primitive parts, by Gauss's lemma.  There T = t Tp and R
+    = r P with t, r rational and Tp, P primitive; P^2 is primitive too, so
+    it divides Tp in Z[s] exactly when R^2 divides T in Q[s].  K and the
+    quotient are the products and the quotient of the primitive parts,
+    scaled by JACOBIAN_SCALE and the contents once.  A failed witness
+    carries the empty quotient."""
     check_modulus(modulus)
     p = modulus or 0
     if p:
         u0, u1 = u0.reduce_mod(p), u1.reduce_mod(p)
-    pair, h = line_restriction(u0, u1)
+    pair, h, jacobian = line_restriction(u0, u1)
 
     def restriction(value, degree):
         vals = [value(s) for s in _centred(degree + 1)]
         return _interp([v.v for v in vals] if p else vals, p)
 
+    def res_hj(s):
+        hs = h(s)
+        _require_nonzero(hs)
+        return resultant(hs, jacobian(s))
+
     R = restriction(lambda s: resultant(*pair(s)), R96_U_DEGREE)
     if not R:
         raise ValueError("r96 vanishes identically on this line")
-    K = restriction(lambda s: _disc_h(h(s)), K552_LINE_DEGREE)
-    P, Kp = (R, K) if p else (poly_primitive(R), poly_primitive(K))
-    R3 = _convolve(_convolve(P, P), P)
-    q = exact_quotient(Kp, R3, p)
-    if q and not p:
-        scale = K[-1] / Kp[-1] / (R[-1] / P[-1]) ** 3
-        q = [c * scale if c else 0 for c in q]
+    T = restriction(res_hj, RES_HJ_LINE_DEGREE)
+    P, Tp = (R, T) if p else (poly_primitive(R), poly_primitive(T))
+    q = exact_quotient(Tp, _convolve(P, P), p)
+    if p:
+        K = poly_trim([JACOBIAN_SCALE * c % p for c in _convolve(R, T)])
+        q = q and [JACOBIAN_SCALE * c % p for c in q]
+    elif T:
+        r, t = R[-1] / P[-1], JACOBIAN_SCALE * T[-1] / Tp[-1]
+        rt, scale = r * t, t / r ** 2
+        K = [rt * c for c in _convolve(P, Tp)]
+        q = q and [c * scale if c else 0 for c in q]
+    else:
+        K = []
     return SliceWitness(q is not None, modulus, q or [], K, R)
 
 
 def _centred(n):
     """The n points centred on 0, s = s0, ..., s0 + n - 1 with s0 = -(n //
-    2): s = -61, ..., 61 for n = 123."""
+    2): s = -51, ..., 51 for n = 103."""
     return range(-(n // 2), n - n // 2)
 
 
@@ -371,8 +441,9 @@ def verify_bulk(seed, trials=None, modulus=None):
     trials = DEFAULTS.pointwise_trials if trials is None else trials
     failures = []
 
-    # (a) pointwise integer factorization k552 = r96^3 * delta264; a draw
-    # with r96 = 0 is drawn again
+    # (a) pointwise integer factorization k552 = r96^3 * delta264, and on a
+    # draw that passes it k552 against its definition disc(h); a draw with
+    # r96 = 0 is drawn again
     done = 0
     while done < trials:
         u = random_surface(rng)
@@ -382,13 +453,17 @@ def verify_bulk(seed, trials=None, modulus=None):
             continue
         except InexactDivision:
             failures.append(("pointwise", u.to_json_dict()))
+        else:
+            if discriminant_binary(assemble(u)[2]) != k552(u).value:
+                failures.append(("k552-identity", u.to_json_dict()))
         done += 1
 
     # (b) weighted homogeneity and (c) SL2-invariance mod p: act(u) gives u
     # and g.u mod p and the factors chi96, chi552 that r96 and k552 pick up,
     # lambda^96 and lambda^552 for lambda in Gm, 1 and 1 for SL2.  Where h =
     # 0 mod p, k552 is undefined (its one ValueError) and r96 is compared
-    # alone; only draws with r96 = 0 can assemble h = 0.
+    # alone; only draws with r96 = 0 can assemble h = 0.  Each k552 is asked
+    # right after the r96 of the same surface, which it then reuses.
     def gm(u):
         lam = ModP(rng.choice([2, 3, 5]), p)
         return u.reduce_mod(p), gm_act(lam, u), lam ** 96, lam ** 552
@@ -401,9 +476,10 @@ def verify_bulk(seed, trials=None, modulus=None):
             u = random_surface(rng)
             up, vp, chi96, chi552 = act(u)
             r = r96(up).value
+            k = k552(up).value if r or not assemble(up)[2].is_zero() else None
             if r96(vp).value != chi96 * r:
                 failures.append((label + "-r96", u.to_json_dict()))
-            if (r or not assemble(up)[2].is_zero()) and k552(vp).value != chi552 * k552(up).value:
+            if k is not None and k552(vp).value != chi552 * k:
                 failures.append((label + "-k552", u.to_json_dict()))
 
     # (d) one slice division

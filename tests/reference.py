@@ -17,8 +17,9 @@ cross-check the fast paths against:
 * for slice interpolation, Newton divided differences at arbitrary
   distinct integer points, over Q on Fractions or mod p;
 * for the slice certificate, the line evaluated at every point the plain
-  u-degree bounds ask for (139 for k552, 61 for r96 and its cube) and K
-  divided by R^3 by schoolbook long division;
+  u-degree bounds ask for (139 for k552, 61 for r96 and its cube), k552 by
+  its definition disc(h), and K divided by R^3 by schoolbook long
+  division;
 * for the degree patterns behind the irreducibility certificate, sympy's
   factorization over GF(p).
 """
@@ -28,13 +29,13 @@ from fractions import Fraction
 import sympy
 
 from ellk3.binforms import BinaryForm
-from ellk3.elimination import poly_trim
+from ellk3.elimination import discriminant_binary, poly_trim
 from ellk3.hilbert import Q_WEIGHTS, U8_VARS, U12_VARS, U_VARS, U_WEIGHTS, raising_operator
-from ellk3.invariants import K552_U_DEGREE, R96_U_DEGREE, SliceWitness, check_modulus, k552, r96
+from ellk3.invariants import K552_U_DEGREE, R96_U_DEGREE, SliceWitness, check_modulus, r96
 from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries, eisenstein
 from ellk3.scalars import InexactDivision, ModP, exact_scalar_div
-from ellk3.weierstrass import SurfaceParams
+from ellk3.weierstrass import SurfaceParams, assemble
 
 
 def sylvester_matrix(f, g):
@@ -343,11 +344,21 @@ def _eval_on_line(u0, u1, s, p=None):
     return u
 
 
+def k552_by_definition(u):
+    """k552(u) as its definition, disc(h) = Res(dh/dx, dh/dw), not by the
+    library's identity; ValueError where h vanishes identically, as k552
+    raises."""
+    h = assemble(u)[2]
+    if h.is_zero():
+        raise ValueError("degenerate family: h vanishes identically")
+    return discriminant_binary(h)
+
+
 def slice_reference(u0, u1, modulus=None):
-    """The slice certificate from the plain u-degree bounds: K from k552 at
-    s = 0, ..., K552_U_DEGREE, and R and R3 from r96 and its cube at s = 0,
-    ..., 3 R96_U_DEGREE, each by Newton interpolation, then K / R3 by long
-    division."""
+    """The slice certificate from the plain u-degree bounds: K from k552 by
+    its definition at s = 0, ..., K552_U_DEGREE, and R and R3 from r96 and
+    its cube at s = 0, ..., 3 R96_U_DEGREE, each by Newton interpolation,
+    then K / R3 by long division."""
     check_modulus(modulus)
     p = modulus or 0
     xs = list(range(K552_U_DEGREE + 1))
@@ -356,7 +367,7 @@ def slice_reference(u0, u1, modulus=None):
     r3vals = [v ** 3 for v in rvals]
     if not any(r3vals):
         raise ValueError("r96 vanishes identically on this line")
-    kvals = [k552(u).value for u in points]
+    kvals = [k552_by_definition(u) for u in points]
     if p:
         rvals, r3vals, kvals = ([v.v for v in vals] for vals in (rvals, r3vals, kvals))
     R = newton_interp(xs[:len(rvals)], rvals, p)

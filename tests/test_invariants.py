@@ -13,6 +13,7 @@ from ellk3.invariants import (
     K552_LINE_DEGREE,
     K552_U_DEGREE,
     R96_U_DEGREE,
+    RES_HJ_LINE_DEGREE,
     InvariantValue,
     SliceWitness,
     VerifyDefaults,
@@ -117,6 +118,80 @@ def test_k552_errors_on_identically_zero_h():
         k552(u)
 
 
+P62 = DEFAULTS.homogeneity_prime
+IDENTITY_DOMAINS = ("Z", "Q", "139", "P62")
+
+
+def in_domain(u, domain, rng):
+    """u over Z, over Q with a random denominator in 1..7 on every
+    coefficient, or reduced mod 139 or mod 2^62 + 135."""
+    if domain == "Q":
+        return SurfaceParams([Fraction(c, rng.randint(1, 7)) for c in u.g2_coeffs],
+                             [Fraction(c, rng.randint(1, 7)) for c in u.g3_coeffs])
+    return u if domain == "Z" else u.reduce_mod({"139": 139, "P62": P62}[domain])
+
+
+def stratum(rng, kind):
+    """A seeded surface of one stratum: coefficient i of a form is that of
+    x^(n-i) w^i, so coefficient 0 vanishes where w divides the form and
+    coefficient n where x does."""
+    bound = 10**6 if kind == "large" else 9
+    g2 = [rng.randint(-bound, bound) for _ in range(9)]
+    g3 = [rng.randint(-bound, bound) for _ in range(13)]
+    if kind == "g2-zero":
+        g2 = [0] * 9
+    elif kind == "g3-zero":
+        g3 = [0] * 13
+    elif kind == "shared-root":  # x divides both: r96 = 0
+        g2[8] = g3[12] = 0
+    elif kind == "w-divides-both":  # the dense degrees of g2, g3 and h drop
+        g2[0] = g3[0] = 0
+    elif kind == "w-divides-h":  # h's degree drops while r96 != 0
+        t = rng.choice([-2, -1, 1, 2])
+        g2[0], g3[0] = -3 * t * t, 2 * t ** 3
+    return SurfaceParams(g2, g3)
+
+
+STRATA = ("small", "large", "g2-zero", "g3-zero", "shared-root", "w-divides-both", "w-divides-h")
+
+
+@pytest.mark.parametrize("domain", IDENTITY_DOMAINS)
+@pytest.mark.parametrize("kind", STRATA)
+def test_k552_equals_its_definition(kind, domain):
+    """k552 = 2^42 3^70 r96 Res(h, J) equals the definition disc(h) =
+    Res(dh/dx, dh/dw), value and type, on every stratum where a factor
+    vanishes or a degree drops: J = 0 (g2 = 0 or g3 = 0), r96 = 0 (a
+    shared root), and w dividing both forms or h alone."""
+    rng = random.Random("%s/%s" % (kind, domain))
+    for _ in range(3):
+        u = in_domain(stratum(rng, kind), domain, rng)
+        h = assemble(u)[2]
+        if h.is_zero():  # g2 = g3 = 0 mod p, say: k552 is undefined
+            with pytest.raises(ValueError):
+                k552(u)
+            continue
+        got, want = k552(u).value, discriminant_binary(h)
+        assert got == want and type(got) is type(want)
+        if kind in ("g2-zero", "g3-zero", "shared-root", "w-divides-both"):
+            assert r96(u).value == 0 == got
+
+
+@pytest.mark.parametrize("domain", ["Q", "139", "P62"])
+def test_k552_raises_on_zero_h_in_every_domain(domain):
+    """h = 4 g2^3 + 27 g3^2 = 0 for g2 = -3 f^2, g3 = 2 f^3 with f a
+    quartic: k552 raises over Q and mod p too, though r96 = 0 there and
+    Res(0, J) = 0 would give the zero."""
+    rng = random.Random(domain)
+    f = [Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(5)]
+    f2 = _convolve(f, f)
+    u = SurfaceParams([-3 * c for c in f2], [2 * c for c in _convolve(f2, f)])
+    if domain != "Q":
+        u = u.reduce_mod({"139": 139, "P62": P62}[domain])
+    assert any(f) and assemble(u)[2].is_zero() and not r96(u).value
+    with pytest.raises(ValueError, match="vanishes identically"):
+        k552(u)
+
+
 def test_delta264_exact_integrality():
     rng = random.Random(1)
     for _ in range(10):
@@ -157,10 +232,12 @@ def counted_eliminations(monkeypatch):
 
 
 def test_a_surface_report_computes_r96_and_k552_once(monkeypatch):
+    """r96 is one resultant, and k552 one more, Res(h, J), on top of the
+    r96 it finds remembered; delta264 then computes nothing."""
     calls = counted_eliminations(monkeypatch)
     u = random_surface(random.Random(21))
     r, k, d = r96(u).value, k552(u).value, delta264(u).value
-    assert calls == {"res": 1, "disc": 1} and k == d * r**3
+    assert calls == {"res": 2, "disc": 0} and k == d * r**3
 
 
 def test_an_equal_surface_built_apart_is_computed_again(monkeypatch):
@@ -169,7 +246,10 @@ def test_an_equal_surface_built_apart_is_computed_again(monkeypatch):
     twin = SurfaceParams(u.g2_coeffs, u.g3_coeffs)
     assert twin == u and twin is not u
     assert k552(u) == k552(twin) and r96(u) == r96(twin)
-    assert calls == {"res": 2, "disc": 2}
+    # k552(u) and k552(twin) each compute the r96 of their own surface and
+    # Res(h, J); r96 remembers one surface, so r96(u) and r96(twin) after
+    # them are computed again
+    assert calls == {"res": 6, "disc": 0}
 
 
 def test_equal_surfaces_over_z_q_and_fp_keep_their_domains():
@@ -307,6 +387,25 @@ def test_verify_bulk_catches_corrupted_invariant(monkeypatch):
     assert all(kind == "pointwise" for kind, _ in rep["failures"])
 
 
+def test_verify_bulk_checks_k552_against_its_definition(monkeypatch):
+    """A doubled k552 still divides by r96^3, so only the pointwise check
+    against disc(h) flags it, once per draw; that check draws nothing from
+    the rng, so the flagged surfaces are the draws of a clean run."""
+    def doubled(u):
+        good = k552(u)
+        return InvariantValue("k552", 2 * good.value)
+
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
+        homogeneity_trials=0, sl2_trials=0, slice_lines=0))
+    clean = verify_bulk(seed=4, trials=3)
+    monkeypatch.setattr(invariants, "k552", doubled)
+    failures = verify_bulk(seed=4, trials=3)["failures"]
+    assert clean["failures"] == [] and [kind for kind, _ in failures] == ["k552-identity"] * 3
+    rng = random.Random(4)
+    draws = [u for u in (random_surface(rng) for _ in range(20)) if r96(u).value][:3]
+    assert sorted(repr(u) for _, u in failures) == sorted(repr(u.to_json_dict()) for u in draws)
+
+
 def test_verify_bulk_flags_both_actions_on_corrupted_residues(monkeypatch):
     """r96 and k552 shifted by the x^8-coefficient of g2, on residues only:
     the shift is neither Gm-homogeneous nor SL2-invariant, so the one check
@@ -364,8 +463,8 @@ def test_verify_bulk_refuses_composite_modulus():
 
 @pytest.mark.parametrize("modulus", [2, 3, 137])
 def test_modulus_at_most_k552_degree_refused(modulus):
-    # the slice points s = -61..61 are not distinct mod any prime below 123;
-    # the threshold stays at the plain bound 138, so 127..137 are refused too
+    # the slice points s = -51..51 are not distinct mod any prime below 103;
+    # the threshold stays at the plain bound 138, so 103..137 are refused too
     rng = random.Random(8)
     u0, u1 = random_surface(rng), random_surface(rng)
     with pytest.raises(ValueError, match="exceed %d" % K552_U_DEGREE):
@@ -407,8 +506,6 @@ def test_interp_matches_divided_differences(domain, data):
 
 # -- the slice certificate against the plain-degree reference ----------
 
-P62 = DEFAULTS.homogeneity_prime
-
 
 def surfaces(coeff, g2=True):
     return st.builds(SurfaceParams.make, st.lists(coeff if g2 else st.just(0), min_size=9, max_size=9),
@@ -428,9 +525,10 @@ LINES = {
 @pytest.mark.parametrize("modulus", [None, 139, P62])
 @pytest.mark.parametrize("kind", sorted(LINES))
 def test_slice_divisibility_matches_reference(kind, modulus):
-    """The certificate from the proven line degrees (123 k552 and 21 r96
-    evaluations) equals, field for field, the one from the plain degree
-    bounds (139 and 61), whose k_degree never exceeds K552_LINE_DEGREE."""
+    """The certificate from the proven line degrees (103 evaluations of
+    Res(h, J) and 21 of r96) equals, field for field, the one from the
+    plain degree bounds (139 evaluations of disc(h) and 61 of r96), whose
+    k_degree never exceeds K552_LINE_DEGREE."""
 
     # no shrink phase: shrinking a failing line takes minutes of slice work
     @settings(max_examples=1 if modulus is None else 2, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -468,14 +566,17 @@ RESTRICTION_LINES = {
 @given(data=st.data())
 def test_line_restriction_matches_assemble(kind, data):
     """g2(s), g3(s) and the cubic h(s) on a line are assemble's forms at
-    u0 + s u1, for s in [-61, 61]; on ints and residues the coefficients
-    have the same types as well."""
+    u0 + s u1, and the quadratic J(s) is g2_x g3_w - g2_w g3_x of those
+    forms, for s in [-61, 61]; on ints and residues the coefficients have
+    the same types as well."""
     u0, u1 = data.draw(RESTRICTION_LINES[kind]), data.draw(RESTRICTION_LINES[kind])
-    pair, h = line_restriction(u0, u1)
+    pair, h, jacobian = line_restriction(u0, u1)
     for s in data.draw(st.lists(st.integers(-61, 61), min_size=1, max_size=4)):
-        want = assemble(SurfaceParams.make([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
-                                           [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
-        got = pair(s) + (h(s),)
+        g2, g3, hs = assemble(SurfaceParams.make([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
+                                                 [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
+        (g2x, g2w), (g3x, g3w) = g2.partials(), g3.partials()
+        want = (g2, g3, hs, g2x * g3w + (-1) * (g2w * g3x))
+        got = pair(s) + (h(s), jacobian(s))
         assert got == want
         if kind != "rational":
             assert [type(c) for f in got for c in f.coeffs] == [type(c) for f in want for c in f.coeffs]
@@ -509,12 +610,14 @@ def test_slice_divisibility_integer_line_with_content():
 
 
 def test_slice_failed_witness_carries_no_quotient(monkeypatch):
-    """With k552 = disc(h) shifted by 1, R^3 (of degree > 0) cannot divide
-    K: the witness fails and carries the empty quotient, over Q and mod p."""
-    def shifted(h):
-        return discriminant_binary(h) + 1
+    """With T = Res(h, J) shifted by 1 at every point, R^2 (of degree > 0)
+    cannot divide T, nor R^3 divide K = C R T: the witness fails and
+    carries the empty quotient, over Q and mod p."""
+    def shifted(f, g):
+        value = resultant(f, g)
+        return value + 1 if f.n == 24 else value
 
-    monkeypatch.setattr(invariants, "discriminant_binary", shifted)
+    monkeypatch.setattr(invariants, "resultant", shifted)
     rng = random.Random(12)
     u0, u1 = random_surface(rng), random_surface(rng)
     for modulus in (None, P62):
@@ -536,17 +639,17 @@ def test_slice_witness_degrees_derive_from_polynomials():
 
 
 def test_slice_line_evaluation_budget(monkeypatch):
-    """One line costs K552_LINE_DEGREE + 1 = 123 evaluations of k552, the
-    discriminant of h, and R96_U_DEGREE + 1 = 21 of r96, the resultant of
-    (g2, g3), over Q and mod p."""
+    """One line costs RES_HJ_LINE_DEGREE + 1 = 103 resultants of (h, J) and
+    R96_U_DEGREE + 1 = 21 of (g2, g3), and no discriminant, over Q and mod
+    p; K = k552 on the line has degree up to 20 + 102 = 122."""
     calls = counted_eliminations(monkeypatch)
     rng = random.Random(12)
     u0, u1 = random_surface(rng), random_surface(rng)
     for modulus in (None, P62):
         calls.update(disc=0, res=0)
         assert slice_divisibility(u0, u1, modulus=modulus).success
-        assert calls == {"disc": 123, "res": 21}
-    assert (K552_LINE_DEGREE, R96_U_DEGREE) == (122, 20)
+        assert calls == {"disc": 0, "res": 103 + 21}
+    assert (RES_HJ_LINE_DEGREE, R96_U_DEGREE, K552_LINE_DEGREE) == (102, 20, 122)
 
 
 @pytest.mark.parametrize("modulus", [None, 139, P62])
@@ -561,12 +664,13 @@ def test_slice_witness_interpolants_factor_exactly(modulus):
     if modulus:
         product = [c % modulus for c in product]
     assert product == wit.K
-    # the interpolants are those of k552 and r96 at points of the line
+    # the interpolants are those of k552, by its definition disc(h), and of
+    # r96 at a point of the line
     s = 200
     u = _eval_on_line(u0, u1, s, modulus)
-    for poly, invariant in ((wit.K, k552), (wit.R, r96)):
+    for poly, value in ((wit.K, discriminant_binary(assemble(u)[2])), (wit.R, r96(u).value)):
         want = sum(c * s ** i for i, c in enumerate(poly))
-        assert invariant(u).value == (ModP(want, modulus) if modulus else want)
+        assert value == (ModP(want, modulus) if modulus else want)
 
 
 def test_slice_inside_the_i2_locus_succeeds_with_the_empty_quotient():
