@@ -27,7 +27,8 @@ which Gauss's lemma makes exact whenever the division over Q is.
 Before a polynomial is factored over Q, an exact certificate on plain
 ints tries to prove its primitive part irreducible: distinct-degree
 factorizations mod small primes whose factor degrees leave no room for a
-proper factor over Z (Musser 1978; Gathen & Gerhard, ch. 14-15).  The
+proper factor over Z (Musser 1978; Gathen & Gerhard, ch. 14-15), each
+stopped once its next steps could not narrow the degrees further.  The
 generic h = 4 g2^3 + 27 g3^2 passes.  Only a polynomial the certificate
 gives up on goes to sympy: one ``factor_list`` over ZZ of its primitive
 part handles every other case, and sympy is imported on first use only.
@@ -357,51 +358,67 @@ CERT_MAX_SINGULAR = 5
 IRREDUCIBLE = "irreducible"
 
 
-def degree_pattern(f, p):
-    """Degrees of the irreducible factors mod p of a monic polynomial f,
-    given as low-to-high residues, in ascending order, or None when f is
-    not squarefree mod p: its distinct-degree factorization (Gathen &
-    Gerhard, Alg. 14.3), read off gcd degrees alone.
+def ddf_steps(f, p):
+    """The distinct-degree factorization mod p (Gathen & Gerhard, Alg.
+    14.3) of a monic polynomial f of degree n, given as low-to-high
+    residues, step by step: nothing when f is not squarefree mod p, else
+    (0, 0, n) and then, after the gcd of step i, (i, r_i, left), with r_i
+    factors of degree i and the factors of degree > i adding up to left.
+    The steps end once twice the next degree exceeds left, what is left
+    being one factor (or none); a caller may stop sooner.
 
-    A residue polynomial of degree < n = deg f is packed into one int as
-    ``_euclid_mod`` takes it, and f is squarefree when Euclid's sequence
-    of f and f' ends in a constant.  The Frobenius rows x^(p j) mod f,
-    j < n, come from stepping x^k to x^(k+1) by a shift and one multiple
-    of x^n mod f, so their cost grows like p n^2: this is meant for small
-    p.  Each x^(p^i) mod f is one combination of the rows.  With r_j
-    factors of degree j, N_i = deg gcd(f, x^(p^i) - x) = sum of j r_j over
-    the divisors j of i gives r_i, and f is never divided; once twice the
-    next degree exceeds the degree left, what is left is one factor.
-    Slot bound: a step adds at most (p - 1)^2 to a slot, so a row, at most
-    (n - 1) p steps from x^0, has slots at most 1 + (n - 1) p (p - 1)^2,
-    and x^(p^i) - x, a combination of rows with residues, stays below
-    n^2 p^4 (``_slot_bits``); it goes to the gcd unreduced."""
+    Polynomials of degree < n are packed into one int each as
+    ``_euclid_mod`` takes them; f is squarefree when Euclid's sequence of
+    f and f' ends in a constant.  The Frobenius rows x^(p j) mod f, j < n,
+    come from stepping x^k to x^(k+1) by a shift and one multiple of x^n
+    mod f, so their cost grows like p n^2 (small p only).  Step 1 needs
+    x^p mod f alone; the other rows are built when step 2 is asked for,
+    and each x^(p^i) is then one combination of them.  N_i = deg gcd(f,
+    x^(p^i) - x) = sum of j r_j over the divisors j of i gives r_i, and f
+    is never divided.  Slot bound: a shift step adds at most (p - 1)^2 to
+    a slot, so a row, at most (n - 1) p steps from x^0, has slots at most
+    1 + (n - 1) p (p - 1)^2, and x^(p^i) - x, a combination of rows with
+    residues, stays below n^2 p^4 (``_slot_bits``); it goes to the gcd
+    unreduced."""
     n = len(f) - 1
     b = _slot_bits(p, n)
     F = _pack(f[::-1], b)
     dF = _pack([i * c % p for i, c in enumerate(f)][:0:-1], b)  # f'
     if _euclid_mod(F, n, dF, n - 1, p, b, p - 1)[-1][0]:
-        return None
+        return
+    yield 0, 0, n
     mask = (1 << b) - 1
     tail = _pack([-c % p for c in reversed(f[:-1])], b)  # x^n = tail mod f
     X = 1 << b * (n - 1)
-    rows = [X]
-    for _ in range(n - 1):
-        for _ in range(p):
-            X = (X >> b) + (X & mask) % p * tail
-        rows.append(X)
-    rows.reverse()  # high-to-low, like the coefficients that combine them
+    rows = [X]  # x^(p j) mod f for j = 0, 1, ...
     bound = n * (p - 1) * (1 + (n - 1) * p * (p - 1) ** 2) + p - 1
-    counts, left, h, i = [0], n, [0] * (n - 2) + [1, 0], 0
+    counts, left, i = [0], n, 0
     while 2 * (i + 1) <= left:
         i += 1
-        H = sum(c * row for c, row in zip(h, rows) if c)
+        while len(rows) < (2 if i == 1 else n):
+            for _ in range(p):
+                X = (X >> b) + (X & mask) % p * tail
+            rows.append(X)
+        # x^(p^i) = H(x)^p = H(x^p) mod f, with H = x^(p^(i-1)) unpacked
+        H = sum(c * row for c, row in zip(_unpack(H, n, p, b), reversed(rows)) if c) if i > 1 else X
         xpx = H + ((p - 1) << b * (n - 2))  # x^(p^i) - x
         N = _euclid_mod(F, n, xpx, n - 1, p, b, bound)[-1][0]
         counts.append((N - sum(j * counts[j] for j in range(1, i) if i % j == 0)) // i)
         left -= i * counts[i]
-        h = _unpack(H, n, p, b)
-    return [j for j in range(1, i + 1) for _ in range(counts[j])] + ([left] if left else [])
+        yield i, counts[i], left
+
+
+def degree_pattern(f, p):
+    """Degrees of the irreducible factors mod p of a monic polynomial f,
+    given as low-to-high residues, in ascending order, or None when f is
+    not squarefree mod p: every step of ``ddf_steps``, and what is left at
+    the end as one factor."""
+    pattern, left = [], None
+    for i, r, left in ddf_steps(f, p):
+        pattern += [i] * r
+    if left is None:
+        return None
+    return pattern + [left] if left else pattern
 
 
 def irreducibility_certificate(f):
@@ -410,13 +427,13 @@ def irreducibility_certificate(f):
     the primes in CERT_PRIMES (Musser 1978).  Returns (verdict, trail):
     the verdict is IRREDUCIBLE or the reason the certificate gave up, and
     the trail has one (p, outcome) per prime tried, the outcome being the
-    pattern or the reason p was skipped:
+    reason p was skipped, the pattern, or a truncated pattern:
 
     * "lc": p divides the leading coefficient, so f's degree drops mod p;
-    * "singular": f is not squarefree mod p, for which ``degree_pattern``
-      of f's monic reduction returns None.
-
-    A prime costs one ``degree_pattern`` call and no division mod p.
+    * "singular": f is not squarefree mod p, for which ``ddf_steps`` of
+      f's monic reduction yields nothing;
+    * (found, left, i): the prime stopped after step i of ``ddf_steps``,
+      with the degrees found (ascending) and the rest of degree left.
 
     Why a pattern proves something: if f = g k over Z with 0 < deg g < n
     (Gauss), then mod a prime p not dividing lc(f) the reduction of g
@@ -429,7 +446,15 @@ def irreducibility_certificate(f):
     they and the unlucky ones end in "pattern bound" (CERT_MAX_PATTERNS
     patterns), "singular bound" (CERT_MAX_SINGULAR singular primes before
     any pattern; after one, f is known squarefree and a singular prime is
-    only skipped) or "primes exhausted"."""
+    only skipped) or "primes exhausted".
+
+    A prime stops early.  After step i its pattern reaches at most the
+    sums the found degrees allow with the rest split into parts of degree
+    > i, and at least those with the rest one factor.  Once both meet the
+    sums so far in the same set (at the last step they agree), that set is
+    the full pattern's, and no further step can change it.  So verdicts,
+    primes tried and sums are those of full patterns, and a prime costs no
+    division mod p."""
     n = len(f) - 1
     full = 1 | 1 << n
     sums = (1 << n + 1) - 1
@@ -441,19 +466,28 @@ def irreducibility_certificate(f):
             trail.append((p, "lc"))
             continue
         inv = pow(lc, -1, p)
-        pattern = degree_pattern([c * inv % p for c in f], p)
-        if pattern is None:
+        found, reach = [], 1
+        for i, r, left in ddf_steps([c * inv % p for c in f], p):
+            found += [i] * r
+            for _ in range(r):
+                reach |= reach << i
+            least = allowed = reach | reach << left
+            for d in range(i + 1, left - i):
+                allowed |= reach << d
+            if sums & allowed == sums & least:
+                break
+        else:  # no step at all, as the last step always breaks
             trail.append((p, "singular"))
             if not patterns:
                 singular += 1
                 if singular == CERT_MAX_SINGULAR:
                     return "singular bound", trail
             continue
-        trail.append((p, tuple(pattern)))
-        reach = 1
-        for d in pattern:
-            reach |= reach << d
-        sums &= reach
+        if 2 * i + 2 > left:
+            trail.append((p, tuple(found + [left] if left else found)))
+        else:
+            trail.append((p, (tuple(found), left, i)))
+        sums &= least
         if sums == full:
             return IRREDUCIBLE, trail
         patterns += 1

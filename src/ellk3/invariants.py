@@ -153,7 +153,12 @@ def k552(u):
     if not r:
         return InvariantValue("k552", r)
     p = r.p if isinstance(r, ModP) else 0
-    J = _jacobian(*([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3)))
+    if isinstance(r, Fraction):
+        # J is bilinear: J(a / da, b / db) = J(a, b) / (da db) on the numerators
+        (a, da), (b, db) = clear_denominators(g2.coeffs), clear_denominators(g3.coeffs)
+        J = [Fraction(c, da * db) for c in _jacobian(a, b)]
+    else:
+        J = _jacobian(*([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3)))
     J = BinaryForm(18, [ModP(c, p) for c in J] if p else J)
     return InvariantValue("k552", JACOBIAN_SCALE * r * resultant(h, J))
 

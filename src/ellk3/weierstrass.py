@@ -3,10 +3,12 @@ surfaces: assembly of (g2, g3, h), Kodaira classification of singular
 fibers from vanishing orders, and the at-worst-RDP membership flag.
 """
 
+from fractions import Fraction
+
 from . import Record
 from .binforms import BinaryForm, _convolve
 from .elimination import _domain, factor_multiplicity, gcd_and_squarefree
-from .scalars import ModP, reduce_scalar_mod, scalar_from_str, scalar_to_str
+from .scalars import ModP, clear_denominators, reduce_scalar_mod, scalar_from_str, scalar_to_str
 
 # order of vanishing of the zero form at any place
 INFINITE_ORDER = 10 ** 9
@@ -58,15 +60,26 @@ def assemble(u):
     """(g2, g3, h) with h = 4 g2^3 + 27 g3^2, the discriminant of the
     Weierstrass cubic; h has degree 24 in (x, w) and may be the zero form.
     The coefficients are ints and Fractions, or residues of one modulus
-    (DomainError otherwise); residues are convolved as plain ints and h's
-    coefficients wrapped once."""
+    (DomainError otherwise).  h is convolved on plain ints, residues or
+    the numerators over the common denominators, and its coefficients are
+    wrapped or divided once: over Q every one is a Fraction."""
     g2 = BinaryForm(8, u.g2_coeffs)
     g3 = BinaryForm(12, u.g3_coeffs)
-    p, _ = _domain(g2.coeffs + g3.coeffs)
-    a, b = ([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3))
-    h = [4 * s + 27 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]
+    p, rational = _domain(g2.coeffs + g3.coeffs)
+    if rational:
+        # on the numerators a and b over da and db, the lcms of the
+        # denominators: h = (4 a^3 db^2 + 27 b^2 da^3) / (da^3 db^2)
+        (a, da), (b, db) = clear_denominators(g2.coeffs), clear_denominators(g3.coeffs)
+    else:
+        a, b = ([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3))
+        da = db = 1
+    s3, t2 = 4 * db * db, 27 * da ** 3
+    h = [s3 * s + t2 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]
     if p:
         h = [ModP(c, p) for c in h]
+    elif rational:
+        d = da ** 3 * db * db
+        h = [Fraction(c, d) for c in h]
     return g2, g3, BinaryForm(24, h)
 
 
@@ -164,7 +177,9 @@ def fiber_profile(u):
         if m3 is None:
             m3 = INFINITE_ORDER
         places.append(PlaceRecord(factor, m2, m3, d, kodaira_type(m2, m3, d)))
-    places.sort(key=lambda r: (r.residue_degree, r.place.to_str()))
+    if len(places) > 1:
+        # the key prints each place, even a lone one
+        places.sort(key=lambda r: (r.residue_degree, r.place.to_str()))
     return FiberReport(places)
 
 

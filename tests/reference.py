@@ -21,7 +21,9 @@ cross-check the fast paths against:
   its definition disc(h), and K divided by R^3 by schoolbook long
   division;
 * for the degree patterns behind the irreducibility certificate, sympy's
-  factorization over GF(p).
+  factorization over GF(p);
+* for assembly over Q, h = 4 g2^3 + 27 g3^2 by the schoolbook double
+  loop on the coefficients as given, ints and Fractions.
 """
 
 from fractions import Fraction
@@ -296,6 +298,20 @@ def newton_interp(xs, ys, p):
         if p:
             poly = [c % p for c in poly]
     return poly_trim(poly)
+
+
+def schoolbook_h(u):
+    """The 25 coefficients of h = 4 g2^3 + 27 g3^2, high-to-low, by the
+    double loop on u's coefficients as they are."""
+    def times(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] += x * y
+        return out
+
+    g2, g3 = list(u.g2_coeffs), list(u.g3_coeffs)
+    return [4 * s + 27 * t for s, t in zip(times(times(g2, g2), g2), times(g3, g3))]
 
 
 def modp_factor_degrees(f, p):

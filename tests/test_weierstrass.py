@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ellk3 import invariants
 from ellk3.binforms import BinaryForm
+from ellk3.elimination import discriminant_binary
 from ellk3.invariants import DEFAULTS, k552
 from ellk3.scalars import DomainError, ModP, reduce_scalar_mod
 from ellk3.weierstrass import (
@@ -20,6 +21,7 @@ from ellk3.weierstrass import (
     fiber_profile,
     kodaira_type,
 )
+from reference import schoolbook_h
 
 
 def rand_surface(rng, bound=9):
@@ -175,6 +177,23 @@ def test_residue_assembly_is_the_reduction(p, coeffs):
     assert hp == h.reduce_mod(p)
     if not hp.is_zero():
         assert k552(up).value == reduce_scalar_mod(k552(u).value, p)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.one_of(int_coeffs, rational_coeffs, st.fractions(-10 ** 6, 10 ** 6, max_denominator=10 ** 6)),
+                min_size=22, max_size=22))
+def test_rational_assembly_matches_the_schoolbook_product(coeffs):
+    """Over Q, h is convolved on the numerators over the common
+    denominators and divided once: the schoolbook product on the ints and
+    Fractions as given, with every coefficient a Fraction.  k552, whose J
+    is taken the same way, still equals disc(h)."""
+    u = SurfaceParams.make(coeffs[:9], coeffs[9:])
+    h = assemble(u)[2]
+    assert h.coeffs == schoolbook_h(u)
+    if any(isinstance(c, Fraction) for c in coeffs):
+        assert all(type(c) is Fraction for c in h.coeffs)
+    if not h.is_zero():
+        assert k552(u).value == discriminant_binary(BinaryForm(24, schoolbook_h(u)))
 
 
 def test_residue_assembly_refuses_mixed_domains():
