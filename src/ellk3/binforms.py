@@ -1,15 +1,15 @@
 """Homogeneous bivariate forms of declared degree in (x, w).
 
 Coefficient entry i is the coefficient of x^(n-i) w^i.  Entries are exact
-scalars, or any ring elements with +, * and truthiness (only the tests'
-reference derivation of the raising table substitutes into generic forms
-with MultiPoly entries).  The zero form keeps its declared degree.
+scalars, or any ring elements with +, * and truthiness that are only
+substituted into (the tests' reference derivation of the raising table
+has MultiPoly entries).  The zero form keeps its declared degree.
 
 Forms are read-only :class:`Record`s: every operation returns a new form.
 """
 
 from . import Record
-from .scalars import reduce_scalar_mod, scalar_to_str
+from .scalars import coefficient_domain, plain_ints, reduce_scalar_mod, scalar_to_str, wrap_ints
 
 
 class BinaryForm(Record):
@@ -44,9 +44,10 @@ class BinaryForm(Record):
 
     def __mul__(self, other):
         if isinstance(other, BinaryForm):
-            # slots no product reaches get the domain's zero, e.g. ModP(0, p)
-            zero = next((c - c for c in self.coeffs + other.coeffs if not isinstance(c, int)), 0)
-            return BinaryForm(self.n + other.n, _convolve(self.coeffs, other.coeffs, zero))
+            # on plain ints, wrapped once: every slot is in the factors' domain
+            p, rational = coefficient_domain(self.coeffs + other.coeffs)
+            (a, da), (b, db) = plain_ints(self.coeffs, p, rational), plain_ints(other.coeffs, p, rational)
+            return BinaryForm(self.n + other.n, wrap_ints(_convolve(a, b), p, rational, da * db))
         return BinaryForm(self.n, [c * other for c in self.coeffs])
 
     def __rmul__(self, other):
@@ -154,8 +155,8 @@ class BinaryForm(Record):
         return " + ".join(parts)
 
 
-def _convolve(u, v, zero=0):
-    out = [zero] * (len(u) + len(v) - 1)
+def _convolve(u, v):
+    out = [0] * (len(u) + len(v) - 1)
     for i, a in enumerate(u):
         if not a:
             continue

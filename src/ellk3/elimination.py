@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 
 from .binforms import BinaryForm, _convolve
-from .scalars import DomainError, ModP, clear_denominators, is_prime
+from .scalars import DomainError, clear_denominators, coefficient_domain, is_prime, plain_ints, wrap_ints
 
 # sign/normalization conventions, fixed once and reported with Delta_264
 # values so cross-implementation comparisons can reconcile scale
@@ -53,13 +53,12 @@ def resultant(f, g):
     determinant, as an int, a Fraction or a ModP like the coefficients.
     A zero form gives the zero of that domain; a degree-0 form c gives
     c^(degree of the other)."""
-    p, rational = _domain(f.coeffs + g.coeffs)
+    p, rational = coefficient_domain(f.coeffs + g.coeffs)
     if f.is_zero() or g.is_zero():
-        return _value(0, p, rational, 1)
-    a, da = _plain(f.coeffs, p)
-    b, db = _plain(g.coeffs, p)
+        return wrap_ints([0], p, rational)[0]
+    (a, da), (b, db) = plain_ints(f.coeffs, p, rational), plain_ints(g.coeffs, p, rational)
     # Res(da f, db g) = da^n db^m Res(f, g)
-    return _value(_res_dense(a, b, p), p, rational, da ** g.n * db ** f.n)
+    return wrap_ints([_res_dense(a, b, p)], p, rational, da ** g.n * db ** f.n)[0]
 
 
 def discriminant_binary(f):
@@ -71,51 +70,15 @@ def discriminant_binary(f):
     n = f.n
     if n < 2:
         raise ValueError("discriminant needs degree >= 2")
-    p, rational = _domain(f.coeffs)
-    a, d = _plain(f.coeffs, p)
+    p, rational = coefficient_domain(f.coeffs)
+    a, d = plain_ints(f.coeffs, p, rational)
     fx = [c * (n - i) for i, c in enumerate(a[:n])]
     fw = [c * (i + 1) for i, c in enumerate(a[1:])]
     if p:
         fx, fw = [c % p for c in fx], [c % p for c in fw]
     if not any(fx) or not any(fw):
-        return _value(0, p, rational, 1)
-    return _value(_res_dense(fx, fw, p), p, rational, d ** (2 * n - 2))
-
-
-def _domain(coeffs):
-    """(p, rational): the modulus of any residue among the coefficients
-    (0 if there is none) and whether any is a Fraction."""
-    p, rational = 0, False
-    for c in coeffs:
-        if isinstance(c, ModP):
-            if not p:
-                p = c.p
-            elif c.p != p:
-                raise DomainError("mixing residues mod %d and mod %d" % (p, c.p))
-        elif type(c) is int:
-            # ahead of isinstance(c, Fraction), an ABC check ~15x slower
-            pass
-        elif isinstance(c, Fraction):
-            rational = True
-        elif not isinstance(c, int):
-            raise DomainError("resultant of %s coefficients" % type(c).__name__)
-    if p and rational:
-        raise DomainError("cannot mix Fraction with mod-%d residues" % p)
-    return p, rational
-
-
-def _plain(coeffs, p):
-    """(ints, d): the coefficients of one form as plain ints, with d the
-    factor they were scaled by: residues mod p, or over Q the numerators
-    over d, the lcm of the denominators; d = 1 but over Q."""
-    if p:
-        return [c.v if isinstance(c, ModP) else c % p for c in coeffs], 1
-    return clear_denominators(coeffs)
-
-
-def _value(r, p, rational, d):
-    """r / d in the coefficients' domain: a ModP, a Fraction or an int."""
-    return ModP(r, p) if p else Fraction(r, d) if rational else r
+        return wrap_ints([0], p, rational)[0]
+    return wrap_ints([_res_dense(fx, fw, p)], p, rational, d ** (2 * n - 2))[0]
 
 
 def _res_dense(a, b, p):
@@ -551,7 +514,7 @@ def gcd_and_squarefree(f):
     when ``irreducibility_certificate`` proves it irreducible; otherwise
     sympy factors its primitive part, and lists them in its own order.
     """
-    if p := _domain(f.coeffs)[0]:
+    if p := coefficient_domain(f.coeffs)[0]:
         raise DomainError("factoring works over Q, not on residues mod %d" % p)
     if f.is_zero():
         raise ValueError("cannot factor the zero form")
@@ -577,7 +540,7 @@ def factor_multiplicity(f, factor):
     divided by the primitive part of the factor's, on ints and exactly
     over Q by Gauss's lemma, until a division fails.  Residues raise
     DomainError, and a constant or zero factor ValueError."""
-    if p := _domain(f.coeffs + factor.coeffs)[0]:
+    if p := coefficient_domain(f.coeffs + factor.coeffs)[0]:
         raise DomainError("factoring works over Q, not on residues mod %d" % p)
     if factor.n < 1 or factor.is_zero():
         raise ValueError("a factor must be a nonzero form of positive degree: %s" % factor)

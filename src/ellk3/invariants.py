@@ -17,17 +17,11 @@ from fractions import Fraction
 
 from . import Record
 from .binforms import BinaryForm, _convolve
-from .elimination import (
-    CONVENTION_TAG, _domain, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant,
-)
-from .scalars import PRIME_BOUND, InexactDivision, ModP, clear_denominators, exact_scalar_div, is_prime
-from .weierstrass import SurfaceParams, assemble
+from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant
+from .scalars import PRIME_BOUND, InexactDivision, ModP, exact_scalar_div, is_prime, plain_ints
+from .weierstrass import G2_WEIGHT, G3_WEIGHT, SurfaceParams, assemble, on_ints
 
 DECLARED_WEIGHTS = {"r96": 96, "k552": 552, "delta264": 264}
-
-# weights of the 22 ambient variables under the Gm-action
-G2_WEIGHT = 4
-G3_WEIGHT = 6
 
 
 class InvariantValue(Record):
@@ -147,19 +141,13 @@ def k552(u):
     surface may hold Fractions or residues, whose k552 is one too
     (``_per_surface``).  The ValueError on h = 0 is raised on every
     call."""
-    g2, g3, h = assemble(u)
+    h = assemble(u)[2]
     _require_nonzero(h)
     r = r96(u).value
     if not r:
         return InvariantValue("k552", r)
-    p = r.p if isinstance(r, ModP) else 0
-    if isinstance(r, Fraction):
-        # J is bilinear: J(a / da, b / db) = J(a, b) / (da db) on the numerators
-        (a, da), (b, db) = clear_denominators(g2.coeffs), clear_denominators(g3.coeffs)
-        J = [Fraction(c, da * db) for c in _jacobian(a, b)]
-    else:
-        J = _jacobian(*([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3)))
-    J = BinaryForm(18, [ModP(c, p) for c in J] if p else J)
+    _, (a, b), wrap = on_ints(u)
+    J = BinaryForm(18, wrap(_jacobian(a, b), G2_WEIGHT + G3_WEIGHT))
     return InvariantValue("k552", JACOBIAN_SCALE * r * resultant(h, J))
 
 
@@ -172,7 +160,7 @@ def _require_nonzero(h):
 def _jacobian(a, b):
     """The 19 coefficients of J = g2_x g3_w - g2_w g3_x, high-to-low, from
     the coefficient lists a of g2 (degree 8) and b of g3 (degree 12), on
-    plain ints or Fractions."""
+    plain ints."""
     ax = [c * (8 - i) for i, c in enumerate(a[:8])]
     aw = [c * (i + 1) for i, c in enumerate(a[1:])]
     bx = [c * (12 - i) for i, c in enumerate(b[:12])]
@@ -268,11 +256,9 @@ def line_restriction(u0, u1):
 
     and J, bilinear in (g2, g3), is the quadratic J0 + s J1 + s^2 J2 with
     J0 = J(a, c), J1 = J(a, d) + J(b, c) and J2 = J(b, d).  These seven
-    forms are convolved once per line (on plain ints for residues, reduced
-    once), and h(s) and J(s) are Horner's rule in s on each coefficient."""
-    p, _ = _domain(u0.g2_coeffs + u0.g3_coeffs + u1.g2_coeffs + u1.g3_coeffs)
-    a, b, c, d = ([x.v if isinstance(x, ModP) else x for x in f]
-                  for f in (u0.g2_coeffs, u1.g2_coeffs, u0.g3_coeffs, u1.g3_coeffs))
+    forms are convolved once per line ``on_ints`` (reduced once mod p), and
+    h(s) and J(s) are Horner's rule in s on each coefficient."""
+    p, (a, c, b, d), wrap = on_ints(u0, u1)
     aa, bb = _convolve(a, a), _convolve(b, b)
     H = [[4 * x + 27 * y for x, y in zip(_convolve(aa, a), _convolve(c, c))],
          [12 * x + 54 * y for x, y in zip(_convolve(aa, b), _convolve(c, d))],
@@ -282,17 +268,16 @@ def line_restriction(u0, u1):
     if p:
         H, J = ([[x % p for x in f] for f in F] for F in (H, J))
 
-    def form(n, cs):
-        return BinaryForm(n, [ModP(x, p) for x in cs] if p else cs)
-
     def pair(s):
-        return form(8, [x + s * y for x, y in zip(a, b)]), form(12, [x + s * y for x, y in zip(c, d)])
+        return (BinaryForm(8, wrap([x + s * y for x, y in zip(a, b)], G2_WEIGHT)),
+                BinaryForm(12, wrap([x + s * y for x, y in zip(c, d)], G3_WEIGHT)))
 
     def h(s):
-        return form(24, [((h3 * s + h2) * s + h1) * s + h0 for h0, h1, h2, h3 in zip(*H)])
+        hs = [((h3 * s + h2) * s + h1) * s + h0 for h0, h1, h2, h3 in zip(*H)]
+        return BinaryForm(24, wrap(hs, 3 * G2_WEIGHT))
 
     def jacobian(s):
-        return form(18, [(j2 * s + j1) * s + j0 for j0, j1, j2 in zip(*J)])
+        return BinaryForm(18, wrap([(j2 * s + j1) * s + j0 for j0, j1, j2 in zip(*J)], G2_WEIGHT + G3_WEIGHT))
 
     return pair, h, jacobian
 
@@ -336,8 +321,7 @@ def slice_divisibility(u0, u1, modulus=None):
     pair, h, jacobian = line_restriction(u0, u1)
 
     def restriction(value, degree):
-        vals = [value(s) for s in _centred(degree + 1)]
-        return _interp([v.v for v in vals] if p else vals, p)
+        return _interp([value(s) for s in _centred(degree + 1)], p)
 
     def res_hj(s):
         hs = h(s)
@@ -372,12 +356,12 @@ def _centred(n):
 def _interp(ys, p):
     """Interpolant of the values ys at the n = len(ys) points ``_centred(n)``,
     low-to-high and trimmed: over Q on ints or Fractions (p = 0,
-    Fraction coefficients) or mod a prime p >= n on int residues.  Over Q
+    Fraction coefficients) or mod a prime p >= n on residues or ints.  Over Q
     the values' common denominator den is cleared first, so all the work is
     on ints.  The forward differences d_j give den (n-1)! times it as
     sum_j d_j ((n-1)!/j!) (s-s0)(s-s0-1)...(s-s0-j+1), expanded exactly;
     den (n-1)! is divided out once at the end."""
-    d, den = clear_denominators(ys)
+    d, den = plain_ints(ys, p, True)  # a copy: the differences overwrite it
     n = len(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):

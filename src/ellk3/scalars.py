@@ -131,6 +131,48 @@ def clear_denominators(coeffs):
     return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
+def coefficient_domain(coeffs):
+    """(p, rational): the modulus of any residue among the coefficients
+    (0 if there is none) and whether any is a Fraction.  This and
+    ``plain_ints`` and ``wrap_ints`` are the library's one rule for
+    computing on plain ints: residues as their representatives mod p, and
+    over Q the numerators over the lcm of the denominators."""
+    p, rational = 0, False
+    for c in coeffs:
+        if isinstance(c, ModP):
+            if not p:
+                p = c.p
+            elif c.p != p:
+                raise DomainError("mixing residues mod %d and mod %d" % (p, c.p))
+        elif type(c) is int:
+            # ahead of isinstance(c, Fraction), an ABC check ~15x slower
+            pass
+        elif isinstance(c, Fraction):
+            rational = True
+        elif not isinstance(c, int):
+            raise DomainError("%s coefficients" % type(c).__name__)
+    if p and rational:
+        raise DomainError("cannot mix Fraction with mod-%d residues" % p)
+    return p, rational
+
+
+def plain_ints(coeffs, p, rational):
+    """(ints, d): coefficients of the domain (p, rational) as plain ints,
+    times d: residues mod p (d = 1), the numerators over d, the lcm of the
+    denominators, over Q, and an all-int list as it is (d = 1)."""
+    if p:
+        return [c.v if isinstance(c, ModP) else c % p for c in coeffs], 1
+    return clear_denominators(coeffs) if rational else (coeffs, 1)
+
+
+def wrap_ints(ints, p, rational, d=1):
+    """The list ints / d in the domain (p, rational): residues mod p,
+    Fractions over Q, and over Z the ints themselves (d = 1)."""
+    if p:
+        return [ModP(c, p) for c in ints]
+    return [Fraction(c, d) for c in ints] if rational else ints
+
+
 def reduce_scalar_mod(c, p):
     """Image of an integer or rational under the reduction map to F_p."""
     if isinstance(c, ModP):

@@ -3,15 +3,19 @@ surfaces: assembly of (g2, g3, h), Kodaira classification of singular
 fibers from vanishing orders, and the at-worst-RDP membership flag.
 """
 
-from fractions import Fraction
+from math import lcm
 
 from . import Record
 from .binforms import BinaryForm, _convolve
-from .elimination import _domain, factor_multiplicity, gcd_and_squarefree
-from .scalars import ModP, clear_denominators, reduce_scalar_mod, scalar_from_str, scalar_to_str
+from .elimination import factor_multiplicity, gcd_and_squarefree
+from .scalars import coefficient_domain, plain_ints, reduce_scalar_mod, scalar_from_str, scalar_to_str, wrap_ints
 
 # order of vanishing of the zero form at any place
 INFINITE_ORDER = 10 ** 9
+
+# weights of g2's and g3's coefficients under the Gm-action
+G2_WEIGHT = 4
+G3_WEIGHT = 6
 
 
 class SurfaceParams(Record):
@@ -56,31 +60,30 @@ class SurfaceParams(Record):
         return cls(g2, g3)
 
 
+def on_ints(*surfaces):
+    """(p, forms, wrap): the surfaces on plain ints, as the lists g2, g3 of
+    each in turn.  Residues become their representatives mod p; otherwise
+    each u becomes lam u under the Gm-action, lam the lcm of every
+    denominator (1 over Z).  A covariant of Gm-weight w (g2: 4, g3: 6, J:
+    10, h: 12) is its value on these ints over lam^w, which wrap(ints, w)
+    gives in the surfaces' domain (DomainError unless ints and Fractions,
+    or residues of one modulus)."""
+    coeffs = [c for u in surfaces for c in u.g2_coeffs + u.g3_coeffs]
+    p, rational = coefficient_domain(coeffs)
+    lam = lcm(*(c.denominator for c in coeffs)) if rational else 1
+    forms = [[c.numerator * (m // c.denominator) for c in f] if rational else plain_ints(f, p, False)[0]
+             for u in surfaces for f, m in ((u.g2_coeffs, lam ** G2_WEIGHT), (u.g3_coeffs, lam ** G3_WEIGHT))]
+    return p, forms, lambda ints, w: wrap_ints(ints, p, rational, lam ** w)
+
+
 def assemble(u):
     """(g2, g3, h) with h = 4 g2^3 + 27 g3^2, the discriminant of the
     Weierstrass cubic; h has degree 24 in (x, w) and may be the zero form.
-    The coefficients are ints and Fractions, or residues of one modulus
-    (DomainError otherwise).  h is convolved on plain ints, residues or
-    the numerators over the common denominators, and its coefficients are
-    wrapped or divided once: over Q every one is a Fraction."""
-    g2 = BinaryForm(8, u.g2_coeffs)
-    g3 = BinaryForm(12, u.g3_coeffs)
-    p, rational = _domain(g2.coeffs + g3.coeffs)
-    if rational:
-        # on the numerators a and b over da and db, the lcms of the
-        # denominators: h = (4 a^3 db^2 + 27 b^2 da^3) / (da^3 db^2)
-        (a, da), (b, db) = clear_denominators(g2.coeffs), clear_denominators(g3.coeffs)
-    else:
-        a, b = ([c.v if isinstance(c, ModP) else c for c in f.coeffs] for f in (g2, g3))
-        da = db = 1
-    s3, t2 = 4 * db * db, 27 * da ** 3
-    h = [s3 * s + t2 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]
-    if p:
-        h = [ModP(c, p) for c in h]
-    elif rational:
-        d = da ** 3 * db * db
-        h = [Fraction(c, d) for c in h]
-    return g2, g3, BinaryForm(24, h)
+    h is convolved ``on_ints`` and wrapped once: over Q every coefficient
+    is a Fraction."""
+    _, (a, b), wrap = on_ints(u)
+    h = [4 * s + 27 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]
+    return BinaryForm(8, u.g2_coeffs), BinaryForm(12, u.g3_coeffs), BinaryForm(24, wrap(h, 3 * G2_WEIGHT))
 
 
 def kodaira_type(m2, m3, d):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import (
     CONVENTION_TAG,
-    _domain,
     _euclid_mod,
     _pack,
     _slot_bits,
@@ -25,7 +24,7 @@ from ellk3.elimination import (
 )
 from ellk3.invariants import r96
 from ellk3.multipoly import MultiPoly
-from ellk3.scalars import DomainError, ModP
+from ellk3.scalars import DomainError, ModP, coefficient_domain as _domain
 from ellk3.weierstrass import SurfaceParams
 from reference import det_bareiss, field_divmod, sylvester_matrix, sylvester_resultant
 

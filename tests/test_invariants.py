@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import Phase, assume, given, settings
@@ -568,7 +568,7 @@ def test_line_restriction_matches_assemble(kind, data):
     """g2(s), g3(s) and the cubic h(s) on a line are assemble's forms at
     u0 + s u1, and the quadratic J(s) is g2_x g3_w - g2_w g3_x of those
     forms, for s in [-61, 61]; on ints and residues the coefficients have
-    the same types as well."""
+    the same types as well, and over Q every one is a Fraction."""
     u0, u1 = data.draw(RESTRICTION_LINES[kind]), data.draw(RESTRICTION_LINES[kind])
     pair, h, jacobian = line_restriction(u0, u1)
     for s in data.draw(st.lists(st.integers(-61, 61), min_size=1, max_size=4)):
@@ -578,8 +578,36 @@ def test_line_restriction_matches_assemble(kind, data):
         want = (g2, g3, hs, g2x * g3w + (-1) * (g2w * g3x))
         got = pair(s) + (h(s), jacobian(s))
         assert got == want
-        if kind != "rational":
+        if kind == "rational":
+            assert all(type(c) is Fraction for f in got for c in f.coeffs)
+        else:
             assert [type(c) for f in got for c in f.coeffs] == [type(c) for f in want for c in f.coeffs]
+
+
+def test_rational_line_is_convolved_on_ints(monkeypatch):
+    """A rational line whose denominators (up to 7) differ between g2 and
+    g3 and between its two ends is convolved on ints alone: a guard in
+    place of ``_convolve`` refuses every other entry, and the forms still
+    match assemble's at u0 + s u1."""
+    convolve = invariants._convolve
+
+    def ints_only(u, v):
+        assert all(type(c) is int for c in (*u, *v)), (u, v)
+        return convolve(u, v)
+
+    monkeypatch.setattr(invariants, "_convolve", ints_only)
+    rng = random.Random(29)
+    u0, u1 = (SurfaceParams.make([Fraction(rng.randint(-9, 9), rng.choice((1, d2))) for _ in range(9)],
+                                 [Fraction(rng.randint(-9, 9), rng.choice((1, d3))) for _ in range(13)])
+              for d2, d3 in ((2, 3), (5, 7)))
+    assert [lcm(*(c.denominator for c in f)) for u in (u0, u1)
+            for f in (u.g2_coeffs, u.g3_coeffs)] == [2, 3, 5, 7]
+    pair, h, jacobian = line_restriction(u0, u1)
+    for s in (-3, 0, 2):
+        g2, g3, hs = assemble(SurfaceParams.make([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
+                                                 [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
+        (g2x, g2w), (g3x, g3w) = g2.partials(), g3.partials()
+        assert pair(s) + (h(s), jacobian(s)) == (g2, g3, hs, g2x * g3w + (-1) * (g2w * g3x))
 
 
 def test_slice_through_the_h_zero_locus_raises():

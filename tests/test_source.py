@@ -68,6 +68,35 @@ def test_library_does_not_import_multipoly(module):
     assert "multipoly" not in imported_modules((SRC / module).read_text())
 
 
+def domain_rule_breaches(source):
+    """Code that applies the coefficient-domain rule outside ``scalars``:
+    isinstance(..., ModP) calls, reads of an attribute v (a residue's
+    representative), and underscore names imported from elimination."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and any(
+                isinstance(n, ast.Name) and n.id == "ModP" for arg in node.args[1:] for n in ast.walk(arg)):
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.Attribute) and node.attr == "v":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "elimination":
+            found.extend(alias.name for alias in node.names if alias.name.startswith("_"))
+    return found
+
+
+def test_domain_rule_breaches_sees_each_kind():
+    source = ("from .elimination import _domain, resultant\n"
+              "isinstance(c, (ModP, Fraction))\nisinstance(c, Fraction)\nc.v\nc.p\n")
+    assert domain_rule_breaches(source) == ["_domain", "isinstance(c, (ModP, Fraction))", "c.v"]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "scalars.py"])
+def test_only_scalars_applies_the_domain_rule(module):
+    # residues are unwrapped and wrapped by scalars' coefficient_domain,
+    # plain_ints and wrap_ints alone
+    assert domain_rule_breaches((SRC / module).read_text()) == []
+
+
 def test_value_classes_take_eq_hash_and_read_only_fields_from_record():
     # ModP compares with ints, and MultiPoly with the scalars that generic
     # form entries meet; every other value class is a Record

@@ -203,6 +203,12 @@ def test_residue_assembly_refuses_mixed_domains():
         assemble(SurfaceParams.make([ModP(1, 7)] * 9, [Fraction(1, 2)] * 13))
 
 
+def test_domain_error_names_only_the_coefficient_type():
+    # assembling h takes no resultant, so the message names nothing but the type
+    with pytest.raises(DomainError, match="^float coefficients$"):
+        assemble(SurfaceParams([1.5] * 9, [0] * 13))
+
+
 def test_fiber_profile_refuses_residues():
     # h = 4 g2^3 + 27 g3^2 is a nonzero residue form here; factoring it is over Q only
     up = SurfaceParams.make([1] + [0] * 7 + [1], [1] + [0] * 11 + [1]).reduce_mod(7)
