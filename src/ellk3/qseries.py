@@ -15,6 +15,7 @@ one published display of this coefficient.
 """
 
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 from . import Record
@@ -139,14 +140,24 @@ class QSeries(Record):
         recurrence 1/f satisfies, scaled by c^(k+1).  On an integer series
         the b_k are ints, and each coefficient costs one division at the
         end, none for an int leader of +-1 (its own inverse), which keeps
-        the reciprocal an integer series."""
+        the reciprocal an integer series.
+
+        Any other integer series first gives up its content g, the gcd of
+        its coefficients: 1/f = (1/g) (1/(f/g)), so the recurrence runs on
+        f/g, whose leader c0/g has smaller powers (none past +-1 for
+        E4^3 - E6^2 = 1728 Delta), and the final division is by g too."""
         if self.is_zero():
             raise ZeroDivisionError("reciprocal of the zero series")
-        c0 = self.coeffs[0]
+        coeffs, content = self.coeffs, 1
+        c0 = coeffs[0]
         unit = isinstance(c0, int) and c0 in (1, -1)
+        if not unit and all(isinstance(a, int) for a in coeffs):
+            content = gcd(*coeffs)
+            coeffs = [a // content for a in coeffs]
+            c0 = coeffs[0]
         n = self.N - self.e0  # number of known terms past the leading one
         scaled, power = [], 1  # scaled[j - 1] = a_j c0^(j-1)
-        for a in self.coeffs[1:]:
+        for a in coeffs[1:]:
             scaled.append(a * power)
             power *= c0
         b = [1]
@@ -154,7 +165,7 @@ class QSeries(Record):
             b.append(-sum(map(mul, scaled, reversed(b))))
         inv, power = [], c0
         for bk in b:
-            inv.append(bk * power if unit else Fraction(bk, power))
+            inv.append(bk * power if unit else Fraction(bk, content * power))
             power *= c0
         e0 = -self.e0
         return QSeries(e0, inv, e0 + n)

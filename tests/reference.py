@@ -9,7 +9,9 @@ cross-check the fast paths against:
   dense Gaussian elimination over Q on Fractions and the kernel it
   yields, the weight spaces by enumerating every monomial of a t-degree
   and filing it under its q-weight, and the raising matrix by applying
-  ``raising_operator`` to each weight-0 monomial;
+  ``raising_operator`` to each weight-0 monomial, and the sparse
+  elimination that rescans each row for its rightmost column before every
+  reduction step and reduces every entry mod p as it goes;
 * for the Molien series, the t-adic expansion with each Laurent
   polynomial in q held as a dict exponent -> count;
 * for series products, the schoolbook double loop over the two windows;
@@ -142,6 +144,36 @@ def row_reduce(rows):
                 rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
         pivots.append(col)
     return rows[:len(pivots)], pivots
+
+
+def echelon_reference(rows, p):
+    """Row-reduce sparse rows (dicts column -> int) over F_p, or over Q on
+    Fractions when p = 0.  Each row is reduced by the pivot rows found so
+    far and, if anything is left, becomes a pivot row on its rightmost
+    nonzero column, divided by that entry.  Returns {pivot column: the
+    rest of its row}; every column of a pivot row lies left of its pivot,
+    so the number of pivots is the rank."""
+    pivots = {}
+    for row in rows:
+        row = {j: v % p for j, v in row.items() if v % p} if p else dict(row)
+        while row:
+            c = max(row)
+            f = row.pop(c)
+            prow = pivots.get(c)
+            if prow is None:
+                if p:
+                    inv = pow(f, -1, p)
+                    pivots[c] = {j: v * inv % p for j, v in row.items()}
+                else:
+                    pivots[c] = {j: Fraction(v) / f for j, v in row.items()}
+                break
+            for j, v in prow.items():
+                x = (row.get(j, 0) - f * v) % p if p else row.get(j, 0) - f * v
+                if x:
+                    row[j] = x
+                else:
+                    row.pop(j, None)
+    return pivots
 
 
 def dense_kernel(rows, ncols):

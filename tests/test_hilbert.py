@@ -2,6 +2,8 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellk3 import hilbert
 from ellk3.binforms import BinaryForm
@@ -10,8 +12,10 @@ from ellk3.hilbert import (
     Q_WEIGHTS,
     U_VARS,
     U_WEIGHTS,
+    _ORACLE_PRIMES,
     FeasibilityError,
     HilbertSeries,
+    _echelon,
     _raising_matrix,
     character_series,
     invariant_basis,
@@ -26,6 +30,7 @@ from ellk3.multipoly import MultiPoly
 from reference import (
     dense_kernel,
     det_bareiss,
+    echelon_reference,
     filtered_weight_spaces,
     molien_reference,
     raising_matrix_reference,
@@ -218,6 +223,10 @@ def test_oracle_matches_molien_degree_28():
     assert invariant_dimension_oracle(28) == molien_series(28)[28] == 32
 
 
+def test_oracle_matches_molien_degree_30():
+    assert invariant_dimension_oracle(30) == molien_series(30)[30] == 40
+
+
 def test_oracle_feasibility_guard():
     assert ORACLE_MAX_DEGREE == 30
     with pytest.raises(FeasibilityError):
@@ -235,6 +244,55 @@ def test_oracle_refuses_when_no_prime_gives_full_rank(monkeypatch):
 def test_oracle_skips_a_rank_deficient_prime(monkeypatch):
     monkeypatch.setattr("ellk3.hilbert._ORACLE_PRIMES", (3, 2147483629))
     assert invariant_dimension_oracle(8) == 1
+
+
+def _assert_echelon_matches_reference(rows, p):
+    got, want = _echelon(rows, p), echelon_reference(rows, p)
+    assert got == want
+    # pivots in the order the rows found them
+    assert list(got) == list(want)
+    return got
+
+
+def test_echelon_matches_reference_on_raising_matrices():
+    """The one-pass lazy elimination gives the rescanning reference's
+    pivot rows exactly: mod the first oracle prime up to t-degree 24, mod 3
+    at t-degree 8, where the rank falls short, and over Q up to 16."""
+    for d in range(25):
+        _, _, rows = _raising_matrix(d)
+        _assert_echelon_matches_reference(rows, _ORACLE_PRIMES[0])
+        if d <= 16:
+            _assert_echelon_matches_reference(rows, 0)
+    _, v2, rows = _raising_matrix(8)
+    assert len(_assert_echelon_matches_reference(rows, 3)) < len(v2)
+
+
+@st.composite
+def sparse_rows(draw, p):
+    """Sparse rows on at most 8 columns: empty rows, ints up to 2^70 and,
+    mod p, entries that are 0 mod p but not 0, then duplicates and integer
+    combinations of drawn rows, which cancel exactly.  Over Q no entry is
+    stored as 0, as in the raising matrix."""
+    ncols = draw(st.integers(1, 8))
+    value = st.integers(-9, 9) | st.integers(-2 ** 70, 2 ** 70)
+    value = value | st.integers(-3, 3).map(lambda k: k * p) if p else value.filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), value, max_size=ncols), max_size=8))
+    for _ in range(draw(st.integers(0, 4)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        combo = {j: s * a.get(j, 0) + t * b.get(j, 0) for j in sorted(set(a) | set(b))}
+        rows.insert(draw(st.integers(0, len(rows))), {j: v for j, v in combo.items() if v})
+    return ncols, rows
+
+
+@pytest.mark.parametrize("p", [3, 5, 2147483629, 0])
+@settings(max_examples=150)
+@given(data=st.data())
+def test_echelon_matches_reference_on_random_rows(p, data):
+    ncols, rows = data.draw(sparse_rows(p))
+    pivots = _assert_echelon_matches_reference(rows, p)
+    if not p:
+        assert len(pivots) == len(row_reduce(_dense(rows, ncols))[1])
 
 
 def test_invariant_basis_killed_by_raising_operator():

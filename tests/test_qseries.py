@@ -154,15 +154,22 @@ def test_reciprocal_of_unit_leader_stays_on_ints():
 
 
 def test_reciprocal_of_integer_leader_matches_the_fraction_recurrence():
-    """The recurrence scaled by powers of the leader gives, on integer
-    series with leaders 2, -3 and 1728, exactly the Fractions that dividing
-    by the leader at every step gives: same values, same types."""
+    """The recurrence scaled by powers of the leader, after the integer
+    content is split off, gives exactly the Fractions that dividing by the
+    leader at every step gives (same values, same types): on integer
+    series with leaders 2, -3 and 1728, on E4^3 - E6^2 (leader and content
+    1728), on a leader 6 with content 2 and on 2 + 3q (content 1)."""
     rng = random.Random(5)
-    for lead in (2, -3, 1728):
-        for e0 in (-1, 0, 2):
-            f = QSeries(e0, [lead] + [rng.randint(-99, 99) for _ in range(25)], e0 + 25)
-            g, want = f.reciprocal(), fraction_reciprocal(f)
-            assert (g.e0, g.N, repr(g.coeffs)) == (want.e0, want.N, repr(want.coeffs))
+    cases = [QSeries(e0, [lead] + [rng.randint(-99, 99) for _ in range(25)], e0 + 25)
+             for lead in (2, -3, 1728) for e0 in (-1, 0, 2)]
+    cases += [
+        eisenstein(4, 40) ** 3 - eisenstein(6, 40) ** 2,
+        QSeries(-1, [6] + [2 * rng.randint(-99, 99) for _ in range(25)], 24),
+        QSeries(0, [2, 3], 1),
+    ]
+    for f in cases:
+        g, want = f.reciprocal(), fraction_reciprocal(f)
+        assert (g.e0, g.N, repr(g.coeffs)) == (want.e0, want.N, repr(want.coeffs))
 
 
 def test_reciprocal_of_laurent_leader():
