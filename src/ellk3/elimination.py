@@ -3,7 +3,7 @@
 Resultants of binary forms come from a dense polynomial remainder
 sequence on plain Python ints.  Over Z and Q it is the subresultant PRS
 (Collins 1967; Brown & Traub 1971; Cohen, Alg. 3.3.7) on pseudo-remainders
-(``_prem``), whose exact divisions keep the integers small: integer forms
+(``prem``), whose exact divisions keep the integers small: integer forms
 after their contents are stripped, rational forms after their
 denominators are cleared.  Over F_p the coefficients cannot grow, so
 residue forms run Euclid's sequence on true remainders and collect the
@@ -19,19 +19,22 @@ and the certificate's gcds alike: a polynomial is one int with a
 coefficient per b-bit slot, a remainder step is a few big-int operations,
 and slots are reduced mod p only when a tracked bound says the next
 division could overflow them (the width b grows with p and the degree).
+For a small p the inverses come from a table kept per prime.
 
 Univariate division is one exact quotient on plain ints
 (``exact_quotient``), mod p or over Z; over Q it divides primitive parts,
 which Gauss's lemma makes exact whenever the division over Q is.
 
-Before a polynomial is factored over Q, an exact certificate on plain
-ints tries to prove its primitive part irreducible: distinct-degree
-factorizations mod small primes whose factor degrees leave no room for a
-proper factor over Z (Musser 1978; Gathen & Gerhard, ch. 14-15), each
-stopped once its next steps could not narrow the degrees further.  The
-generic h = 4 g2^3 + 27 g3^2 passes.  Only a polynomial the certificate
-gives up on goes to sympy: one ``factor_list`` over ZZ of its primitive
-part handles every other case, and sympy is imported on first use only.
+Before a polynomial is factored over Q, its power of x splits off and an
+exact certificate on plain ints tries to prove the rest irreducible:
+distinct-degree factorizations mod small primes whose factor degrees
+leave no room for a proper factor over Z (Musser 1978; Gathen & Gerhard,
+ch. 14-15), each stopped once its next steps could not narrow the degrees
+further.  The generic h = 4 g2^3 + 27 g3^2 passes.  Only a polynomial the
+certificate gives up on goes on to ``_factor``, imported on first use:
+Yun's squarefree decomposition where square factors are possible, and
+Zassenhaus's method (factors mod the trail's best prime, Hensel lifting,
+recombination) on the same kernels, each factor an exact quotient over Z.
 """
 
 from fractions import Fraction
@@ -125,7 +128,7 @@ def _prs_resultant(A, B):
         delta = dA - dB
         if dA & dB & 1:
             s = -s
-        R = _prem(A, B)
+        R = prem(A, B)
         if not R:
             return 0
         d = g * h ** delta
@@ -163,7 +166,7 @@ def _euclid_resultant(A, B, p):
     return r * pow(seq[-1][1], seq[-2][0], p) % p
 
 
-def _prem(A, B):
+def prem(A, B):
     """Pseudo-remainder lc(B)^(deg A - deg B + 1) A mod B of high-to-low
     int lists: one step of the subresultant PRS."""
     lb, tail, nb = B[0], B[1:], len(B)
@@ -208,6 +211,24 @@ def _unpack(X, n, p, b):
     return [(X >> s & m) % p for s in range(0, b * n, b)]
 
 
+# each prime below this bound gets a table of negated inverses, built once;
+# a larger p, such as the resultant's 2^62 + 135, inverts with pow
+INVERSE_TABLE_BOUND = 1 << 12
+_NEG_INVERSES = {}
+
+
+def _neg_inverses(p):
+    """The residues -1/i mod a prime p for i < p (0 at i = 0), built on
+    first use by 1/i = -(p // i) / (p mod i) and kept."""
+    table = _NEG_INVERSES.get(p)
+    if table is None:
+        inv = [0, 1]
+        for i in range(2, p):
+            inv.append(-(p // i) * inv[p % i] % p)
+        table = _NEG_INVERSES[p] = [-v % p for v in inv]
+    return table
+
+
 def _euclid_mod(A, da, B, db, p, b, m):
     """Euclid's sequence mod a prime p, r_0 = A, r_1 = B, r_(i+1) = r_(i-1)
     mod r_i, as (degree, leading coefficient, packed r_i) up to the first
@@ -223,9 +244,11 @@ def _euclid_mod(A, da, B, db, p, b, m):
     most k (p - 1) mb to a slot.  While ma + k (p - 1) mb < 2^b no slot
     carries, so every sum and shift is exact slot by slot; otherwise A,
     then if need be B, is first reduced mod p, after which the sum is at
-    most (p - 1) + (n + 1) (p - 1)^2 < 2^b by ``_slot_bits``."""
+    most (p - 1) + (n + 1) (p - 1)^2 < 2^b by ``_slot_bits``.  For p below
+    INVERSE_TABLE_BOUND the inverse of lc(B) is read from ``_neg_inverses``."""
     mask = (1 << b) - 1
     ma = mb = m
+    neg_inv = _neg_inverses(p) if p < INVERSE_TABLE_BOUND else None
     seq = [(da, (A & mask) % p, A)]
     while True:
         while db >= 0 and not (lb := (B & mask) % p):
@@ -242,7 +265,7 @@ def _euclid_mod(A, da, B, db, p, b, m):
                 if ma + k * (p - 1) * mb > mask:
                     B, mb = _pack(_unpack(B, db + 1, p, b), b), p - 1
             ma += k * (p - 1) * mb
-            inv = p - pow(lb, -1, p)
+            inv = neg_inv[lb] if neg_inv else p - pow(lb, -1, p)
             for _ in range(k):
                 c = (A & mask) * inv % p
                 if c:
@@ -321,14 +344,16 @@ CERT_MAX_SINGULAR = 5
 IRREDUCIBLE = "irreducible"
 
 
-def ddf_steps(f, p):
+def ddf_steps(f, p, gcds=None):
     """The distinct-degree factorization mod p (Gathen & Gerhard, Alg.
     14.3) of a monic polynomial f of degree n, given as low-to-high
     residues, step by step: nothing when f is not squarefree mod p, else
     (0, 0, n) and then, after the gcd of step i, (i, r_i, left), with r_i
     factors of degree i and the factors of degree > i adding up to left.
     The steps end once twice the next degree exceeds left, what is left
-    being one factor (or none); a caller may stop sooner.
+    being one factor (or none); a caller may stop sooner.  A list gcds
+    receives, at step i, gcd(f, x^(p^i) - x) as low-to-high residues up to
+    a unit: the product of f's factors of degrees dividing i.
 
     Polynomials of degree < n are packed into one int each as
     ``_euclid_mod`` takes them; f is squarefree when Euclid's sequence of
@@ -365,7 +390,9 @@ def ddf_steps(f, p):
         # x^(p^i) = H(x)^p = H(x^p) mod f, with H = x^(p^(i-1)) unpacked
         H = sum(c * row for c, row in zip(_unpack(H, n, p, b), reversed(rows)) if c) if i > 1 else X
         xpx = H + ((p - 1) << b * (n - 2))  # x^(p^i) - x
-        N = _euclid_mod(F, n, xpx, n - 1, p, b, bound)[-1][0]
+        N, _, G = _euclid_mod(F, n, xpx, n - 1, p, b, bound)[-1]
+        if gcds is not None:
+            gcds.append(_unpack(G, N + 1, p, b)[::-1])
         counts.append((N - sum(j * counts[j] for j in range(1, i) if i % j == 0)) // i)
         left -= i * counts[i]
         yield i, counts[i], left
@@ -459,33 +486,28 @@ def irreducibility_certificate(f):
     return "primes exhausted", trail
 
 
-# -- squarefree and irreducible factors (sympy over ZZ) -------------
-
-
-def _zz(a):
-    """sympy Poly over ZZ of a low-to-high int list.  sympy is imported
-    here, on first use, so that importing ellk3 does not load it."""
-    import sympy
-
-    return sympy.Poly(a[::-1], sympy.Symbol("x"), domain="ZZ")
-
-
-def _ints(poly):
-    """Low-to-high int coefficients of a sympy Poly over ZZ."""
-    return [int(c) for c in reversed(poly.all_coeffs())]
+# -- squarefree and irreducible factors ------------------------------
 
 
 def _irreducible_factors(dense):
     """[(irreducible primitive integer factor, multiplicity)] of a nonzero
-    polynomial over Q: its primitive part alone when the mod-p certificate
-    proves that irreducible, and otherwise one sympy ``factor_list`` of the
-    primitive part, in sympy's order (a constant has no factors)."""
+    polynomial over Q (a constant has none): x^k splits off first, as [0,
+    1] with multiplicity k, then the rest is one factor when the mod-p
+    certificate proves it irreducible, and otherwise ``_factor`` splits it
+    over Z, imported here on first use."""
     prim = poly_primitive(dense)
-    if len(prim) <= 1:
-        return []
-    if irreducibility_certificate(prim)[0] == IRREDUCIBLE:
-        return [(prim, 1)]
-    return [(_ints(fac), mult) for fac, mult in _zz(prim).factor_list()[1]]
+    k = next((i for i, c in enumerate(prim) if c), 0)
+    factors = [([0, 1], k)] if k else []
+    rest = prim[k:]
+    if len(rest) > 1:
+        verdict, trail = irreducibility_certificate(rest)
+        if verdict == IRREDUCIBLE:
+            factors.append((rest, 1))
+        else:
+            from . import _factor
+
+            factors += _factor.factor_uncertified(rest, trail)
+    return factors
 
 
 def squarefree_decomposition(a):
@@ -510,9 +532,11 @@ def gcd_and_squarefree(f):
 
     with p_i monic irreducible in the dehomogenized variable.  Returns
     (unit, [(BinaryForm factor, multiplicity)]); the place at infinity
-    [1:0] appears as the factor w like any other.  f(x, 1) is one place
-    when ``irreducibility_certificate`` proves it irreducible; otherwise
-    sympy factors its primitive part, and lists them in its own order.
+    [1:0] appears as the factor w like any other.  The factors come in a
+    fixed order: w, then x, then the factors of f(x, 1) / x^k by
+    ascending multiplicity, degree and primitive coefficients (low to
+    high); a rest that ``irreducibility_certificate`` proves irreducible
+    is one factor.
     """
     if p := coefficient_domain(f.coeffs)[0]:
         raise DomainError("factoring works over Q, not on residues mod %d" % p)

@@ -3,7 +3,7 @@ patterns against sympy's factorization over GF(p), soundness (a
 reducible polynomial is never certified), primes stopped early with the
 verdict and degree sums of full patterns, one test per way a prime is
 skipped or the certificate gives up, and reports that do not depend on
-whether the certificate or sympy split h."""
+whether the certificate or the factoring module split h."""
 
 import json
 import random
@@ -12,7 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellk3 import elimination
+from ellk3 import _factor, elimination
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import (
     CERT_MAX_PATTERNS,
@@ -102,7 +102,7 @@ def test_a_product_of_two_nonconstant_polynomials_is_never_certified(a, b):
             assert k in allowed_sums(outcome)
 
 
-def test_x4_plus_1_reaches_the_pattern_bound_and_sympy_keeps_it_whole(monkeypatch):
+def test_x4_plus_1_reaches_the_pattern_bound_and_recombination_keeps_it_whole(monkeypatch):
     # irreducible over Q, yet it splits mod every prime: no pattern can rule out degree 2
     f = [1, 0, 0, 0, 1]
     verdict, trail = irreducibility_certificate(f)
@@ -110,10 +110,10 @@ def test_x4_plus_1_reaches_the_pattern_bound_and_sympy_keeps_it_whole(monkeypatc
     assert verdict == "pattern bound" and len(patterns) == CERT_MAX_PATTERNS
     assert all(o in ((1, 1, 1, 1), (1, 1, 2), (2, 2)) for o in patterns)
     calls = []
-    zz = elimination._zz
-    monkeypatch.setattr(elimination, "_zz", lambda prim: calls.append(prim) or zz(prim))
+    factor = _factor.factor_uncertified
+    monkeypatch.setattr(_factor, "factor_uncertified", lambda prim, tr: calls.append((prim, tr)) or factor(prim, tr))
     unit, factors = gcd_and_squarefree(BinaryForm(4, [1, 0, 0, 0, 1]))
-    assert calls == [f]
+    assert calls == [(f, trail)]
     assert unit == 1 and [(g.coeffs, m) for g, m in factors] == [([1, 0, 0, 0, 1], 1)]
 
 
@@ -136,11 +136,11 @@ def test_squarefree_decomposition_needs_no_sqf_list(monkeypatch):
     assert [squarefree_decomposition(a) for a in cases] == want
 
 
-def test_certified_squarefree_decomposition_makes_no_sympy_call(monkeypatch):
+def test_certified_squarefree_decomposition_makes_no_factoring_call(monkeypatch):
     f = h_dense(random_surface(random.Random(8)))
     assert irreducibility_certificate(f)[0] == IRREDUCIBLE
     calls = []
-    monkeypatch.setattr(elimination, "_zz", lambda prim: calls.append(prim))
+    monkeypatch.setattr(_factor, "factor_uncertified", lambda prim, tr: calls.append(prim))
     assert squarefree_decomposition([3 * c for c in f]) == [(f, 1)] and calls == []
 
 

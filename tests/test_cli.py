@@ -7,6 +7,7 @@ from decimal import Decimal
 
 import pytest
 
+from ellk3.binforms import BinaryForm
 from ellk3.cli import main
 from ellk3.invariants import k552, r96
 from ellk3.weierstrass import SurfaceParams
@@ -324,8 +325,8 @@ II_REPORT = {
 }
 
 
-def test_type_ii_fiber_profile_loads_sympy_and_keeps_its_report():
-    # h(x, 1) = x^2 (4 x + 27) is not squarefree, so sympy splits it
+def test_type_ii_fiber_profile_keeps_its_report_without_sympy():
+    # h(x, 1) = x^2 (4 x + 27): x^2 splits off, and the certificate proves 4 x + 27
     from test_weierstrass import II_SURFACE
 
     code = (
@@ -335,7 +336,62 @@ def test_type_ii_fiber_profile_loads_sympy_and_keeps_its_report():
     )
     report, loaded = _fresh_python(code).splitlines()
     assert json.loads(report) == II_REPORT
-    assert loaded == "['sympy']"
+    assert loaded == "[]"
+
+
+def _degenerate_surfaces():
+    """A type II, an I2 and a non-minimal surface, and one whose h has the
+    factor x^4 + w^4, irreducible over Q though it splits mod every
+    prime."""
+    from test_weierstrass import A1_SURFACE
+
+    x, f = BinaryForm(1, [1, 0]), BinaryForm(4, [1, 2, 0, -1, 1])
+    r = BinaryForm(4, [1, 0, 0, 0, 1]) * BinaryForm(8, [1, 0, 3, 0, -2, 1, 0, 0, 5])
+    forms = {
+        "type_ii": (x * BinaryForm(7, [1, 0, 2, 0, -1, 0, 0, 3]), x * BinaryForm(11, [1, -1, 0, 0, 2, 0, 0, 0, 1, 0, 0, 1])),
+        "non_minimal": (x ** 4 * BinaryForm(4, [1, -1, 0, 3, 1]), x ** 6 * BinaryForm(6, [1, 0, 2, 0, 0, -1, 1])),
+        "x4_plus_w4": (-3 * f ** 2, 2 * f ** 3 + r),
+    }
+    surfaces = {k: SurfaceParams(g2.coeffs, g3.coeffs) for k, (g2, g3) in forms.items()}
+    surfaces["i2"] = A1_SURFACE
+    return surfaces
+
+
+def test_degenerate_fiber_profiles_run_with_sympy_unimportable():
+    from ellk3.weierstrass import fiber_profile
+
+    surfaces = _degenerate_surfaces()
+    built = ", ".join("%r: SurfaceParams(%r, %r)" % (k, list(u.g2_coeffs), list(u.g3_coeffs)) for k, u in surfaces.items())
+    code = ("import sys, json; sys.modules['sympy'] = None; from ellk3 import SurfaceParams, fiber_profile; "
+            "print(json.dumps({k: fiber_profile(u).to_json_dict() for k, u in {%s}.items()})); "
+            "print('ellk3._factor' in sys.modules)" % built)
+    reports, loaded = _fresh_python(code).splitlines()
+    assert loaded == "True"
+    reports = json.loads(reports)
+    assert reports == {k: fiber_profile(u).to_json_dict() for k, u in surfaces.items()}
+    kinds = {k: {(p["kodaira"], p["residue_degree"]) for p in r["places"]} for k, r in reports.items()}
+    assert ("II", 1) in kinds["type_ii"] and ("I2", 1) in kinds["i2"]
+    assert ("NON-MINIMAL", 1) in kinds["non_minimal"] and ("I1", 4) in kinds["x4_plus_w4"]
+    assert any(p["place"] == "1 * x^4 + 1 * w^4" for p in reports["x4_plus_w4"]["places"])
+
+
+def test_setup_and_generic_classify_do_not_load_the_factoring_module(tmp_path):
+    # the benchmark's set-up steps, then a generic classify: the certificate
+    # proves x^2 - 2 and the generic h irreducible, so ellk3._factor is
+    # neither imported nor compiled
+    from test_weierstrass import A1_SURFACE
+
+    code = (
+        "import sys, importlib; from ellk3.cli import main; "
+        "mods = [importlib.import_module('ellk3.' + m) for m in ('scalars', 'multipoly', 'binforms', "
+        "'elimination', 'weierstrass', 'invariants', 'hilbert', 'qseries')]; "
+        "mods[6].raising_table(); mods[3].gcd_and_squarefree(mods[2].BinaryForm(2, [1, 0, -2])); "
+        "mods[6].invariant_dimension_oracle(8); seen = [main(['classify', '--input', %r])]; "
+        "seen.append('ellk3._factor' in sys.modules); seen.append(main(['classify', '--input', %r])); "
+        "print(seen + ['ellk3._factor' in sys.modules])" % (
+            write_surface(tmp_path, GENERIC), write_surface(tmp_path, A1_SURFACE, "i2.json")))
+    # exit codes and whether the module is loaded, after each classify
+    assert _fresh_python(code).splitlines()[-1] == "[0, False, 0, True]"
 
 
 # runs a command through cli.main in a new interpreter

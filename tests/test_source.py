@@ -68,6 +68,12 @@ def test_library_does_not_import_multipoly(module):
     assert "multipoly" not in imported_modules((SRC / module).read_text())
 
 
+@pytest.mark.parametrize("module", MODULES)
+def test_library_does_not_import_sympy(module):
+    # sympy is the tests' factoring oracle; the library factors on its own kernels
+    assert "sympy" not in imported_modules((SRC / module).read_text())
+
+
 def domain_rule_breaches(source):
     """Code that applies the coefficient-domain rule outside ``scalars``:
     isinstance(..., ModP) calls, reads of an attribute v (a residue's
