@@ -3,18 +3,19 @@ uncertified (Gathen & Gerhard, ch. 14-15), on the certificate's own
 kernels.  ``elimination`` imports this module on first use, so a job whose
 h the certificate proves irreducible never compiles it.
 
-* Only a polynomial with no degree pattern in its trail (the certificate
-  gave up at "singular bound") may have a square factor.  Yun's algorithm
-  over Z (Yun 1976) splits it into squarefree parts, with gcds from the
-  primitive PRS and every division an ``exact_quotient``.
+* Only a polynomial on which the certificate found no degree pattern (its
+  prime is None) may have a square factor.  Yun's algorithm over Z (Yun
+  1976) splits it into squarefree parts, with gcds from the primitive PRS
+  and every division an ``exact_quotient``; each part gets its own
+  certificate.
 * Each squarefree part the certificate does not prove irreducible is
-  factored by Zassenhaus's method.  At the prime of its trail with the
-  fewest factors, ``ddf_steps`` run to the end give the product of the
-  factors of each degree mod p, and seeded equal-degree splitting (Cantor
-  and Zassenhaus) splits those products.  A factor tree lifts the factors
-  quadratically (Hensel) past the Mignotte bound, on Kronecker-packed
-  products, and subsets of the lifted factors recombine, smallest first,
-  filtered by the degree sums every pattern of the trail allows.
+  factored by Zassenhaus's method.  At the certificate's prime (the one
+  with the fewest factors), ``ddf_steps`` run to the end give the product
+  of the factors of each degree mod p, and seeded equal-degree splitting
+  (Cantor and Zassenhaus) splits those products.  A factor tree lifts the
+  factors quadratically (Hensel) past the Mignotte bound, on
+  Kronecker-packed products, and subsets of the lifted factors recombine,
+  smallest first, filtered by the certificate's degree sums.
 
 Every factor is an exact quotient over Z.  A part that no subset splits
 is irreducible: a factor over Z reduces mod p to the product of a subset
@@ -35,23 +36,20 @@ from .scalars import is_prime
 SPLIT_SEED = 0
 
 
-def factor_uncertified(f, trail):
+def factor_uncertified(f, sums, prime):
     """[(irreducible primitive factor, multiplicity)] of a primitive f of
-    degree >= 2 with f(0) != 0 (low-to-high ints) that the certificate,
-    whose trail is given, did not prove irreducible; sorted by
-    multiplicity, then degree, then coefficients."""
-    if any(isinstance(o, tuple) for _, o in trail):
-        parts = [(f, 1, trail)]  # a pattern proves f squarefree
+    degree >= 2 with f(0) != 0 (low-to-high ints) that the certificate did
+    not prove irreducible, given the degree sums and prime it returned;
+    sorted by multiplicity, then degree, then coefficients."""
+    if prime is not None:  # a pattern proves f squarefree
+        factors = [(g, 1) for g in _zassenhaus(f, sums, prime)]
     else:
-        parts = [(a, m, None) for a, m in _yun(f) if len(a) > 1]
-    factors = []
-    for a, m, part_trail in parts:
-        if part_trail is None:
-            verdict, part_trail = irreducibility_certificate(a)
-            if verdict == IRREDUCIBLE:
-                factors.append((a, m))
-                continue
-        factors += [(g, m) for g in _zassenhaus(a, part_trail)]
+        factors = []
+        for a, m in _yun(f):
+            if len(a) > 1:
+                verdict, _, sums, prime = irreducibility_certificate(a)
+                parts = [a] if verdict == IRREDUCIBLE else _zassenhaus(a, sums, prime)
+                factors += [(g, m) for g in parts]
     return sorted(factors, key=lambda fm: (fm[1], len(fm[0]), fm[0]))
 
 
@@ -285,55 +283,33 @@ def _product(polys, m):
     return out
 
 
-def _trail_sums(n, trail):
-    """The factor-degree sums (a bitmask) that every pattern of a
-    certificate trail for a polynomial of degree n allows: a full
-    pattern's subset sums, and for a stopped prime (found, left, i) those
-    of found with the rest as one factor, which is what the certificate
-    intersected."""
-    sums = (1 << n + 1) - 1
-    for _, o in trail:
-        if isinstance(o, tuple):
-            found, left = (o[0], o[1]) if isinstance(o[0], tuple) else (o, 0)
-            reach = 1
-            for d in found:
-                reach |= reach << d
-            sums &= reach | reach << left
-    return sums
-
-
-def _choose_prime(f, trail):
-    """The prime of the trail with the fewest factors (a stopped prime
-    counts those found and one for the rest), the smaller on a tie; with
-    no pattern in the trail, the first prime after those tried not
-    dividing lc(f) mod which f is squarefree."""
-    counted = [(len(o[0]) + (o[1] > 0) if isinstance(o[0], tuple) else len(o), p)
-               for p, o in trail if isinstance(o, tuple)]
-    if counted:
-        return min(counted)[1]
-    q = trail[-1][0] + 2 if trail else 3
+def _choose_prime(f):
+    """The first prime from 3 not dividing lc(f) mod which f is squarefree:
+    for an f on which the certificate found no pattern, every prime it
+    tried fails one of the two."""
+    q = 3
     while True:
         if is_prime(q) and f[-1] % q and next(ddf_steps(_monic([c % q for c in f], q), q), None):
             return q
         q += 2
 
 
-def _zassenhaus(f, trail):
+def _zassenhaus(f, sums, p):
     """The irreducible factors over Z, primitive with positive leading
     coefficients, of a squarefree primitive f of degree n >= 2 with f(0)
-    != 0, given its certificate trail.
+    != 0, given the degree sums its certificate allows and the prime to
+    factor at (None: ``_choose_prime``'s).
 
     Let q be f or a quotient of f by factors found, and g a factor of q of
     degree d.  Then (lc(q)/lc(g)) g has 1-norm at most 2^d M(q) <= 2^d
     M(f) <= 2^d ||f||_2 (Mignotte; M, the Mahler measure, is
     multiplicative and at least 1 on integer polynomials), and d is at
-    most the largest proper degree sum the trail allows.  So once p^l
-    exceeds twice that bound, lc(q) times the product of the lifted
-    factors of g, read with residues in (-p^l/2, p^l/2], is (lc(q)/lc(g))
-    g itself."""
+    most the largest proper degree sum allowed.  So once p^l exceeds twice
+    that bound, lc(q) times the product of the lifted factors of g, read
+    with residues in (-p^l/2, p^l/2], is (lc(q)/lc(g)) g itself."""
     n = len(f) - 1
-    sums = _trail_sums(n, trail)
-    p = _choose_prime(f, trail)
+    if p is None:
+        p = _choose_prime(f)
     mods = _factor_mod(_monic([c % p for c in f], p), p)
     if len(mods) == 1:
         return [f]

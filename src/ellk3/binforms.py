@@ -71,10 +71,7 @@ class BinaryForm(Record):
         x f_x + w f_w = n f holds exactly."""
         if self.n < 1:
             raise ValueError("partials of a degree-0 form")
-        n = self.n
-        fx = [self.coeffs[i] * (n - i) for i in range(n)]
-        fw = [self.coeffs[i + 1] * (i + 1) for i in range(n)]
-        return BinaryForm(n - 1, fx), BinaryForm(n - 1, fw)
+        return tuple(BinaryForm(self.n - 1, c) for c in _partials(self.coeffs))
 
     def substitute(self, mat):
         """(gamma . f)(x, w) = f(a x + b w, c x + d w) for gamma = [[a, b],
@@ -153,6 +150,13 @@ class BinaryForm(Record):
                 factors.append("w^%d" % i)
             parts.append(" * ".join(factors))
         return " + ".join(parts)
+
+
+def _partials(coeffs):
+    """(d/dx, d/dw) of the form with coefficients coeffs (entry i that of
+    x^(n-i) w^i), as the n coefficients of each partial."""
+    n = len(coeffs) - 1
+    return [c * (n - i) for i, c in enumerate(coeffs[:n])], [c * (i + 1) for i, c in enumerate(coeffs[1:])]
 
 
 def _convolve(u, v):

@@ -33,14 +33,15 @@ ch. 14-15), each stopped once its next steps could not narrow the degrees
 further.  The generic h = 4 g2^3 + 27 g3^2 passes.  Only a polynomial the
 certificate gives up on goes on to ``_factor``, imported on first use:
 Yun's squarefree decomposition where square factors are possible, and
-Zassenhaus's method (factors mod the trail's best prime, Hensel lifting,
-recombination) on the same kernels, each factor an exact quotient over Z.
+Zassenhaus's method (factors mod the certificate's prime, Hensel lifting,
+recombination within its degree sums) on the same kernels, each factor an
+exact quotient over Z.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from .binforms import BinaryForm, _convolve
+from .binforms import BinaryForm, _convolve, _partials
 from .scalars import DomainError, clear_denominators, coefficient_domain, is_prime, plain_ints, wrap_ints
 
 # sign/normalization conventions, fixed once and reported with Delta_264
@@ -75,8 +76,7 @@ def discriminant_binary(f):
         raise ValueError("discriminant needs degree >= 2")
     p, rational = coefficient_domain(f.coeffs)
     a, d = plain_ints(f.coeffs, p, rational)
-    fx = [c * (n - i) for i, c in enumerate(a[:n])]
-    fw = [c * (i + 1) for i, c in enumerate(a[1:])]
+    fx, fw = _partials(a)
     if p:
         fx, fw = [c % p for c in fx], [c % p for c in fw]
     if not any(fx) or not any(fw):
@@ -414,10 +414,14 @@ def degree_pattern(f, p):
 def irreducibility_certificate(f):
     """Try to prove a primitive integer polynomial f of degree n >= 1
     (low-to-high) irreducible over Q from its factor-degree patterns mod
-    the primes in CERT_PRIMES (Musser 1978).  Returns (verdict, trail):
-    the verdict is IRREDUCIBLE or the reason the certificate gave up, and
-    the trail has one (p, outcome) per prime tried, the outcome being the
-    reason p was skipped, the pattern, or a truncated pattern:
+    the primes in CERT_PRIMES (Musser 1978).  Returns (verdict, trail,
+    sums, prime): the verdict is IRREDUCIBLE or the reason the certificate
+    gave up; sums is a bitmask with bit d set while a factor of degree d is
+    still possible; prime is the pattern prime with the fewest factors (a
+    stopped prime counts those found and one for the rest), the smaller on
+    a tie, or None when no prime gave a pattern; and the trail has one (p,
+    outcome) per prime tried, the outcome being the reason p was skipped,
+    the pattern, or a truncated pattern:
 
     * "lc": p divides the leading coefficient, so f's degree drops mod p;
     * "singular": f is not squarefree mod p, for which ``ddf_steps`` of
@@ -450,6 +454,7 @@ def irreducibility_certificate(f):
     sums = (1 << n + 1) - 1
     trail = []
     patterns = singular = 0
+    fewest = (n + 1, None)  # (factors, prime); no prime has n + 1 factors
     for p in CERT_PRIMES:
         lc = f[-1] % p
         if not lc:
@@ -471,19 +476,20 @@ def irreducibility_certificate(f):
             if not patterns:
                 singular += 1
                 if singular == CERT_MAX_SINGULAR:
-                    return "singular bound", trail
+                    return "singular bound", trail, sums, None
             continue
         if 2 * i + 2 > left:
             trail.append((p, tuple(found + [left] if left else found)))
         else:
             trail.append((p, (tuple(found), left, i)))
+        fewest = min(fewest, (len(found) + (left > 0), p))
         sums &= least
         if sums == full:
-            return IRREDUCIBLE, trail
+            return IRREDUCIBLE, trail, sums, fewest[1]
         patterns += 1
         if patterns == CERT_MAX_PATTERNS:
-            return "pattern bound", trail
-    return "primes exhausted", trail
+            return "pattern bound", trail, sums, fewest[1]
+    return "primes exhausted", trail, sums, fewest[1]
 
 
 # -- squarefree and irreducible factors ------------------------------
@@ -500,13 +506,13 @@ def _irreducible_factors(dense):
     factors = [([0, 1], k)] if k else []
     rest = prim[k:]
     if len(rest) > 1:
-        verdict, trail = irreducibility_certificate(rest)
+        verdict, _, sums, prime = irreducibility_certificate(rest)
         if verdict == IRREDUCIBLE:
             factors.append((rest, 1))
         else:
             from . import _factor
 
-            factors += _factor.factor_uncertified(rest, trail)
+            factors += _factor.factor_uncertified(rest, sums, prime)
     return factors
 
 

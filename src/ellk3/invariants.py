@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 from . import Record
-from .binforms import BinaryForm, _convolve
+from .binforms import BinaryForm, _convolve, _partials
 from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant
 from .scalars import PRIME_BOUND, InexactDivision, ModP, exact_scalar_div, is_prime, plain_ints
 from .weierstrass import G2_WEIGHT, G3_WEIGHT, SurfaceParams, assemble, on_ints
@@ -161,10 +161,7 @@ def _jacobian(a, b):
     """The 19 coefficients of J = g2_x g3_w - g2_w g3_x, high-to-low, from
     the coefficient lists a of g2 (degree 8) and b of g3 (degree 12), on
     plain ints."""
-    ax = [c * (8 - i) for i, c in enumerate(a[:8])]
-    aw = [c * (i + 1) for i, c in enumerate(a[1:])]
-    bx = [c * (12 - i) for i, c in enumerate(b[:12])]
-    bw = [c * (i + 1) for i, c in enumerate(b[1:])]
+    (ax, aw), (bx, bw) = _partials(a), _partials(b)
     return [s - t for s, t in zip(_convolve(ax, bw), _convolve(aw, bx))]
 
 
@@ -235,11 +232,9 @@ K552_U_DEGREE = 138
 
 # Res(h, J) is the 42 x 42 Sylvester determinant of 18 rows of h's
 # coefficients, cubic in u, and 24 rows of J's, quadratic in u: on a line
-# it has degree <= 18*3 + 24*2 = 102
+# it has degree <= 18*3 + 24*2 = 102, so k552 = JACOBIAN_SCALE r96 Res(h,
+# J) has degree <= 20 + 102 = 122 there (a random line reaches it)
 RES_HJ_LINE_DEGREE = 102
-# k552 = JACOBIAN_SCALE r96 Res(h, J), so its degree on any line is at most
-# 20 + 102 = 122 (a random line reaches it)
-K552_LINE_DEGREE = R96_U_DEGREE + RES_HJ_LINE_DEGREE
 
 
 def line_restriction(u0, u1):

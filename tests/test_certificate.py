@@ -92,7 +92,7 @@ polys = st.tuples(st.integers(1, 12).flatmap(lambda n: st.lists(st.integers(-9, 
 @given(polys, polys)
 def test_a_product_of_two_nonconstant_polynomials_is_never_certified(a, b):
     f = poly_primitive(mul(a, b))
-    verdict, trail = irreducibility_certificate(f)
+    verdict, trail, _, _ = irreducibility_certificate(f)
     assert verdict != IRREDUCIBLE
     assert verdict in ("pattern bound", "singular bound", "primes exhausted")
     # the factor's degree survives at every prime that gave a pattern
@@ -105,15 +105,15 @@ def test_a_product_of_two_nonconstant_polynomials_is_never_certified(a, b):
 def test_x4_plus_1_reaches_the_pattern_bound_and_recombination_keeps_it_whole(monkeypatch):
     # irreducible over Q, yet it splits mod every prime: no pattern can rule out degree 2
     f = [1, 0, 0, 0, 1]
-    verdict, trail = irreducibility_certificate(f)
+    verdict, trail, sums, prime = irreducibility_certificate(f)
     patterns = [o for _, o in trail if isinstance(o, tuple)]
     assert verdict == "pattern bound" and len(patterns) == CERT_MAX_PATTERNS
     assert all(o in ((1, 1, 1, 1), (1, 1, 2), (2, 2)) for o in patterns)
     calls = []
     factor = _factor.factor_uncertified
-    monkeypatch.setattr(_factor, "factor_uncertified", lambda prim, tr: calls.append((prim, tr)) or factor(prim, tr))
+    monkeypatch.setattr(_factor, "factor_uncertified", lambda *args: calls.append(args) or factor(*args))
     unit, factors = gcd_and_squarefree(BinaryForm(4, [1, 0, 0, 0, 1]))
-    assert calls == [(f, trail)]
+    assert calls == [(f, sums, prime)]
     assert unit == 1 and [(g.coeffs, m) for g, m in factors] == [([1, 0, 0, 0, 1], 1)]
 
 
@@ -140,7 +140,7 @@ def test_certified_squarefree_decomposition_makes_no_factoring_call(monkeypatch)
     f = h_dense(random_surface(random.Random(8)))
     assert irreducibility_certificate(f)[0] == IRREDUCIBLE
     calls = []
-    monkeypatch.setattr(_factor, "factor_uncertified", lambda prim, tr: calls.append(prim))
+    monkeypatch.setattr(_factor, "factor_uncertified", lambda prim, sums, prime: calls.append(prim))
     assert squarefree_decomposition([3 * c for c in f]) == [(f, 1)] and calls == []
 
 
@@ -248,14 +248,17 @@ def sums_after_each_prime(f, trail):
     return out
 
 
-def test_certificate_trails_match_sympy():
-    # seeded h with small and large coefficients, then one input per
-    # way a prime is skipped or the certificate gives up
+def trail_inputs():
+    """Seeded h with small and large coefficients, then one input per way
+    a prime is skipped or the certificate gives up."""
     rng = random.Random(17)
     fs = [h_dense(random_surface(rng, bound)) for bound in [9] * 14 + [10 ** 6] * 6]
-    fs += [h_dense(LC_140), [1, 0, 0, 0, 1], mul(mul([-2, 0, 1], [-2, 0, 1]), [3, 1])]
-    for f in fs:
-        assert irreducibility_certificate(f) == reference_certificate(f)
+    return fs + [h_dense(LC_140), [1, 0, 0, 0, 1], mul(mul([-2, 0, 1], [-2, 0, 1]), [3, 1])]
+
+
+def test_certificate_trails_match_sympy():
+    for f in trail_inputs():
+        assert irreducibility_certificate(f)[:2] == reference_certificate(f)
 
 
 def library_pattern(f, p):
@@ -279,7 +282,7 @@ cert_inputs = st.one_of(
 @settings(max_examples=80)
 @given(cert_inputs)
 def test_stopped_primes_keep_the_verdict_and_sums_of_full_patterns(f):
-    verdict, trail = irreducibility_certificate(f)
+    verdict, trail, _, _ = irreducibility_certificate(f)
     want, full_trail = reference_certificate(f, library_pattern, stop=False)
     assert verdict == want
     assert [(p, o if isinstance(o, str) else "pattern") for p, o in trail] == \
@@ -305,7 +308,7 @@ def test_certificate_gcd_budget(monkeypatch):
 def test_a_prime_dividing_the_leading_coefficient_is_skipped():
     f = h_dense(LC_140)
     assert f[-1] == 140
-    verdict, trail = irreducibility_certificate(f)
+    verdict, trail, _, _ = irreducibility_certificate(f)
     assert verdict == IRREDUCIBLE
     assert trail[1:3] == [(5, "lc"), (7, "lc")]
 
@@ -313,12 +316,12 @@ def test_a_prime_dividing_the_leading_coefficient_is_skipped():
 def test_a_prime_modulo_which_f_is_not_squarefree_is_skipped():
     # h = 4 g2^3 + 27 g3^2 is g2^3 mod 3, a cube
     f = h_dense(LC_140)
-    verdict, trail = irreducibility_certificate(f)
+    verdict, trail, _, _ = irreducibility_certificate(f)
     assert trail[0] == (3, "singular") and verdict == IRREDUCIBLE
     # once a pattern has proved f squarefree, singular primes are skipped
     # without limit: x^2 - D splits mod 3 and is singular mod each prime of D
     D = 5 * 7 * 11 * 13 * 17 * 19 * 23
-    verdict, trail = irreducibility_certificate([-D, 0, 1])
+    verdict, trail, _, _ = irreducibility_certificate([-D, 0, 1])
     assert verdict == IRREDUCIBLE
     assert trail == [(3, (1, 1))] + [(p, "singular") for p in (5, 7, 11, 13, 17, 19, 23)] + [(29, (2,))]
     assert len(trail) - 2 > CERT_MAX_SINGULAR
@@ -327,7 +330,7 @@ def test_a_prime_modulo_which_f_is_not_squarefree_is_skipped():
 def test_a_square_factor_reaches_the_singular_bound():
     # (x^2 - 2)^2 (x + 3): singular mod every prime
     f = mul(mul([-2, 0, 1], [-2, 0, 1]), [3, 1])
-    verdict, trail = irreducibility_certificate(f)
+    verdict, trail, _, _ = irreducibility_certificate(f)
     assert verdict == "singular bound"
     assert [o for _, o in trail] == ["singular"] * CERT_MAX_SINGULAR
     unit, factors = gcd_and_squarefree(BinaryForm.homogenize(f, 5))
@@ -339,7 +342,7 @@ def test_every_prime_dividing_the_leading_coefficient_exhausts_the_primes():
     for p in CERT_PRIMES:
         lc *= p
     f = [1, 0, lc]  # lc x^2 + 1 has no real root
-    verdict, trail = irreducibility_certificate(f)
+    verdict, trail, _, _ = irreducibility_certificate(f)
     assert verdict == "primes exhausted"
     assert trail == [(p, "lc") for p in CERT_PRIMES]
     unit, factors = gcd_and_squarefree(BinaryForm(2, [lc, 0, 1]))
@@ -350,5 +353,5 @@ def test_reports_do_not_depend_on_who_splits_h(monkeypatch):
     rng = random.Random(11)
     surfaces = [random_surface(rng, b) for b in [9] * 10 + [10 ** 6] * 2] + [LC_140]
     certified = [json.dumps(fiber_profile(u).to_json_dict(), sort_keys=True) for u in surfaces]
-    monkeypatch.setattr(elimination, "irreducibility_certificate", lambda f: ("off", []))
+    monkeypatch.setattr(elimination, "irreducibility_certificate", lambda f: ("off", [], (1 << len(f)) - 1, None))
     assert [json.dumps(fiber_profile(u).to_json_dict(), sort_keys=True) for u in surfaces] == certified

@@ -1,11 +1,13 @@
 """Factoring over Z without sympy (``ellk3._factor``): factor multisets
 against sympy's ``factor_list`` on seeded reducible forms, on the h the
 certificate gives up on and on every surface fixture class; Yun's
-decomposition, the factors mod p, the Hensel lift and the choice of prime
-one by one; and the order ``gcd_and_squarefree`` lists factors in."""
+decomposition, the factors mod p, the Hensel lift, the degree sums and
+prime the certificate hands over and the search for a prime when it has
+none, one by one; and the order ``gcd_and_squarefree`` lists factors in."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy
@@ -23,7 +25,7 @@ from ellk3.elimination import (
 )
 from ellk3.invariants import random_surface
 from ellk3.weierstrass import SurfaceParams, assemble
-from test_certificate import LC_140, h_dense, mul
+from test_certificate import LC_140, h_dense, mul, sums_after_each_prime, trail_inputs
 
 X = sympy.Symbol("x")
 
@@ -146,8 +148,8 @@ def test_surface_fixture_classes_match_sympy(kind):
 def test_an_irreducible_split_everywhere_stays_whole():
     # x^4 + 1 splits mod every prime, so only recombination proves it irreducible
     for c in SPLIT_EVERYWHERE:
-        trail = irreducibility_certificate(c)[1]
-        assert _factor.factor_uncertified(c, trail) == [(c, 1)]
+        _, _, sums, prime = irreducibility_certificate(c)
+        assert _factor.factor_uncertified(c, sums, prime) == [(c, 1)]
 
 
 def test_yun_parts_multiply_back():
@@ -189,38 +191,51 @@ def test_hensel_lift_multiplies_back():
 
 def test_a_trail_without_patterns_picks_the_next_good_prime():
     # (3 5 ... 397) x^2 + 1: every certificate prime divides the leading coefficient
-    lc = 1
-    for p in CERT_PRIMES:
-        lc *= p
-    trail = irreducibility_certificate([1, 0, lc])[1]
-    assert _factor._choose_prime([1, 0, lc], trail) == 401
+    f = [1, 0, prod(CERT_PRIMES)]
+    assert irreducibility_certificate(f)[3] is None
+    assert _factor._choose_prime(f) == 401
     # the give-up h of seed 1089 is squarefree but singular mod 3, 5, 7, 11 and 13
     f = poly_primitive(surface_h(random_surface(random.Random(1089))))
-    verdict, trail = irreducibility_certificate(f)
-    assert verdict == "singular bound" and [p for p, _ in trail] == [3, 5, 7, 11, 13]
-    assert _factor._choose_prime(f, trail) == 17
-    assert _factor.factor_uncertified(f, trail) == [(f, 1)]
+    verdict, trail, sums, prime = irreducibility_certificate(f)
+    assert verdict == "singular bound" and [p for p, _ in trail] == [3, 5, 7, 11, 13] and prime is None
+    assert _factor._choose_prime(f) == 17
+    assert _factor.factor_uncertified(f, sums, prime) == [(f, 1)]
 
 
-def test_the_prime_with_the_fewest_factors_is_chosen():
-    f = mul([1, 0, 0, 0, 1], [-1, 2, 0, 1])
-    verdict, trail = irreducibility_certificate(f)
-    counts = {p: len(o[0]) + (o[1] > 0) if isinstance(o[0], tuple) else len(o)
-              for p, o in trail if isinstance(o, tuple)}
-    p = _factor._choose_prime(f, trail)
-    assert counts[p] == min(counts.values()) and p == min(q for q in counts if counts[q] == counts[p])
+def fewest_factor_prime(trail):
+    """The pattern prime of a trail with the fewest factors, the smaller on
+    a tie, or None: a stopped prime (found, left, i), whose rest is never
+    empty, counts those found and one for the rest."""
+    counts = [(len(o[0]) + 1 if isinstance(o[0], tuple) else len(o), p) for p, o in trail if isinstance(o, tuple)]
+    return min(counts)[1] if counts else None
 
 
-def test_trail_sums_are_the_certificates():
-    # the sums left after a trail are those every outcome allows
-    rng = random.Random(5)
-    for _ in range(20):
-        f = poly_primitive(mul(rand_poly(rng, rng.randint(1, 8), 9), rand_poly(rng, rng.randint(1, 8), 9)))
-        verdict, trail = irreducibility_certificate(f)
-        sums = _factor._trail_sums(len(f) - 1, trail)
-        assert verdict != IRREDUCIBLE and sums != 1 | 1 << len(f) - 1
-        for g, _ in sympy_factors(f):
-            assert sums >> len(g) - 1 & 1
+def check_sums_and_prime(f):
+    """The certificate's sums are those its trail leaves, and its prime the
+    one with the fewest factors."""
+    verdict, trail, sums, prime = irreducibility_certificate(f)
+    assert [d for d in range(len(f)) if sums >> d & 1] == sums_after_each_prime(f, trail)[-1]
+    assert prime == fewest_factor_prime(trail)
+    return verdict, sums
+
+
+def test_certificate_returns_the_sums_and_prime_of_its_trail():
+    for f in trail_inputs():
+        check_sums_and_prime(f)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificate_sums_and_prime_on_reducible_forms(kind):
+    # the inputs of test_factors_match_sympy_on_reducible_forms, x^k split off
+    rng = random.Random(KINDS.index(kind))
+    for _ in range(30):
+        f = poly_primitive(reducible_form(rng, kind))
+        f = f[next(i for i, c in enumerate(f) if c):]
+        if len(f) > 1:
+            verdict, sums = check_sums_and_prime(f)
+            want = sympy_factors(f)
+            assert verdict != IRREDUCIBLE or want == [(f, 1)]
+            assert all(sums >> len(g) - 1 & 1 for g, _ in want)
 
 
 def test_gcd_and_squarefree_lists_w_then_x_then_by_multiplicity_degree_and_coefficients():

@@ -10,7 +10,6 @@ from ellk3 import invariants
 from ellk3.binforms import BinaryForm, _convolve
 from ellk3.invariants import (
     DEFAULTS,
-    K552_LINE_DEGREE,
     K552_U_DEGREE,
     R96_U_DEGREE,
     RES_HJ_LINE_DEGREE,
@@ -338,7 +337,7 @@ def test_slice_divisibility_mod_p():
     wit = slice_divisibility(u0, u1, modulus=DEFAULTS.homogeneity_prime)
     assert isinstance(wit, SliceWitness) and wit.success
     assert wit.r3_degree == 60
-    assert wit.k_degree <= K552_LINE_DEGREE
+    assert wit.k_degree <= R96_U_DEGREE + RES_HJ_LINE_DEGREE
     assert wit.quotient_degree == wit.k_degree - 60
 
 
@@ -528,7 +527,7 @@ def test_slice_divisibility_matches_reference(kind, modulus):
     """The certificate from the proven line degrees (103 evaluations of
     Res(h, J) and 21 of r96) equals, field for field, the one from the
     plain degree bounds (139 evaluations of disc(h) and 61 of r96), whose
-    k_degree never exceeds K552_LINE_DEGREE."""
+    k_degree never exceeds R96_U_DEGREE + RES_HJ_LINE_DEGREE."""
 
     # no shrink phase: shrinking a failing line takes minutes of slice work
     @settings(max_examples=1 if modulus is None else 2, phases=(Phase.explicit, Phase.reuse, Phase.generate))
@@ -542,7 +541,7 @@ def test_slice_divisibility_matches_reference(kind, modulus):
             assume(False)
         got = slice_divisibility(*line, modulus=modulus)
         assert got == want and repr(got.quotient) == repr(want.quotient)
-        assert want.success and want.k_degree <= K552_LINE_DEGREE
+        assert want.success and want.k_degree <= R96_U_DEGREE + RES_HJ_LINE_DEGREE
         if kind == "g2-zero":
             assert want.r3_degree <= 3 * 8  # r96 has degree 8 in g3
 
@@ -677,7 +676,7 @@ def test_slice_line_evaluation_budget(monkeypatch):
         calls.update(disc=0, res=0)
         assert slice_divisibility(u0, u1, modulus=modulus).success
         assert calls == {"disc": 0, "res": 103 + 21}
-    assert (RES_HJ_LINE_DEGREE, R96_U_DEGREE, K552_LINE_DEGREE) == (102, 20, 122)
+    assert (RES_HJ_LINE_DEGREE, R96_U_DEGREE) == (102, 20)
 
 
 @pytest.mark.parametrize("modulus", [None, 139, P62])
@@ -686,7 +685,7 @@ def test_slice_witness_interpolants_factor_exactly(modulus):
     rng = random.Random(13)
     u0, u1 = random_surface(rng), random_surface(rng)
     wit = slice_divisibility(u0, u1, modulus=modulus)
-    assert len(wit.K) - 1 == wit.k_degree == K552_LINE_DEGREE
+    assert len(wit.K) - 1 == wit.k_degree == R96_U_DEGREE + RES_HJ_LINE_DEGREE
     assert 3 * (len(wit.R) - 1) == wit.r3_degree == 3 * R96_U_DEGREE
     product = _convolve(_convolve(_convolve(wit.R, wit.R), wit.R), wit.quotient)
     if modulus:

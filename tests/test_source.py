@@ -103,6 +103,47 @@ def test_only_scalars_applies_the_domain_rule(module):
     assert domain_rule_breaches((SRC / module).read_text()) == []
 
 
+def unread_definitions(sources):
+    """Top-level names (functions, classes, assignments; dunders aside)
+    that no top-level statement of the sources reads, their own definition
+    left out, so a recursive function must be read elsewhere too."""
+    defined, reads = [], []
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            defined += [(name, node) for name in names if not name.startswith("__")]
+            reads.append((node, {n.attr if isinstance(n, ast.Attribute) else n.id for n in ast.walk(node)
+                                 if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}))
+    return [name for name, home in defined if not any(name in read for node, read in reads if node is not home)]
+
+
+def test_unread_definitions_catches_a_planted_unused_function():
+    source = ("import os\nLIMIT = 3\nSEEN: int = 0\n\n\ndef _walk(n):\n    return _walk(n - 1) if n else LIMIT\n\n\n"
+              "def unused():\n    return os.sep\n\n\nclass Box:\n    pass\n")
+    assert unread_definitions([source, "from .m import Box\nBox()\n"]) == ["SEEN", "_walk", "unused"]
+    assert unread_definitions([source + "_walk(2)\nunused.__name__\nprint(SEEN)\n"]) == ["Box"]
+
+
+# read only by perfbench, which binds them by name (ROADMAP items 10 and
+# 18), and degree_pattern: the building block of ROADMAP item 3 and the
+# tests' full-pattern oracle
+UNREAD_ALLOWED = {"squarefree_decomposition", "raising_table", "degree_pattern"}
+
+
+def test_every_definition_is_read_or_exported():
+    # a helper nothing calls is deleted, not kept; the allow-list is exact,
+    # so a name leaves it once src reads it or it is deleted
+    from ellk3 import _EXPORTS
+
+    exported = {name for names in _EXPORTS.values() for name in names}
+    unread = unread_definitions([(SRC / module).read_text() for module in MODULES])
+    assert set(unread) - exported == UNREAD_ALLOWED
+
+
 def test_value_classes_take_eq_hash_and_read_only_fields_from_record():
     # ModP compares with ints, and MultiPoly with the scalars that generic
     # form entries meet; every other value class is a Record
