@@ -228,8 +228,10 @@ def compositions(total, parts):
 def filtered_weight_spaces(tdegree):
     """{q-weight: exponent vectors} of the u-monomials of weighted t-degree
     tdegree, by visiting every octic and duodecic composition pair of each
-    split and keeping the monomial under its q-weight, in visiting order;
-    ``hilbert.monomial_basis(tdegree, q)`` must equal the list at q."""
+    split and keeping the monomial under its q-weight, each list then
+    sorted stably by octic degree a8 and octic q-weight, so ties keep the
+    lexicographic visiting order; ``hilbert.monomial_basis(tdegree, q)``
+    must equal the list at q."""
     spaces = {}
     for a8 in range(tdegree // 4 + 1):
         rem = tdegree - 4 * a8
@@ -240,6 +242,8 @@ def filtered_weight_spaces(tdegree):
             for e12 in compositions(rem // 6, 13):
                 q = q8 + sum(e * qw for e, qw in zip(e12, Q_WEIGHTS[9:]))
                 spaces.setdefault(q, []).append(e8 + e12)
+    for monos in spaces.values():
+        monos.sort(key=lambda m: (sum(m[:9]), sum(e * qw for e, qw in zip(m[:9], Q_WEIGHTS[:9]))))
     return spaces
 
 

@@ -153,12 +153,31 @@ def test_monomial_basis_matches_filter_reference():
     # same monomials in the same order, so columns, pivots and
     # invariant_basis do not depend on how the weight spaces are built; at
     # every weight present, and at an odd one and one past the largest |q|,
-    # where the enumeration's weight windows must come out empty
+    # where no pair of buckets may complete the weight
     for d in range(31):
         spaces = filtered_weight_spaces(d)
         top = max(map(abs, spaces), default=0)
         for q in sorted(spaces) + [-1, 1, -top - 2, top + 2]:
             assert monomial_basis(d, q) == spaces.get(q, []), "degree %d, q-weight %d" % (d, q)
+
+
+def test_monomial_basis_windows_match_cached_buckets(monkeypatch):
+    # above ORACLE_MAX_DEGREE each split enumerates inside its weight
+    # windows; lowering the bound sends t-degrees the cache serves down
+    # that path, which must give the same lists
+    cached = {(d, q): monomial_basis(d, q) for d in (12, 24, 30) for q in range(-8, 9, 2)}
+    monkeypatch.setattr(hilbert, "ORACLE_MAX_DEGREE", -1)
+    for (d, q), monos in cached.items():
+        assert monomial_basis(d, q) == monos, "degree %d, q-weight %d" % (d, q)
+
+
+def test_form_bucket_cache_stays_within_the_oracle_degrees():
+    # octic degrees 0..7 and duodecic 0..5 are all that t-degree 30
+    # reaches; above it nothing is cached
+    for d in range(ORACLE_MAX_DEGREE + 1):
+        monomial_basis(d, 0)
+    monomial_basis(ORACLE_MAX_DEGREE + 6, 0)
+    assert hilbert._form_buckets.cache_info().currsize <= 8 + 6
 
 
 def test_raising_matrix_reads_monomial_basis(monkeypatch):
@@ -186,6 +205,30 @@ def test_raising_matrix_matches_operator_reference():
         ref0, ref2, ref_rows = raising_matrix_reference(d)
         assert (v0, v2) == (ref0, ref2), "degree %d" % d
         assert [list(r.items()) for r in rows] == [list(r.items()) for r in ref_rows], "degree %d" % d
+
+
+def test_raising_matrix_rows_stay_in_their_octic_block():
+    # a weight-2 monomial with octic part of degree a8 and weight q8 is hit
+    # only by D12 from octic weight q8 and by D8 from q8 - 2, both of
+    # degree a8: the shape monomial_basis's order lets _echelon follow
+    def octic(m):
+        return sum(m[:9]), sum(e * qw for e, qw in zip(m[:9], Q_WEIGHTS[:9]))
+
+    for d in range(ORACLE_MAX_DEGREE + 1):
+        v0, v2, rows = _raising_matrix(d)
+        for i, row in enumerate(rows):
+            a8, q8 = octic(v2[i])
+            assert {octic(v0[j]) for j in row} <= {(a8, q8), (a8, q8 - 2)}, "degree %d, row %d" % (d, i)
+
+
+def test_echelon_fill_on_raising_matrices_is_pinned():
+    # entries stored in the pivot rows mod the first oracle prime; in plain
+    # lexicographic basis order they were 5950 and 30133
+    for d, fill in ((24, 4724), (28, 22880)):
+        _, v2, rows = _raising_matrix(d)
+        pivots = _echelon(rows, _ORACLE_PRIMES[0])
+        assert len(pivots) == len(v2)
+        assert sum(map(len, pivots.values())) == fill, "degree %d" % d
 
 
 def test_oracle_refuses_negative_degrees():
@@ -296,7 +339,7 @@ def test_echelon_matches_reference_on_random_rows(p, data):
 
 
 def test_invariant_basis_killed_by_raising_operator():
-    for d in (8, 12, 16):
+    for d in (8, 12, 16, 20, 24):
         basis = invariant_basis(d)
         assert len(basis) == molien_series(d)[d]
         for b in basis:
