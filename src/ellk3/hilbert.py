@@ -146,42 +146,31 @@ def raising_operator(p):
 # -- monomial bases and the kernel oracle ----------------------------
 
 
-def _weighted_compositions(total, qweights, lo, hi):
+def _weighted_compositions(total, qweights):
     """(e, e . qweights) for every tuple e of len(qweights) >= 2
-    nonnegative integers summing to `total` with weight e . qweights in
-    [lo, hi], in lexicographic order; qweights increase.  Parts are
-    prepended from the last on, and the first takes what is left.  A
-    composition of s is dropped once the total - s still to prepend, at
-    weights from qweights[0] up to the next part's, cannot bring it into
-    [lo, hi]."""
-    q0 = qweights[0]
+    nonnegative integers summing to `total`, in lexicographic order.
+    Parts are prepended from the last on, and the first takes what is
+    left."""
     level = [[((s,), s * qweights[-1])] for s in range(total + 1)]
     for qw in qweights[-2:0:-1]:
-        level = [[(e, q) for e, q in level[s] if lo <= q + (total - s) * qw and q + (total - s) * q0 <= hi]
-                 for s in range(total + 1)]
         level = [[((first,) + rest, q + first * qw) for first in range(s + 1) for rest, q in level[s - first]]
                  for s in range(total + 1)]
-    return [((total - s,) + rest, q + (total - s) * q0)
-            for s in range(total, -1, -1) for rest, q in level[s] if lo <= q + (total - s) * q0 <= hi]
-
-
-def _weight_buckets(total, qweights, lo, hi):
-    """The compositions of ``_weighted_compositions`` as {weight: [e, ...]},
-    each bucket in lexicographic order and the keys in increasing weight."""
-    buckets = {}
-    for e, q in _weighted_compositions(total, qweights, lo, hi):
-        buckets.setdefault(q, []).append(e)
-    return dict(sorted(buckets.items()))
+    q0 = qweights[0]
+    return [((total - s,) + rest, q + (total - s) * q0) for s in range(total, -1, -1) for rest, q in level[s]]
 
 
 @cache
 def _form_buckets(qweights, total):
     """Every composition of `total` over one form's coefficients, whose
-    q-weights are qweights, bucketed as ``_weight_buckets``; cached, and
-    asked only for the form degrees that t-degrees up to ORACLE_MAX_DEGREE
-    reach."""
-    bound = -qweights[0] * total
-    return _weight_buckets(total, qweights, -bound, bound)
+    q-weights are qweights, as {weight: [e, ...]}, each bucket in
+    lexicographic order and the keys in increasing weight.  Cached; the
+    memo stays bounded because ``_raising_matrix`` refuses t-degrees above
+    ORACLE_MAX_DEGREE, so the oracle asks for octic degrees 0..7 and
+    duodecic degrees 0..5 only (14 entries, about 20,000 compositions)."""
+    buckets = {}
+    for e, q in _weighted_compositions(total, qweights):
+        buckets.setdefault(q, []).append(e)
+    return dict(sorted(buckets.items()))
 
 
 def monomial_basis(tdegree, qweight):
@@ -189,14 +178,10 @@ def monomial_basis(tdegree, qweight):
     and q-weight qweight, ordered by octic degree a8, then by octic
     q-weight q8, then lexicographically.
 
-    Per split 4 a8 + 6 b12 = tdegree each form's compositions are taken
-    bucketed by weight, and each octic bucket q8 is paired with the
-    duodecic bucket qweight - q8.  Up to ORACLE_MAX_DEGREE the buckets
-    hold every composition of the form degree and are built once per form
-    and degree, for all splits, q-weights and t-degrees; above it each
-    split enumerates afresh, inside the weight window that the other form
-    leaves ([-12 b12, 12 b12] around qweight for the octic part,
-    [-8 a8, 8 a8] for the duodecic one), and nothing is kept.
+    Per split 4 a8 + 6 b12 = tdegree each form's compositions of its
+    degree are taken from ``_form_buckets``, built once per form and
+    degree for all splits, q-weights and t-degrees, and each octic bucket
+    q8 is paired with the duodecic bucket qweight - q8.
 
     The order serves the oracle's elimination.  D = D8 (x) 1 + 1 (x) D12
     keeps a8, and a weight-2 row at octic weight q8 has its columns at q8
@@ -211,11 +196,7 @@ def monomial_basis(tdegree, qweight):
         b12, rem = divmod(tdegree - 4 * a8, 6)
         if rem:
             continue
-        if tdegree <= ORACLE_MAX_DEGREE:
-            octic, duodecic = _form_buckets(Q_WEIGHTS[:9], a8), _form_buckets(Q_WEIGHTS[9:], b12)
-        else:
-            octic = _weight_buckets(a8, Q_WEIGHTS[:9], qweight - 12 * b12, qweight + 12 * b12)
-            duodecic = _weight_buckets(b12, Q_WEIGHTS[9:], qweight - 8 * a8, qweight + 8 * a8)
+        octic, duodecic = _form_buckets(Q_WEIGHTS[:9], a8), _form_buckets(Q_WEIGHTS[9:], b12)
         for q8, e8s in octic.items():
             e12s = duodecic.get(qweight - q8)
             if e12s:

@@ -161,25 +161,6 @@ def test_monomial_basis_matches_filter_reference():
             assert monomial_basis(d, q) == spaces.get(q, []), "degree %d, q-weight %d" % (d, q)
 
 
-def test_monomial_basis_windows_match_cached_buckets(monkeypatch):
-    # above ORACLE_MAX_DEGREE each split enumerates inside its weight
-    # windows; lowering the bound sends t-degrees the cache serves down
-    # that path, which must give the same lists
-    cached = {(d, q): monomial_basis(d, q) for d in (12, 24, 30) for q in range(-8, 9, 2)}
-    monkeypatch.setattr(hilbert, "ORACLE_MAX_DEGREE", -1)
-    for (d, q), monos in cached.items():
-        assert monomial_basis(d, q) == monos, "degree %d, q-weight %d" % (d, q)
-
-
-def test_form_bucket_cache_stays_within_the_oracle_degrees():
-    # octic degrees 0..7 and duodecic 0..5 are all that t-degree 30
-    # reaches; above it nothing is cached
-    for d in range(ORACLE_MAX_DEGREE + 1):
-        monomial_basis(d, 0)
-    monomial_basis(ORACLE_MAX_DEGREE + 6, 0)
-    assert hilbert._form_buckets.cache_info().currsize <= 8 + 6
-
-
 def test_raising_matrix_reads_monomial_basis(monkeypatch):
     # the oracle's bases are monomial_basis's, asked positionally: the
     # benchmark's tracer reads the degree and weight from args[0] and args[1]
