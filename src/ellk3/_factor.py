@@ -13,22 +13,24 @@ h the certificate proves irreducible never compiles it.
   with the fewest factors), ``ddf_steps`` run to the end give the product
   of the factors of each degree mod p, and seeded equal-degree splitting
   (Cantor and Zassenhaus) splits those products.  A factor tree lifts the
-  factors quadratically (Hensel) past the Mignotte bound, on
-  Kronecker-packed products, and subsets of the lifted factors recombine,
-  smallest first, filtered by the certificate's degree sums.
+  factors quadratically (Hensel) past the Mignotte bound, and subsets of
+  the lifted factors recombine, smallest first, filtered by the
+  certificate's degree sums.
 
 Every factor is an exact quotient over Z.  A part that no subset splits
 is irreducible: a factor over Z reduces mod p to the product of a subset
 of the factors mod p, and below the bound the lift recovers it exactly.
 The cofactors of the Hensel lift come from an extended Euclid on lists,
-since the packed kernel of ``elimination`` keeps none.
+since the packed kernel of ``elimination`` keeps none.  Every product of
+two lists is a ``binforms._convolve``.
 """
 
 import random
 from itertools import combinations
 from math import isqrt, prod
 
-from .elimination import IRREDUCIBLE, ddf_steps, exact_quotient, irreducibility_certificate, poly_primitive, prem
+from .binforms import _convolve
+from .elimination import IRREDUCIBLE, ddf_steps, exact_quotient, irreducibility_certificate, poly_primitive, poly_trim, prem
 from .scalars import is_prime
 
 # equal-degree splitting draws from a generator seeded with this, so a
@@ -100,20 +102,6 @@ def _yun(f):
 # -- polynomials mod m: low-to-high lists of residues in [0, m) ---------
 
 
-def _mul(a, b):
-    """Product of low-to-high lists of nonnegative ints on one packed
-    product (Kronecker): each w-byte slot holds min(len a, len b) max(a)
-    max(b), bounded through bit lengths, so that a zero max(b) cannot
-    shrink a slot below max(a)."""
-    if not a or not b:
-        return []
-    w = (max(a).bit_length() + max(b).bit_length() + min(len(a), len(b)).bit_length()) // 8 + 1
-    A = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in a]), "little")
-    B = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in b]), "little")
-    P = (A * B).to_bytes(w * (len(a) + len(b) - 1), "little")
-    return [int.from_bytes(P[k:k + w], "little") for k in range(0, len(P), w)]
-
-
 def _add(*polys):
     out = [0] * max(map(len, polys))
     for a in polys:
@@ -124,14 +112,11 @@ def _add(*polys):
 
 def _trim(a, m):
     """a mod m, without leading zeros."""
-    a = [c % m for c in a]
-    while a and not a[-1]:
-        a.pop()
-    return a
+    return poly_trim([c % m for c in a])
 
 
 def _mulmod(a, b, m):
-    return _trim(_mul(a, b), m)
+    return _trim(_convolve(a, b), m)
 
 
 def _divmod(a, h, m):
@@ -163,8 +148,8 @@ def _xgcd(a, b, p):
     r1, s1, t1 = [c * ib % p for c in b], [], [ib]
     while r1:
         q, r = _divmod(r0, r1, p)
-        s = _trim(_add(s0, [-c for c in _mul(q, s1)]), p)
-        t = _trim(_add(t0, [-c for c in _mul(q, t1)]), p)
+        s = _trim(_add(s0, [-c for c in _convolve(q, s1)]), p)
+        t = _trim(_add(t0, [-c for c in _convolve(q, t1)]), p)
         if r:
             inv = pow(r[-1], -1, p)
             r, s, t = [c * inv % p for c in r], [c * inv % p for c in s], [c * inv % p for c in t]
@@ -177,8 +162,8 @@ def _powmod(a, e, g, p):
     b = [1]
     while e:
         if e & 1:
-            b = _divmod(_mul(b, a), g, p)[1]
-        a = _divmod(_mul(a, a), g, p)[1]
+            b = _divmod(_convolve(b, a), g, p)[1]
+        a = _divmod(_convolve(a, a), g, p)[1]
         e >>= 1
     return b
 
@@ -242,16 +227,16 @@ def _hensel_step(f, g, h, s, t, m0, k, last):
     h mod m0 k and, unless last, s g + t h = 1 mod m0 k.  The corrections
     are m0 times what the step computes mod k from the errors over m0."""
     m = m0 * k
-    e = [c // m0 % k for c in _add(f, [-c for c in _mul(g, h)])]
+    e = [c // m0 % k for c in _add(f, [-c for c in _convolve(g, h)])]
     q, r = _divmod(_mulmod(s, e, k), h, k)
-    g = _trim(_add(g, [m0 * c for c in _trim(_add(_mul(t, e), _mul(q, g)), k)]), m)
+    g = _trim(_add(g, [m0 * c for c in _trim(_add(_convolve(t, e), _convolve(q, g)), k)]), m)
     h = _trim(_add(h, [m0 * c for c in r]), m)
     if last:
         return g, h, s, t
-    b = [c // m0 % k for c in _add(_mul(s, g), _mul(t, h), [-1])]
+    b = [c // m0 % k for c in _add(_convolve(s, g), _convolve(t, h), [-1])]
     c, d = _divmod(_mulmod(s, b, k), h, k)
     s = _trim(_add(s, [-m0 * x for x in d]), m)
-    t = _trim(_add(t, [-m0 * x for x in _trim(_add(_mul(t, b), _mul(c, g)), k)]), m)
+    t = _trim(_add(t, [-m0 * x for x in _trim(_add(_convolve(t, b), _convolve(c, g)), k)]), m)
     return g, h, s, t
 
 

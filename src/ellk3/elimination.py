@@ -41,7 +41,7 @@ exact quotient over Z.
 from fractions import Fraction
 from math import gcd
 
-from .binforms import BinaryForm, _convolve, _partials
+from .binforms import BinaryForm, _convolve
 from .scalars import DomainError, clear_denominators, coefficient_domain, is_prime, plain_ints, wrap_ints
 
 # sign/normalization conventions, fixed once and reported with Delta_264
@@ -66,22 +66,12 @@ def resultant(f, g):
 
 
 def discriminant_binary(f):
-    """disc(f) := Res(df/dx, df/dw); homogeneous of coefficient-degree
-    2(n-1), vanishing iff f has a repeated root.  The partials are taken
-    of f's plain int coefficients (residues, then reduced, or numerators
-    over the common denominator d), and Res(d fx, d fw) = d^(2(n-1))
-    disc(f)."""
-    n = f.n
-    if n < 2:
+    """disc(f) := Res(df/dx, df/dw), the resultant of the two partials;
+    homogeneous of coefficient-degree 2(n-1), vanishing iff f has a
+    repeated root."""
+    if f.n < 2:
         raise ValueError("discriminant needs degree >= 2")
-    p, rational = coefficient_domain(f.coeffs)
-    a, d = plain_ints(f.coeffs, p, rational)
-    fx, fw = _partials(a)
-    if p:
-        fx, fw = [c % p for c in fx], [c % p for c in fw]
-    if not any(fx) or not any(fw):
-        return wrap_ints([0], p, rational)[0]
-    return wrap_ints([_res_dense(fx, fw, p)], p, rational, d ** (2 * n - 2))[0]
+    return resultant(*f.partials())
 
 
 def _res_dense(a, b, p):

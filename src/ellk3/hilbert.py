@@ -146,30 +146,24 @@ def raising_operator(p):
 # -- monomial bases and the kernel oracle ----------------------------
 
 
-def _weighted_compositions(total, qweights):
-    """(e, e . qweights) for every tuple e of len(qweights) >= 2
-    nonnegative integers summing to `total`, in lexicographic order.
-    Parts are prepended from the last on, and the first takes what is
-    left."""
-    level = [[((s,), s * qweights[-1])] for s in range(total + 1)]
-    for qw in qweights[-2:0:-1]:
-        level = [[((first,) + rest, q + first * qw) for first in range(s + 1) for rest, q in level[s - first]]
-                 for s in range(total + 1)]
-    q0 = qweights[0]
-    return [((total - s,) + rest, q + (total - s) * q0) for s in range(total, -1, -1) for rest, q in level[s]]
-
-
 @cache
 def _form_buckets(qweights, total):
     """Every composition of `total` over one form's coefficients, whose
     q-weights are qweights, as {weight: [e, ...]}, each bucket in
-    lexicographic order and the keys in increasing weight.  Cached; the
-    memo stays bounded because ``_raising_matrix`` refuses t-degrees above
-    ORACLE_MAX_DEGREE, so the oracle asks for octic degrees 0..7 and
-    duodecic degrees 0..5 only (14 entries, about 20,000 compositions)."""
+    lexicographic order and the keys in increasing weight.  Parts are
+    prepended from the last on, and the first takes what is left.
+    Cached; the memo stays bounded because ``_raising_matrix`` refuses
+    t-degrees above ORACLE_MAX_DEGREE, so the oracle asks for octic
+    degrees 0..7 and duodecic degrees 0..5 only (14 entries, about 20,000
+    compositions)."""
+    level = [[((s,), s * qweights[-1])] for s in range(total + 1)]
+    for qw in qweights[-2:0:-1]:
+        level = [[((first,) + rest, q + first * qw) for first in range(s + 1) for rest, q in level[s - first]]
+                 for s in range(total + 1)]
     buckets = {}
-    for e, q in _weighted_compositions(total, qweights):
-        buckets.setdefault(q, []).append(e)
+    for s in range(total, -1, -1):
+        for rest, q in level[s]:
+            buckets.setdefault(q + (total - s) * qweights[0], []).append((total - s,) + rest)
     return dict(sorted(buckets.items()))
 
 

@@ -390,7 +390,7 @@ def _eval_on_line(u0, u1, s, p=None):
     p when p is given."""
     g2 = [a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)]
     g3 = [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]
-    u = SurfaceParams.make(g2, g3)
+    u = SurfaceParams(g2, g3)
     if p is not None:
         u = u.reduce_mod(p)
     return u

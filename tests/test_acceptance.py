@@ -164,7 +164,7 @@ def test_criterion_8_fiber_accounting():
     rr = BinaryForm(10, [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 3])
     g2 = -3 * (f**2)
     g3 = 2 * (f**3) + BinaryForm(2, [1, 0, 0]) * rr
-    u_i2 = SurfaceParams.make(g2.coeffs, g3.coeffs)
+    u_i2 = SurfaceParams(g2.coeffs, g3.coeffs)
     rep_i2 = fiber_profile(u_i2)
     i2_ok = (
         rep_i2.in_U
@@ -174,7 +174,7 @@ def test_criterion_8_fiber_accounting():
     )
 
     # II fixture: g2 = x w^7, g3 = x w^11 has a type II fiber at x = 0
-    u_ii = SurfaceParams.make([0] * 7 + [1, 0], [0] * 11 + [1, 0])
+    u_ii = SurfaceParams([0] * 7 + [1, 0], [0] * 11 + [1, 0])
     rep_ii = fiber_profile(u_ii)
     ii_ok = (
         any(r.kodaira == "II" for r in rep_ii.places)

@@ -159,7 +159,7 @@ def test_certified_h_is_irreducible_for_sympy_too():
 
 
 # g2 and g3 lead with 2, so h(x, 1) leads with 4 * 8 + 27 * 4 = 140 = 2^2 * 5 * 7
-LC_140 = SurfaceParams.make([2, 3, 3, -3, -3, -3, -1, 3, -2], [2, 2, 3, 2, 3, -1, -1, 1, -2, 1, -3, 1, 2])
+LC_140 = SurfaceParams([2, 3, 3, -3, -3, -3, -1, 3, -2], [2, 2, 3, 2, 3, -1, -1, 1, -2, 1, -3, 1, 2])
 
 
 def subset_sums(degrees):

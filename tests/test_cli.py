@@ -12,10 +12,10 @@ from ellk3.cli import main
 from ellk3.invariants import k552, r96
 from ellk3.weierstrass import SurfaceParams
 
-GENERIC = SurfaceParams.make(
+GENERIC = SurfaceParams(
     [3, -1, 4, 1, -5, 9, 2, -6, 5], [3, 5, -8, 9, 7, -9, 3, 2, -3, 8, 4, -6, 2]
 )
-NONMIN = SurfaceParams.make([0, 0, 0, 0, 1, 0, 0, 0, 0], [0] * 6 + [1] + [0] * 6)
+NONMIN = SurfaceParams([0, 0, 0, 0, 1, 0, 0, 0, 0], [0] * 6 + [1] + [0] * 6)
 
 
 def write_surface(tmp_path, u, name="u.json"):
@@ -124,8 +124,8 @@ def test_invariant_values_are_decimal_strings(tmp_path, capsys):
 def test_invariant_values_past_the_digit_limit(tmp_path, capsys):
     # 40-digit coefficients give a k552 of about 4967 digits
     rng = random.Random(3)
-    big = SurfaceParams.make([rng.randint(-10**40, 10**40) for _ in range(9)],
-                             [rng.randint(-10**40, 10**40) for _ in range(13)])
+    big = SurfaceParams([rng.randint(-10**40, 10**40) for _ in range(9)],
+                        [rng.randint(-10**40, 10**40) for _ in range(13)])
     inp = write_surface(tmp_path, big)
     expected = k552(big).value
     assert len(str(Decimal(expected))) > 4300
@@ -138,7 +138,7 @@ def test_invariant_values_past_the_digit_limit(tmp_path, capsys):
 
 def test_invariant_degenerate_exit_1(tmp_path, capsys):
     # r96 = 0 here, so delta264 reports an error
-    u = SurfaceParams.make([1] + [0] * 8, [1, 0] + [0] * 11)
+    u = SurfaceParams([1] + [0] * 8, [1, 0] + [0] * 11)
     inp = write_surface(tmp_path, u)
     assert run(["invariant", "delta264", "--input", inp]) == 1
     assert "error" in json.loads(capsys.readouterr().out)
@@ -307,7 +307,7 @@ def test_cli_import_and_oracle_load_neither_sympy_nor_numpy():
 def test_generic_fiber_profile_leaves_sympy_unloaded():
     # the mod-p certificate proves the generic h irreducible on its own
     code = (
-        "import sys, ellk3; u = ellk3.SurfaceParams.make(%r, %r); "
+        "import sys, ellk3; u = ellk3.SurfaceParams(%r, %r); "
         "assert ellk3.fiber_profile(u).places[0].residue_degree == 24; " % (
             list(GENERIC.g2_coeffs), list(GENERIC.g3_coeffs)) + LOADED
     )
@@ -330,7 +330,7 @@ def test_type_ii_fiber_profile_keeps_its_report_without_sympy():
     from test_weierstrass import II_SURFACE
 
     code = (
-        "import sys, json, ellk3; u = ellk3.SurfaceParams.make(%r, %r); "
+        "import sys, json, ellk3; u = ellk3.SurfaceParams(%r, %r); "
         "print(json.dumps(ellk3.fiber_profile(u).to_json_dict())); " % (
             list(II_SURFACE.g2_coeffs), list(II_SURFACE.g3_coeffs)) + LOADED
     )

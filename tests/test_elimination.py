@@ -526,9 +526,34 @@ def test_discriminant_mod_a_prime_dividing_a_partial_multiplier():
             assert discriminant_binary(f.reduce_mod(p)) == ModP(discriminant_binary(f), p)
 
 
+def test_discriminant_is_the_sylvester_resultant_of_the_partials():
+    rng = random.Random(11)
+    P = 2**62 + 135
+    for n in range(2, 7):
+        for _ in range(3):
+            f = rand_form(rng, n)
+            # for n < 7, 7 stays in df/dx's denominators and 11 in df/dw's
+            middle = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n - 1)]
+            fq = BinaryForm(n, [Fraction(rng.randint(1, 9), 7)] + middle + [Fraction(rng.randint(1, 9), 11)])
+            for g in (f, fq, f.reduce_mod(139), f.reduce_mod(P)):
+                got, want = discriminant_binary(g), sylvester_resultant(*g.partials())
+                assert want != 0 and got == want and type(got) is type(want), g
+    for n in range(2, 7):
+        # x^n and w^n: one partial is zero
+        for coeffs in ([1] + [0] * n, [0] * n + [1]):
+            f = BinaryForm(n, coeffs)
+            for g, zero in ((f, 0), (BinaryForm(n, [Fraction(c) for c in coeffs]), Fraction(0)),
+                            (f.reduce_mod(139), ModP(0, 139)), (f.reduce_mod(P), ModP(0, P))):
+                got = discriminant_binary(g)
+                assert got == zero and type(got) is type(zero), g
+    for f in (BinaryForm(0, [3]), BinaryForm(1, [1, 2]), BinaryForm(1, [Fraction(1, 2), 0])):
+        with pytest.raises(ValueError):
+            discriminant_binary(f)
+
+
 def test_zero_resultant_is_the_zero_of_the_coefficient_domain():
     # g2 = 7 * (...) vanishes mod 7, so r96 is the zero of F_7, not int 0
-    u = SurfaceParams.make([7] * 9, range(1, 14)).reduce_mod(7)
+    u = SurfaceParams([7] * 9, range(1, 14)).reduce_mod(7)
     rv = r96(u).value
     assert isinstance(rv, ModP) and rv == ModP(0, 7)
     zero2 = BinaryForm.zero(2)

@@ -189,6 +189,13 @@ def test_hensel_lift_multiplies_back():
     assert sorted(lifted) == sorted([[M - 1, 1], [2, 1], [3, 0, 1]])
 
 
+def test_product_mod_m_of_a_zero_operand_is_empty():
+    # a Hensel step whose error term vanishes multiplies by an all-zero list
+    for a, b in (([], [3, 4]), ([3, 4], []), ([], []), ([0, 0], [3, 4]), ([3, 4], [0, 0, 0]), ([0], [0])):
+        assert _factor._mulmod(a, b, 7) == []
+    assert _factor._mulmod([6, 1], [6, 1], 7) == [1, 5, 1]
+
+
 def test_a_trail_without_patterns_picks_the_next_good_prime():
     # (3 5 ... 397) x^2 + 1: every certificate prime divides the leading coefficient
     f = [1, 0, prod(CERT_PRIMES)]

@@ -38,7 +38,7 @@ from ellk3.weierstrass import FiberReport, PlaceRecord, SurfaceParams, assemble
 from reference import _eval_on_line, newton_interp, slice_reference
 
 # smallest interesting surface: g2 = x^8 + w^8, g3 = x^12 + w^12
-BASE = SurfaceParams.make([1] + [0] * 7 + [1], [1] + [0] * 11 + [1])
+BASE = SurfaceParams([1] + [0] * 7 + [1], [1] + [0] * 11 + [1])
 
 
 def test_invariant_value_unknown_name_refused():
@@ -53,7 +53,7 @@ def test_invariant_value_unknown_name_refused():
 def test_records_compare_print_and_hash_like_dataclasses():
     """The __slots__ records keep the dataclasses' ==, repr and hash, and
     every record, the forms and series included, is read-only."""
-    u = SurfaceParams.make(range(9), range(13))
+    u = SurfaceParams(range(9), range(13))
     assert u == SurfaceParams(tuple(range(9)), tuple(range(13))) and u != (u.g2_coeffs, u.g3_coeffs)
     assert hash(u) == hash((u.g2_coeffs, u.g3_coeffs))
     assert repr(u) == "SurfaceParams(g2_coeffs=%r, g3_coeffs=%r)" % (tuple(range(9)), tuple(range(13)))
@@ -97,7 +97,7 @@ def test_records_compare_print_and_hash_like_dataclasses():
 
 def test_r96_zero_iff_common_root():
     # shared root at x = 0
-    u = SurfaceParams.make([1] + [0] * 8, [1, 0] + [0] * 11)
+    u = SurfaceParams([1] + [0] * 8, [1, 0] + [0] * 11)
     assert r96(u).value == 0
     assert r96(BASE).value != 0
 
@@ -107,12 +107,12 @@ def test_k552_zero_iff_repeated_h_root():
     u = random_surface(rng)
     assert k552(u).value != 0  # generic: 24 distinct roots
     # g2 = x w^7, g3 = x w^11: h = x^2 w^21 (4 x + 27 w) has repeated roots
-    uII = SurfaceParams.make([0] * 7 + [1, 0], [0] * 11 + [1, 0])
+    uII = SurfaceParams([0] * 7 + [1, 0], [0] * 11 + [1, 0])
     assert k552(uII).value == 0
 
 
 def test_k552_errors_on_identically_zero_h():
-    u = SurfaceParams.make([0] * 8 + [-3], [0] * 12 + [2])
+    u = SurfaceParams([0] * 8 + [-3], [0] * 12 + [2])
     with pytest.raises(ValueError):
         k552(u)
 
@@ -201,7 +201,7 @@ def test_delta264_exact_integrality():
 
 
 def test_delta264_rational_inputs():
-    u = SurfaceParams.make(
+    u = SurfaceParams(
         [Fraction(1, 2)] + [0] * 7 + [1], [1] + [0] * 11 + [Fraction(1, 3)]
     )
     r, k, d = r96(u).value, k552(u).value, delta264(u).value
@@ -209,7 +209,7 @@ def test_delta264_rational_inputs():
 
 
 def test_delta264_division_by_zero():
-    u = SurfaceParams.make([1] + [0] * 8, [1, 0] + [0] * 11)  # r96 = 0
+    u = SurfaceParams([1] + [0] * 8, [1, 0] + [0] * 11)  # r96 = 0
     with pytest.raises(ZeroDivisionError):
         delta264(u)
 
@@ -426,7 +426,7 @@ def test_verify_bulk_flags_both_actions_on_corrupted_residues(monkeypatch):
 
 
 # g2 = -3 w^8, g3 = 2 w^12: h = 4 g2^3 + 27 g3^2 is the zero form, mod every p
-H_ZERO = SurfaceParams.make([0] * 8 + [-3], [0] * 12 + [2])
+H_ZERO = SurfaceParams([0] * 8 + [-3], [0] * 12 + [2])
 
 
 def test_verify_bulk_skips_k552_where_h_vanishes_mod_p(monkeypatch):
@@ -507,7 +507,7 @@ def test_interp_matches_divided_differences(domain, data):
 
 
 def surfaces(coeff, g2=True):
-    return st.builds(SurfaceParams.make, st.lists(coeff if g2 else st.just(0), min_size=9, max_size=9),
+    return st.builds(SurfaceParams, st.lists(coeff if g2 else st.just(0), min_size=9, max_size=9),
                      st.lists(coeff, min_size=13, max_size=13))
 
 
@@ -571,8 +571,8 @@ def test_line_restriction_matches_assemble(kind, data):
     u0, u1 = data.draw(RESTRICTION_LINES[kind]), data.draw(RESTRICTION_LINES[kind])
     pair, h, jacobian = line_restriction(u0, u1)
     for s in data.draw(st.lists(st.integers(-61, 61), min_size=1, max_size=4)):
-        g2, g3, hs = assemble(SurfaceParams.make([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
-                                                 [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
+        g2, g3, hs = assemble(SurfaceParams([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
+                                            [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
         (g2x, g2w), (g3x, g3w) = g2.partials(), g3.partials()
         want = (g2, g3, hs, g2x * g3w + (-1) * (g2w * g3x))
         got = pair(s) + (h(s), jacobian(s))
@@ -596,15 +596,15 @@ def test_rational_line_is_convolved_on_ints(monkeypatch):
 
     monkeypatch.setattr(invariants, "_convolve", ints_only)
     rng = random.Random(29)
-    u0, u1 = (SurfaceParams.make([Fraction(rng.randint(-9, 9), rng.choice((1, d2))) for _ in range(9)],
-                                 [Fraction(rng.randint(-9, 9), rng.choice((1, d3))) for _ in range(13)])
+    u0, u1 = (SurfaceParams([Fraction(rng.randint(-9, 9), rng.choice((1, d2))) for _ in range(9)],
+                            [Fraction(rng.randint(-9, 9), rng.choice((1, d3))) for _ in range(13)])
               for d2, d3 in ((2, 3), (5, 7)))
     assert [lcm(*(c.denominator for c in f)) for u in (u0, u1)
             for f in (u.g2_coeffs, u.g3_coeffs)] == [2, 3, 5, 7]
     pair, h, jacobian = line_restriction(u0, u1)
     for s in (-3, 0, 2):
-        g2, g3, hs = assemble(SurfaceParams.make([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
-                                                 [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
+        g2, g3, hs = assemble(SurfaceParams([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
+                                            [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
         (g2x, g2w), (g3x, g3w) = g2.partials(), g3.partials()
         assert pair(s) + (h(s), jacobian(s)) == (g2, g3, hs, g2x * g3w + (-1) * (g2w * g3x))
 
@@ -616,7 +616,7 @@ def test_slice_through_the_h_zero_locus_raises():
     rng = random.Random(15)
     f = [rng.randint(-3, 3) for _ in range(5)]
     f2 = _convolve(f, f)
-    u0 = SurfaceParams.make([-3 * c for c in f2], [2 * c for c in _convolve(f2, f)])
+    u0 = SurfaceParams([-3 * c for c in f2], [2 * c for c in _convolve(f2, f)])
     u1 = random_surface(rng)
     assert any(f) and assemble(u0)[2].is_zero()
     for modulus in (None, 139, P62):
@@ -629,7 +629,7 @@ def test_slice_divisibility_integer_line_with_content():
     > 1 (r96 is homogeneous of degree 20), so the quotient over Q must be
     scaled by that content; the witness equals the reference's."""
     rng = random.Random(21)
-    u0, u1 = (SurfaceParams.make([2 * c for c in u.g2_coeffs], [2 * c for c in u.g3_coeffs])
+    u0, u1 = (SurfaceParams([2 * c for c in u.g2_coeffs], [2 * c for c in u.g3_coeffs])
               for u in (random_surface(rng), random_surface(rng)))
     got, want = slice_divisibility(u0, u1), slice_reference(u0, u1)
     assert gcd(*(int(c) for c in got.R)) >= 2 ** 20
@@ -709,8 +709,8 @@ def test_slice_inside_the_i2_locus_succeeds_with_the_empty_quotient():
     rng = random.Random(14)
     r0, r1 = ([rng.randint(-9, 9) for _ in range(7)] for _ in range(2))
     q0, q1 = ([rng.randint(-9, 9) for _ in range(11)] for _ in range(2))
-    u0 = SurfaceParams.make(r0 + [0, -3], q0 + [0, 2])
-    u1 = SurfaceParams.make(r1 + [0, 0], q1 + [0, 0])
+    u0 = SurfaceParams(r0 + [0, -3], q0 + [0, 2])
+    u1 = SurfaceParams(r1 + [0, 0], q1 + [0, 0])
     for modulus in (None, P62):
         wit = slice_divisibility(u0, u1, modulus=modulus)
         assert wit.success and wit.quotient == [] and wit.K == []

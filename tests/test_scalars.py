@@ -64,9 +64,9 @@ def test_modp_equals_only_its_canonical_int():
     assert ModP(0, 7) == 0 and ModP(0, 7) != 7
     # surfaces over Z and their reductions are equal exactly when every
     # coefficient already lies in [0, p), and then hash alike
-    u = SurfaceParams.make(range(9), range(13))
+    u = SurfaceParams(range(9), range(13))
     assert u == u.reduce_mod(139) and hash(u) == hash(u.reduce_mod(139))
-    assert SurfaceParams.make([-1] * 9, range(13)) != SurfaceParams.make([-1] * 9, range(13)).reduce_mod(139)
+    assert SurfaceParams([-1] * 9, range(13)) != SurfaceParams([-1] * 9, range(13)).reduce_mod(139)
 
 
 def test_modp_cross_domain_rejected():
@@ -82,7 +82,7 @@ def test_composite_moduli_refused(modulus):
     # check covers them: F_p must be a field for the mod-p resultant
     for make in (lambda: ModP(1, modulus), lambda: reduce_scalar_mod(5, modulus),
                  lambda: BinaryForm(1, [1, 2]).reduce_mod(modulus),
-                 lambda: SurfaceParams.make(range(9), range(13)).reduce_mod(modulus)):
+                 lambda: SurfaceParams(range(9), range(13)).reduce_mod(modulus)):
         with pytest.raises(ValueError, match="modulus must be an odd prime, got %d" % modulus):
             make()
     # a refused modulus stays refused, and a prime is accepted again

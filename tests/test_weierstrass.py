@@ -25,7 +25,7 @@ from reference import schoolbook_h
 
 
 def rand_surface(rng, bound=9):
-    return SurfaceParams.make(
+    return SurfaceParams(
         [rng.randint(-bound, bound) for _ in range(9)],
         [rng.randint(-bound, bound) for _ in range(13)],
     )
@@ -38,16 +38,16 @@ _F = BinaryForm(4, [1, 0, 0, 1, 2])
 _R = BinaryForm(10, [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 3])
 _A1_G2 = -3 * (_F**2)
 _A1_G3 = 2 * (_F**3) + BinaryForm(2, [1, 0, 0]) * _R
-A1_SURFACE = SurfaceParams.make(_A1_G2.coeffs, _A1_G3.coeffs)
+A1_SURFACE = SurfaceParams(_A1_G2.coeffs, _A1_G3.coeffs)
 
 # g2 = x w^7, g3 = x w^11: type II fiber at x = 0
-II_SURFACE = SurfaceParams.make([0] * 7 + [1, 0], [0] * 11 + [1, 0])
+II_SURFACE = SurfaceParams([0] * 7 + [1, 0], [0] * 11 + [1, 0])
 
 # g2 = x^2 (...), g3 = x^2 (...): shared double root, off both generic strata
-DEEPER_SURFACE = SurfaceParams.make([1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1] + [0] * 10)
+DEEPER_SURFACE = SurfaceParams([1, 0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 1] + [0] * 10)
 
 # g2 = x^4 w^4, g3 = x^6 w^6: non-minimal at both 0 and infinity
-NONMIN_SURFACE = SurfaceParams.make([0, 0, 0, 0, 1, 0, 0, 0, 0], [0] * 6 + [1] + [0] * 6)
+NONMIN_SURFACE = SurfaceParams([0, 0, 0, 0, 1, 0, 0, 0, 0], [0] * 6 + [1] + [0] * 6)
 
 
 def realizable(m2, m3, d):
@@ -110,18 +110,17 @@ def test_kodaira_table_rows():
 
 def test_surface_params_validation():
     with pytest.raises(ValueError):
-        SurfaceParams.make([0] * 8, [0] * 13)
+        SurfaceParams([0] * 8, [0] * 13)
     with pytest.raises(ValueError):
-        SurfaceParams.make([0] * 9, [0] * 12)
+        SurfaceParams([0] * 9, [0] * 12)
 
 
 def test_surface_params_keep_their_values_when_the_input_lists_change():
     g2, g3 = list(range(9)), list(range(13))
-    for u in (SurfaceParams(g2, g3), SurfaceParams.make(g2, g3)):
-        g2[0], g3[0] = 7, 7
-        assert type(u.g2_coeffs) is tuple and type(u.g3_coeffs) is tuple
-        assert u.g2_coeffs == tuple(range(9)) and u.g3_coeffs == tuple(range(13))
-        g2[0], g3[0] = 0, 0
+    u = SurfaceParams(g2, g3)
+    g2[0], g3[0] = 7, 7
+    assert type(u.g2_coeffs) is tuple and type(u.g3_coeffs) is tuple
+    assert u.g2_coeffs == tuple(range(9)) and u.g3_coeffs == tuple(range(13))
 
 
 # ints beyond 2**64 and negative Fractions, mixed within one surface
@@ -130,7 +129,7 @@ json_coeffs = st.one_of(st.integers(), st.integers(-2**200, 2**200),
 
 
 @example(rand_surface(random.Random(0), 10**30))  # big entries must survive as strings
-@given(st.builds(SurfaceParams.make, st.lists(json_coeffs, min_size=9, max_size=9),
+@given(st.builds(SurfaceParams, st.lists(json_coeffs, min_size=9, max_size=9),
                  st.lists(json_coeffs, min_size=13, max_size=13)))
 def test_surface_params_json_roundtrip(u):
     d = u.to_json_dict()
@@ -149,7 +148,7 @@ def test_surface_params_json_needs_arrays_of_decimals():
             SurfaceParams.from_json_dict(dict(good, **{key: bad}))
     # JSON integers are read through their decimal form
     u = SurfaceParams.from_json_dict({"g2": [1] * 9, "g3": [-2**70] + ["1/3"] * 12})
-    assert u == SurfaceParams.make([1] * 9, [-2**70] + [Fraction(1, 3)] * 12)
+    assert u == SurfaceParams([1] * 9, [-2**70] + [Fraction(1, 3)] * 12)
 
 
 def test_assemble_degrees_and_discriminant():
@@ -170,7 +169,7 @@ rational_coeffs = st.one_of(small_or_zero, st.fractions(-9, 9, max_denominator=7
        st.one_of(st.lists(int_coeffs, min_size=22, max_size=22),
                  st.lists(rational_coeffs, min_size=22, max_size=22)))
 def test_residue_assembly_is_the_reduction(p, coeffs):
-    u = SurfaceParams.make(coeffs[:9], coeffs[9:])
+    u = SurfaceParams(coeffs[:9], coeffs[9:])
     up = u.reduce_mod(p)
     hp, h = assemble(up)[2], assemble(u)[2]
     assert all(isinstance(c, ModP) and c.p == p for c in hp.coeffs)
@@ -187,7 +186,7 @@ def test_rational_assembly_matches_the_schoolbook_product(coeffs):
     denominators and divided once: the schoolbook product on the ints and
     Fractions as given, with every coefficient a Fraction.  k552, whose J
     is taken the same way, still equals disc(h)."""
-    u = SurfaceParams.make(coeffs[:9], coeffs[9:])
+    u = SurfaceParams(coeffs[:9], coeffs[9:])
     h = assemble(u)[2]
     assert h.coeffs == schoolbook_h(u)
     if any(isinstance(c, Fraction) for c in coeffs):
@@ -198,9 +197,9 @@ def test_rational_assembly_matches_the_schoolbook_product(coeffs):
 
 def test_residue_assembly_refuses_mixed_domains():
     with pytest.raises(DomainError):
-        assemble(SurfaceParams.make([ModP(1, 7)] * 9, [ModP(1, 11)] * 13))
+        assemble(SurfaceParams([ModP(1, 7)] * 9, [ModP(1, 11)] * 13))
     with pytest.raises(DomainError):
-        assemble(SurfaceParams.make([ModP(1, 7)] * 9, [Fraction(1, 2)] * 13))
+        assemble(SurfaceParams([ModP(1, 7)] * 9, [Fraction(1, 2)] * 13))
 
 
 def test_domain_error_names_only_the_coefficient_type():
@@ -211,7 +210,7 @@ def test_domain_error_names_only_the_coefficient_type():
 
 def test_fiber_profile_refuses_residues():
     # h = 4 g2^3 + 27 g3^2 is a nonzero residue form here; factoring it is over Q only
-    up = SurfaceParams.make([1] + [0] * 7 + [1], [1] + [0] * 11 + [1]).reduce_mod(7)
+    up = SurfaceParams([1] + [0] * 7 + [1], [1] + [0] * 11 + [1]).reduce_mod(7)
     assert not assemble(up)[2].is_zero()
     with pytest.raises(DomainError, match="mod 7"):
         fiber_profile(up)
@@ -271,7 +270,7 @@ def test_nonminimal_fixture_not_in_U():
 
 def test_h_identically_zero():
     # g2 = -3 w^8, g3 = 2 w^12 gives 4 g2^3 + 27 g3^2 = 0
-    u = SurfaceParams.make([0] * 8 + [-3], [0] * 12 + [2])
+    u = SurfaceParams([0] * 8 + [-3], [0] * 12 + [2])
     rep = fiber_profile(u)
     assert rep.h_is_zero and not rep.in_U and rep.places == []
 
@@ -294,7 +293,7 @@ def test_report_fields_derive_from_places():
 
 def test_infinity_place_counted():
     # g3 with a w factor: h picks up vanishing at [1:0]
-    u = SurfaceParams.make([0] * 8 + [1], [0] * 11 + [1, 0])
+    u = SurfaceParams([0] * 8 + [1], [0] * 11 + [1, 0])
     rep = fiber_profile(u)
     assert place_record(rep, W_PLACE).d >= 1
 
@@ -318,7 +317,7 @@ def test_degeneration_evaluates_no_k552(monkeypatch):
 def test_hand_expanded_collision_example():
     # g2 = -3 w^8, g3 = 2 w^12 + x^2 w^10:
     # h = 108 x^2 w^22 + 27 x^4 w^20 = 27 x^2 w^20 (x^2 + 4 w^2)
-    u = SurfaceParams.make([0] * 8 + [-3], [0] * 10 + [1, 0, 2])
+    u = SurfaceParams([0] * 8 + [-3], [0] * 10 + [1, 0, 2])
     rep = fiber_profile(u)
     x_rec = place_record(rep, X_PLACE)
     assert (x_rec.m2, x_rec.m3, x_rec.d, x_rec.kodaira) == (0, 0, 2, "I2")
@@ -340,7 +339,7 @@ def test_profile_sl2_equivariant():
         g2, g3, _ = assemble(u)
         s = rng.randint(1, 3)
         mat = [[1, s], [0, 1]]
-        ut = SurfaceParams.make(
+        ut = SurfaceParams(
             g2.substitute(mat).coeffs, g3.substitute(mat).coeffs
         )
         before = sorted(
@@ -356,7 +355,7 @@ def test_profile_gm_invariant():
     """Rescaling (g2, g3) -> (t^4 g2, t^6 g3) fixes the whole profile."""
     for u in (A1_SURFACE, II_SURFACE, NONMIN_SURFACE):
         t = 3
-        ut = SurfaceParams.make(
+        ut = SurfaceParams(
             [t**4 * c for c in u.g2_coeffs], [t**6 * c for c in u.g3_coeffs]
         )
         assert fiber_profile(ut).to_json_dict() == fiber_profile(u).to_json_dict()
@@ -369,6 +368,6 @@ def test_report_json_shape():
     for p in d["places"]:
         assert set(p) == {"place", "residue_degree", "m2", "m3", "d", "kodaira"}
     # infinite orders serialize as "inf"
-    u = SurfaceParams.make([0] * 8 + [1], [0] * 13)
+    u = SurfaceParams([0] * 8 + [1], [0] * 13)
     rep2 = fiber_profile(u)
     assert any(p["m3"] == "inf" for p in rep2.to_json_dict()["places"])
