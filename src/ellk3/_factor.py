@@ -22,7 +22,8 @@ is irreducible: a factor over Z reduces mod p to the product of a subset
 of the factors mod p, and below the bound the lift recovers it exactly.
 The cofactors of the Hensel lift come from an extended Euclid on lists,
 since the packed kernel of ``elimination`` keeps none.  Every product of
-two lists is a ``binforms._convolve``.
+two lists is a ``binforms._convolve``, and every division, mod p or mod
+p^k, is an ``elimination.poly_divmod``.
 """
 
 import random
@@ -30,7 +31,8 @@ from itertools import combinations
 from math import isqrt, prod
 
 from .binforms import _convolve
-from .elimination import IRREDUCIBLE, ddf_steps, exact_quotient, irreducibility_certificate, poly_primitive, poly_trim, prem
+from .elimination import (IRREDUCIBLE, ddf_steps, exact_quotient, irreducibility_certificate, poly_divmod,
+                          poly_monic, poly_primitive, poly_trim, prem)
 from .scalars import is_prime
 
 # equal-degree splitting draws from a generator seeded with this, so a
@@ -119,42 +121,18 @@ def _mulmod(a, b, m):
     return _trim(_convolve(a, b), m)
 
 
-def _divmod(a, h, m):
-    """(q, r) with a = q h + r mod m and deg r < deg h, for a monic h."""
-    dh = len(h) - 1
-    r = list(a)
-    q = [0] * max(0, len(r) - dh)
-    tail = h[:-1]
-    for k in range(len(r) - 1, dh - 1, -1):
-        c = r[k] % m
-        if c:
-            lo = k - dh
-            r[lo:k] = [x - c * y for x, y in zip(r[lo:k], tail)]
-        q[k - dh] = c
-    return _trim(q, m), _trim(r[:dh], m)
-
-
-def _monic(a, p):
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
 def _xgcd(a, b, p):
-    """(g, s, t) with g the monic gcd of nonzero a and b mod a prime p and
-    s a + t b = g: the monic Euclidean algorithm (Gathen & Gerhard, Alg.
-    3.14)."""
-    ia, ib = pow(a[-1], -1, p), pow(b[-1], -1, p)
-    r0, s0, t0 = [c * ia % p for c in a], [ia], []
-    r1, s1, t1 = [c * ib % p for c in b], [], [ib]
+    """(g, s, t) with g the monic gcd of nonzero a and b mod a prime p (as
+    trimmed residues) and s a + t b = g: the extended Euclidean algorithm
+    (Gathen & Gerhard, Alg. 3.6), its last row made monic."""
+    r0, s0, t0, r1, s1, t1 = a, [1], [], b, [], [1]
     while r1:
-        q, r = _divmod(r0, r1, p)
+        q, r = poly_divmod(r0, r1, p)
         s = _trim(_add(s0, [-c for c in _convolve(q, s1)]), p)
         t = _trim(_add(t0, [-c for c in _convolve(q, t1)]), p)
-        if r:
-            inv = pow(r[-1], -1, p)
-            r, s, t = [c * inv % p for c in r], [c * inv % p for c in s], [c * inv % p for c in t]
         r0, s0, t0, r1, s1, t1 = r1, s1, t1, r, s, t
-    return r0, s0, t0
+    inv = pow(r0[-1], -1, p)
+    return tuple([c * inv % p for c in x] for x in (r0, s0, t0))
 
 
 def _powmod(a, e, g, p):
@@ -162,8 +140,8 @@ def _powmod(a, e, g, p):
     b = [1]
     while e:
         if e & 1:
-            b = _divmod(_convolve(b, a), g, p)[1]
-        a = _divmod(_convolve(a, a), g, p)[1]
+            b = poly_divmod(_convolve(b, a), g, p)[1]
+        a = poly_divmod(_convolve(a, a), g, p)[1]
         e >>= 1
     return b
 
@@ -185,7 +163,7 @@ def _factor_mod(f, p):
     rng = random.Random(SPLIT_SEED)
     products, rest, factors = {}, f, []
     for i, g in enumerate(gcds, 1):
-        g = _monic(g, p)
+        g = poly_monic(g, p)
         for j, gj in products.items():
             if i % j == 0:
                 g = exact_quotient(g, gj, p)
@@ -228,13 +206,13 @@ def _hensel_step(f, g, h, s, t, m0, k, last):
     are m0 times what the step computes mod k from the errors over m0."""
     m = m0 * k
     e = [c // m0 % k for c in _add(f, [-c for c in _convolve(g, h)])]
-    q, r = _divmod(_mulmod(s, e, k), h, k)
+    q, r = poly_divmod(_convolve(s, e), h, k)
     g = _trim(_add(g, [m0 * c for c in _trim(_add(_convolve(t, e), _convolve(q, g)), k)]), m)
     h = _trim(_add(h, [m0 * c for c in r]), m)
     if last:
         return g, h, s, t
     b = [c // m0 % k for c in _add(_convolve(s, g), _convolve(t, h), [-1])]
-    c, d = _divmod(_mulmod(s, b, k), h, k)
+    c, d = poly_divmod(_convolve(s, b), h, k)
     s = _trim(_add(s, [-m0 * x for x in d]), m)
     t = _trim(_add(t, [-m0 * x for x in _trim(_add(_convolve(t, b), _convolve(c, g)), k)]), m)
     return g, h, s, t
@@ -274,7 +252,7 @@ def _choose_prime(f):
     tried fails one of the two."""
     q = 3
     while True:
-        if is_prime(q) and f[-1] % q and next(ddf_steps(_monic([c % q for c in f], q), q), None):
+        if is_prime(q) and f[-1] % q and next(ddf_steps(poly_monic(f, q), q), None):
             return q
         q += 2
 
@@ -295,14 +273,14 @@ def _zassenhaus(f, sums, p):
     n = len(f) - 1
     if p is None:
         p = _choose_prime(f)
-    mods = _factor_mod(_monic([c % p for c in f], p), p)
+    mods = _factor_mod(poly_monic(f, p), p)
     if len(mods) == 1:
         return [f]
     bound = 2 * 2 ** ((sums & ~(1 << n)).bit_length() - 1) * (isqrt(sum(c * c for c in f)) + 1)
     l, M = 1, p
     while M <= bound:
         l, M = l + 1, M * p
-    return _recombine(f, _lift(_monic(_trim(f, M), M), mods, p, l), M, sums)
+    return _recombine(f, _lift(poly_monic(f, M), mods, p, l), M, sums)
 
 
 def _recombine(f, lifted, M, sums):

@@ -21,9 +21,12 @@ and slots are reduced mod p only when a tracked bound says the next
 division could overflow them (the width b grows with p and the degree).
 For a small p the inverses come from a table kept per prime.
 
-Univariate division is one exact quotient on plain ints
-(``exact_quotient``), mod p or over Z; over Q it divides primitive parts,
-which Gauss's lemma makes exact whenever the division over Q is.
+Univariate division is one long division on plain ints
+(``poly_divmod``): mod m when lc(b) is a unit mod m, which covers F_p and
+the Hensel lift's Z/p^k, or over Z, where it stops at the first leading
+division that is not exact.  ``exact_quotient`` is its remainder test;
+over Q it divides primitive parts, which Gauss's lemma makes exact
+whenever the division over Q is.
 
 Before a polynomial is factored over Q, its power of x splits off and an
 exact certificate on plain ints tries to prove the rest irreducible:
@@ -274,38 +277,50 @@ def poly_trim(a):
     return a
 
 
-def exact_quotient(a, b, p=0):
-    """The quotient a / b of low-to-high int lists when b divides a, and
-    None when it does not: mod a prime p on residues, with one modular
-    inverse, or over Z.  Over Z the division stops with None at the first
-    leading division that is not exact.  When b is primitive this decides
-    divisibility over Q as well: by Gauss's lemma a primitive b that
-    divides a in Q[x] divides it in Z[x] (Gathen & Gerhard, sec. 6.2).  A
-    quotient slot the division steps over stays 0."""
-    if p:
-        a = [c % p for c in a]
-        b = [c % p for c in b]
-    b = poly_trim(list(b))
+def poly_divmod(a, b, m=0):
+    """(q, r) with a = q b + r and deg r < deg b, for low-to-high int
+    lists: the one long division.  Mod m > 0, q and r are residues, and
+    lc(b) must be a unit mod m: any nonzero residue mod a prime, and 1 mod
+    p^k for the Hensel lift.  a may be unreduced: a slot is reduced when it
+    leads, and the remainder's slots at the end.  Over Z (m = 0) the
+    division returns None at the first leading division that is not exact.
+    A divisor that is zero (mod m) raises ZeroDivisionError."""
+    b = poly_trim([c % m for c in b] if m else list(b))
     if not b:
         raise ZeroDivisionError("univariate division by zero")
-    r = poly_trim(list(a))
-    db, lb = len(b) - 1, b[-1]
+    db, lb, tail = len(b) - 1, b[-1], b[:-1]
+    r = list(a)
     q = [0] * max(0, len(r) - db)
-    inv = pow(lb, -1, p) if p else None
-    while len(r) > db:
-        lo = len(r) - 1 - db
-        if p:
-            c = r[-1] * inv % p
-            r[lo:] = [(x - c * y) % p for x, y in zip(r[lo:], b)]
+    inv = pow(lb, -1, m) if m else None
+    for k in range(len(r) - 1, db - 1, -1):
+        if m:
+            c = r[k] * inv % m
         else:
-            c, m = divmod(r[-1], lb)
-            if m:
+            c, rem = divmod(r[k], lb)
+            if rem:
                 return None
-            r[lo:] = [x - c * y for x, y in zip(r[lo:], b)]
-        q[lo] = c
-        r.pop()
-        poly_trim(r)
-    return None if r else q
+        if c:
+            lo = k - db
+            r[lo:k] = [x - c * y for x, y in zip(r[lo:k], tail)]
+            q[lo] = c
+    return poly_trim(q), poly_trim([c % m for c in r[:db]] if m else r[:db])
+
+
+def poly_monic(a, p):
+    """The monic associate of a mod p, as residues; lc(a) must be a unit."""
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def exact_quotient(a, b, p=0):
+    """The quotient a / b of low-to-high int lists when b divides a, and
+    None when it does not, by ``poly_divmod``: mod a prime p on residues,
+    or over Z, where the division stops at the first leading division
+    that is not exact.  When b is primitive this decides divisibility over
+    Q as well: by Gauss's lemma a primitive b that divides a in Q[x]
+    divides it in Z[x] (Gathen & Gerhard, sec. 6.2)."""
+    qr = poly_divmod(a, b, p)
+    return None if qr is None or qr[1] else qr[0]
 
 
 def poly_primitive(a):
@@ -446,13 +461,11 @@ def irreducibility_certificate(f):
     patterns = singular = 0
     fewest = (n + 1, None)  # (factors, prime); no prime has n + 1 factors
     for p in CERT_PRIMES:
-        lc = f[-1] % p
-        if not lc:
+        if not f[-1] % p:
             trail.append((p, "lc"))
             continue
-        inv = pow(lc, -1, p)
         found, reach = [], 1
-        for i, r, left in ddf_steps([c * inv % p for c in f], p):
+        for i, r, left in ddf_steps(poly_monic(f, p), p):
             found += [i] * r
             for _ in range(r):
                 reach |= reach << i

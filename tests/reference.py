@@ -31,6 +31,7 @@ cross-check the fast paths against:
 from fractions import Fraction
 
 import sympy
+from hypothesis import strategies as st
 
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import discriminant_binary, poly_trim
@@ -40,6 +41,16 @@ from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries, eisenstein
 from ellk3.scalars import InexactDivision, ModP, exact_scalar_div
 from ellk3.weierstrass import SurfaceParams, assemble
+
+
+def rand_form(rng, n, bound=9):
+    """A binary form of degree n with entries drawn from [-bound, bound]."""
+    return BinaryForm(n, [rng.randint(-bound, bound) for _ in range(n + 1)])
+
+
+def residues(p):
+    """Hypothesis strategy: a ModP residue mod p."""
+    return st.integers(0, p - 1).map(lambda v: ModP(v, p))
 
 
 def sylvester_matrix(f, g):
@@ -336,18 +347,21 @@ def newton_interp(xs, ys, p):
     return poly_trim(poly)
 
 
+def poly_mul(a, b):
+    """The product of two coefficient lists (either order, as long as
+    both share it) by the schoolbook double loop."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 def schoolbook_h(u):
     """The 25 coefficients of h = 4 g2^3 + 27 g3^2, high-to-low, by the
     double loop on u's coefficients as they are."""
-    def times(f, g):
-        out = [0] * (len(f) + len(g) - 1)
-        for i, x in enumerate(f):
-            for j, y in enumerate(g):
-                out[i + j] += x * y
-        return out
-
     g2, g3 = list(u.g2_coeffs), list(u.g3_coeffs)
-    return [4 * s + 27 * t for s, t in zip(times(times(g2, g2), g2), times(g3, g3))]
+    return [4 * s + 27 * t for s, t in zip(poly_mul(poly_mul(g2, g2), g2), poly_mul(g3, g3))]
 
 
 def modp_factor_degrees(f, p):

@@ -7,10 +7,7 @@ import pytest
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import resultant
 from ellk3.scalars import ModP
-
-
-def rand_form(rng, n, bound=9):
-    return BinaryForm(n, [rng.randint(-bound, bound) for _ in range(n + 1)])
+from reference import rand_form
 
 
 def rand_sl2(rng, bound=3):

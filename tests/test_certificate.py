@@ -27,21 +27,12 @@ from ellk3.elimination import (
 )
 from ellk3.invariants import random_surface
 from ellk3.weierstrass import SurfaceParams, assemble, fiber_profile
-from reference import is_squarefree_mod, modp_factor_degrees
+from reference import is_squarefree_mod, modp_factor_degrees, poly_mul
 
 
 def h_dense(u):
     """Primitive part of h(x, 1), low-to-high."""
     return poly_primitive(assemble(u)[2].dehomogenize()[0])
-
-
-def mul(a, b):
-    """Product of two low-to-high int lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 @st.composite
@@ -72,7 +63,7 @@ def test_degree_pattern_matches_sympy_above_138(case):
 
 def test_degree_pattern_pinned():
     # (x + 1)(x^2 + 1)(x^3 + 2x + 1) mod 3: x^2 + 1 and x^3 + 2x + 1 have no root mod 3
-    f = [c % 3 for c in mul(mul([1, 1], [1, 0, 1]), [1, 2, 0, 1])]
+    f = [c % 3 for c in poly_mul(poly_mul([1, 1], [1, 0, 1]), [1, 2, 0, 1])]
     assert degree_pattern([1, 1], 3) == [1]
     assert degree_pattern([1, 0, 1], 3) == [2]
     assert degree_pattern([1, 0, 1], 5) == [1, 1]
@@ -80,7 +71,7 @@ def test_degree_pattern_pinned():
     assert degree_pattern(f, 3) == modp_factor_degrees(f, 3) == [1, 2, 3]
     # (x + 1)^2 (x + 2) mod 5 has a square factor; x^3 - 1 = (x - 1)^3 mod 3
     # is inseparable, its derivative 3 x^2 being 0 mod 3
-    assert degree_pattern([c % 5 for c in mul(mul([1, 1], [1, 1]), [2, 1])], 5) is None
+    assert degree_pattern([c % 5 for c in poly_mul(poly_mul([1, 1], [1, 1]), [2, 1])], 5) is None
     assert degree_pattern([2, 0, 0, 1], 3) is None
 
 
@@ -91,7 +82,7 @@ polys = st.tuples(st.integers(1, 12).flatmap(lambda n: st.lists(st.integers(-9, 
 
 @given(polys, polys)
 def test_a_product_of_two_nonconstant_polynomials_is_never_certified(a, b):
-    f = poly_primitive(mul(a, b))
+    f = poly_primitive(poly_mul(a, b))
     verdict, trail, _, _ = irreducibility_certificate(f)
     assert verdict != IRREDUCIBLE
     assert verdict in ("pattern bound", "singular bound", "primes exhausted")
@@ -122,8 +113,8 @@ def test_squarefree_decomposition_needs_no_sqf_list(monkeypatch):
     sympy's sqf_list parts, without a call to it."""
     x = sympy.Symbol("x")
     h = h_dense(random_surface(random.Random(3)))
-    cases = ([-3, 7, -5, 1], mul(mul([1, 0, 0, 0, 1], [1, 0, 0, 0, 1]), [0, 2, 1]),
-             mul(mul(h, h), mul([-1, 3], [-1, 3])), [6, 0, -18, 12], [5])
+    cases = ([-3, 7, -5, 1], poly_mul(poly_mul([1, 0, 0, 0, 1], [1, 0, 0, 0, 1]), [0, 2, 1]),
+             poly_mul(poly_mul(h, h), poly_mul([-1, 3], [-1, 3])), [6, 0, -18, 12], [5])
     want = []
     for a in cases:
         _, parts = sympy.Poly(poly_primitive(a)[::-1], x, domain="ZZ").sqf_list()
@@ -253,7 +244,7 @@ def trail_inputs():
     a prime is skipped or the certificate gives up."""
     rng = random.Random(17)
     fs = [h_dense(random_surface(rng, bound)) for bound in [9] * 14 + [10 ** 6] * 6]
-    return fs + [h_dense(LC_140), [1, 0, 0, 0, 1], mul(mul([-2, 0, 1], [-2, 0, 1]), [3, 1])]
+    return fs + [h_dense(LC_140), [1, 0, 0, 0, 1], poly_mul(poly_mul([-2, 0, 1], [-2, 0, 1]), [3, 1])]
 
 
 def test_certificate_trails_match_sympy():
@@ -273,8 +264,8 @@ def library_pattern(f, p):
 cert_inputs = st.one_of(
     st.tuples(st.integers(0, 2 ** 32), st.sampled_from([9, 10 ** 6])).map(
         lambda t: h_dense(random_surface(random.Random(t[0]), t[1]))),
-    st.tuples(polys, polys).map(lambda t: mul(*t)),
-    st.tuples(polys, polys).map(lambda t: mul(mul(t[0], t[0]), t[1])),
+    st.tuples(polys, polys).map(lambda t: poly_mul(*t)),
+    st.tuples(polys, polys).map(lambda t: poly_mul(poly_mul(t[0], t[0]), t[1])),
     st.tuples(polys, st.sampled_from([3, 15, 105, 1155])).map(lambda t: t[0][:-1] + [t[0][-1] * t[1]]),
 ).map(poly_primitive)
 
@@ -329,7 +320,7 @@ def test_a_prime_modulo_which_f_is_not_squarefree_is_skipped():
 
 def test_a_square_factor_reaches_the_singular_bound():
     # (x^2 - 2)^2 (x + 3): singular mod every prime
-    f = mul(mul([-2, 0, 1], [-2, 0, 1]), [3, 1])
+    f = poly_mul(poly_mul([-2, 0, 1], [-2, 0, 1]), [3, 1])
     verdict, trail, _, _ = irreducibility_certificate(f)
     assert verdict == "singular bound"
     assert [o for _, o in trail] == ["singular"] * CERT_MAX_SINGULAR

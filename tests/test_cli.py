@@ -201,6 +201,17 @@ def test_hilbert_json_and_oracle(tmp_path, capsys):
     assert rows[12]["dim"] == 2
 
 
+def test_hilbert_oracle_disagreement_exit_1(capsys, monkeypatch):
+    # an oracle one too high at degree 8 is reported and fails the command
+    import ellk3.hilbert
+
+    oracle = ellk3.hilbert.invariant_dimension_oracle
+    monkeypatch.setattr(ellk3.hilbert, "invariant_dimension_oracle", lambda d: oracle(d) + (d == 8))
+    assert run(["hilbert", "--max-degree", "8", "--oracle"]) == 1
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["degree"] for r in rows if r["dim"] != r["oracle_dim"]] == [8]
+
+
 def test_hilbert_csv_output(tmp_path):
     out = str(tmp_path / "h.csv")
     assert run(["hilbert", "--max-degree", "8", "--output", out]) == 0
@@ -357,16 +368,32 @@ def _degenerate_surfaces():
     return surfaces
 
 
-def test_degenerate_fiber_profiles_run_with_sympy_unimportable():
+def test_degenerate_fiber_profiles_run_with_sympy_unimportable(tmp_path):
+    """With sympy unimportable, classify exits 1 on the type-II fixture with
+    II_REPORT, whose h is x^2 times a factor the certificate proves
+    irreducible, and 0 on the I2 fixture, whose h past x^2 the certificate
+    gives up on, loading ellk3._factor, with the report fiber_profile gives
+    here; then fiber_profile gives every degenerate surface's report."""
     from ellk3.weierstrass import fiber_profile
+    from test_weierstrass import II_SURFACE
 
     surfaces = _degenerate_surfaces()
+    inputs = [write_surface(tmp_path, II_SURFACE, "ii.json"), write_surface(tmp_path, surfaces["i2"], "i2.json")]
     built = ", ".join("%r: SurfaceParams(%r, %r)" % (k, list(u.g2_coeffs), list(u.g3_coeffs)) for k, u in surfaces.items())
-    code = ("import sys, json; sys.modules['sympy'] = None; from ellk3 import SurfaceParams, fiber_profile; "
-            "print(json.dumps({k: fiber_profile(u).to_json_dict() for k, u in {%s}.items()})); "
-            "print('ellk3._factor' in sys.modules)" % built)
-    reports, loaded = _fresh_python(code).splitlines()
-    assert loaded == "True"
+    code = ("import contextlib, io, json, sys\n"
+            "sys.modules['sympy'] = None\n"
+            "from ellk3 import SurfaceParams, fiber_profile\n"
+            "from ellk3.cli import main\n"
+            "runs = []\n"
+            "for path in %r:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            "        code = main(['classify', '--input', path])\n"
+            "    runs.append([code, json.loads(out.getvalue()), 'ellk3._factor' in sys.modules])\n"
+            "print(json.dumps(runs))\n"
+            "print(json.dumps({k: fiber_profile(u).to_json_dict() for k, u in {%s}.items()}))" % (inputs, built))
+    runs, reports = _fresh_python(code).splitlines()
+    # exit code, report, and whether ellk3._factor is loaded, after each classify
+    assert json.loads(runs) == [[1, II_REPORT, False], [0, fiber_profile(surfaces["i2"]).to_json_dict(), True]]
     reports = json.loads(reports)
     assert reports == {k: fiber_profile(u).to_json_dict() for k, u in surfaces.items()}
     kinds = {k: {(p["kodaira"], p["residue_degree"]) for p in r["places"]} for k, r in reports.items()}

@@ -17,6 +17,8 @@ from ellk3.elimination import (
     factor_multiplicity,
     exact_quotient,
     gcd_and_squarefree,
+    poly_divmod,
+    poly_monic,
     poly_primitive,
     poly_trim,
     resultant,
@@ -26,11 +28,7 @@ from ellk3.invariants import r96
 from ellk3.multipoly import MultiPoly
 from ellk3.scalars import DomainError, ModP, coefficient_domain as _domain
 from ellk3.weierstrass import SurfaceParams
-from reference import det_bareiss, field_divmod, sylvester_matrix, sylvester_resultant
-
-
-def rand_form(rng, n, bound=9):
-    return BinaryForm(n, [rng.randint(-bound, bound) for _ in range(n + 1)])
+from reference import det_bareiss, field_divmod, poly_mul, rand_form, residues, sylvester_matrix, sylvester_resultant
 
 
 def split_form(roots):
@@ -259,10 +257,6 @@ def forms(draw, coeff, min_degree=0, max_degree=6, w_power=0):
     return BinaryForm(n, [0] * w_power + coeffs[w_power:])
 
 
-def residues(p):
-    return st.integers(0, p - 1).map(lambda v: ModP(v, p))
-
-
 def assert_engine_matches(f, g, kind):
     got, want = resultant(f, g), sylvester_resultant(f, g)
     assert got == want
@@ -315,14 +309,6 @@ def test_engine_matches_sylvester_mod_tiny_primes(fg):
     assert_engine_matches(*fg, ModP)
 
 
-def _mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 @st.composite
 def euclid_drops(draw):
     """(A, B) residue forms with A = B Q + R mod p, lc(B) and lc(Q) nonzero
@@ -334,7 +320,7 @@ def euclid_drops(draw):
     B = [draw(unit)] + draw(st.lists(res, min_size=db, max_size=db))
     Q = [draw(unit)] + draw(st.lists(res, max_size=4))
     R = draw(st.lists(res, max_size=db - 1))
-    A = _mul(B, Q)
+    A = poly_mul(B, Q)
     A[len(A) - len(R):] = [a + r for a, r in zip(A[len(A) - len(R):], R)]
     return tuple(BinaryForm(len(c) - 1, [ModP(x, p) for x in c]) for c in (A, B))
 
@@ -357,7 +343,7 @@ def remainder_cases(draw):
     q = draw(st.lists(st.integers(0, p - 1), max_size=5))
     r = poly_trim(draw(st.lists(sparse, max_size=len(b) - 1)))
     a = [0] * max(len(b) + len(q) - 1, len(r))
-    for i, x in enumerate(_mul(b, q)):
+    for i, x in enumerate(poly_mul(b, q)):
         a[i] += x
     for i, x in enumerate(r):
         a[i] += x
@@ -383,7 +369,7 @@ def test_rem_mod_matches_long_division(case):
 def test_euclid_mod_finds_the_common_factor(case):
     # the last entry of Euclid's sequence is gcd(a, b), which g divides
     p, g, u, v = case
-    a, b = poly_trim([c % p for c in _mul(g, u)]), poly_trim([c % p for c in _mul(g, v)])
+    a, b = poly_trim([c % p for c in poly_mul(g, u)]), poly_trim([c % p for c in poly_mul(g, v)])
     bits = _slot_bits(p, max(len(a), len(b)) - 1)
     d, _, G = _euclid_mod(_pack(a[::-1], bits), len(a) - 1, _pack(b[::-1], bits), len(b) - 1, p, bits, p - 1)[-1]
     if a or b:
@@ -412,7 +398,7 @@ def kernel_cases(draw):
         b = draw(st.lists(sparse, min_size=1, max_size=2)) + [draw(st.integers(1, p - 1))]
         q = draw(st.lists(sparse, min_size=47 - len(b), max_size=47 - len(b))) + [draw(st.integers(1, p - 1))]
         r = draw(st.lists(sparse, max_size=len(b) - 1))
-        a = _mul(b, q)
+        a = poly_mul(b, q)
         a[:len(r)] = [x + y for x, y in zip(a, r)]
         a = [c % p for c in a]
     else:
@@ -620,6 +606,72 @@ def test_exact_quotient_stops_at_the_first_inexact_step():
     assert exact_quotient([0, 1, 2], [2, 4]) is None
     assert exact_quotient([1, 1, 2], [1, 2]) is None  # remainder 1
     assert exact_quotient([], [3]) == []
+
+
+# -- the one long division ---------------------------------------------
+
+
+@given(division_cases(st.one_of(small_ints, big_ints)), st.sampled_from(TINY_PRIMES + (P62,)))
+def test_poly_divmod_mod_p_matches_long_division(ab, p):
+    """Non-monic divisors with unreduced entries: the quotient and
+    remainder of schoolbook long division mod p."""
+    a, b = ab
+    assume(any(c % p for c in b))
+    assert poly_divmod(a, b, p) == field_divmod(a, b, p)
+
+
+@given(division_cases(small_ints), st.sampled_from(TINY_PRIMES),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+def test_poly_divmod_mod_p_drops_leading_entries_that_vanish(ab, p, tops):
+    # b padded with multiples of p divides as b itself does
+    a, b = ab
+    assume(any(c % p for c in b))
+    padded = b + [p * t for t in tops]
+    assert poly_divmod(a, padded, p) == field_divmod(a, b, p)
+
+
+@given(st.sampled_from([(2, 62), (3, 20), (5, 6), (7, 1)]).flatmap(lambda pk: st.tuples(
+    st.just(pk[0] ** pk[1]),
+    st.lists(st.integers(-2**130, 2**130), max_size=12),
+    st.lists(st.integers(-2**70, 2**70), max_size=5),
+    st.integers(-3, 3))))
+def test_poly_divmod_mod_prime_power_by_a_monic_divisor(case):
+    """Mod p^k, as the Hensel lift divides, by b with lc(b) = 1 mod p^k and
+    unreduced entries: a = q b + r mod p^k, deg r < deg b, both reduced
+    and trimmed."""
+    m, a, tail, t = case
+    b = tail + [1 + m * t]
+    q, r = poly_divmod(a, b, m)
+    assert len(r) < len(b) and all(0 <= c < m for c in q + r)
+    assert (not q or q[-1]) and (not r or r[-1])
+    rebuilt = poly_mul(q, b) if q else []
+    rebuilt += [0] * (len(a) - len(rebuilt))
+    for i, c in enumerate(r):
+        rebuilt[i] += c
+    assert poly_trim([c % m for c in rebuilt]) == poly_trim([c % m for c in a])
+
+
+@given(division_cases(st.one_of(small_ints, big_ints)), st.sampled_from([-1, 1]))
+def test_poly_divmod_over_z_by_a_unit_leading_coefficient(ab, unit):
+    # every leading division is exact, so Z gives Q's quotient and remainder
+    a, b = ab
+    b = b + [unit]
+    assert poly_divmod(a, b) == field_divmod(a, b, 0)
+
+
+@pytest.mark.parametrize("b, m", [([], 0), ([0, 0], 0), ([], 7), ([7, -14, 21], 7), ([0, P62], P62)])
+def test_division_by_zero_raises(b, m):
+    # a divisor that is zero, or zero mod m
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod([1, 2, 3], b, m)
+    with pytest.raises(ZeroDivisionError):
+        exact_quotient([1, 2, 3], b, m)
+
+
+def test_poly_monic_scales_by_the_inverse_leading_coefficient():
+    assert poly_monic([1, 2, 3], 7) == [5, 3, 1]  # 1/3 = 5 mod 7
+    assert poly_monic([-4, 0, -1], 139) == [4, 0, 1]
+    assert poly_monic([3, 2], 5**6) == [7814, 1]  # 1/2 = 7813 mod 5^6
 
 
 # -- the factorization against the PRS engine --------------------------

@@ -25,7 +25,8 @@ from ellk3.elimination import (
 )
 from ellk3.invariants import random_surface
 from ellk3.weierstrass import SurfaceParams, assemble
-from test_certificate import LC_140, h_dense, mul, sums_after_each_prime, trail_inputs
+from reference import poly_mul
+from test_certificate import LC_140, h_dense, sums_after_each_prime, trail_inputs
 
 X = sympy.Symbol("x")
 
@@ -51,27 +52,27 @@ def reducible_form(rng, kind):
     if kind == "product":  # 2 to 4 factors
         f = [1]
         for _ in range(rng.randint(2, 4)):
-            f = mul(f, rand_poly(rng, rng.randint(1, 8), bound))
+            f = poly_mul(f, rand_poly(rng, rng.randint(1, 8), bound))
     elif kind == "power":  # a square or a cube, times a cofactor
         a = rand_poly(rng, rng.randint(1, 6), bound)
-        f = mul(mul(a, a), a) if rng.random() < 0.5 else mul(a, a)
-        f = mul(f, rand_poly(rng, rng.randint(0, 6), bound))
+        f = poly_mul(poly_mul(a, a), a) if rng.random() < 0.5 else poly_mul(a, a)
+        f = poly_mul(f, rand_poly(rng, rng.randint(0, 6), bound))
     elif kind == "x power":  # x^e splits off before the certificate
-        f = [0] * rng.randint(1, 5) + mul(rand_poly(rng, rng.randint(1, 10), bound),
+        f = [0] * rng.randint(1, 5) + poly_mul(rand_poly(rng, rng.randint(1, 10), bound),
                                           rand_poly(rng, rng.randint(0, 6), bound))
     elif kind == "split everywhere":
         c = rng.choice(SPLIT_EVERYWHERE)
-        f = mul(c, rand_poly(rng, rng.randint(1, 8), bound))
+        f = poly_mul(c, rand_poly(rng, rng.randint(1, 8), bound))
         if rng.random() < 0.5:
-            f = mul(f, c)
+            f = poly_mul(f, c)
     elif kind == "leading coefficient":  # small primes divide lc(f), as in LC_140
         a = rand_poly(rng, rng.randint(1, 8), bound)
         a[-1] *= rng.choice([140, 2310, 1155, 6])
-        f = mul(a, rand_poly(rng, rng.randint(1, 8), bound))
+        f = poly_mul(a, rand_poly(rng, rng.randint(1, 8), bound))
     else:  # entries up to 10^6
-        f = mul(rand_poly(rng, rng.randint(1, 10), 10 ** 6), rand_poly(rng, rng.randint(1, 10), 10 ** 6))
+        f = poly_mul(rand_poly(rng, rng.randint(1, 10), 10 ** 6), rand_poly(rng, rng.randint(1, 10), 10 ** 6))
         if rng.random() < 0.3:
-            f = mul(f, rand_poly(rng, rng.randint(1, 3), 10 ** 6))
+            f = poly_mul(f, rand_poly(rng, rng.randint(1, 3), 10 ** 6))
     scale = rng.choice([1, -1, 3])
     return [c * scale for c in f]
 
@@ -154,11 +155,11 @@ def test_an_irreducible_split_everywhere_stays_whole():
 
 def test_yun_parts_multiply_back():
     a, b, c = [-2, 0, 1], [3, 1], [1, 1, 0, 5]
-    f = mul(mul(a, mul(b, b)), mul(c, mul(c, c)))
+    f = poly_mul(poly_mul(a, poly_mul(b, b)), poly_mul(c, poly_mul(c, c)))
     assert _factor._yun(f) == [(a, 1), (b, 2), (c, 3)]
     assert _factor._yun([-1, 0, 1]) == [([-1, 0, 1], 1)]
     # a missing multiplicity gives the part [1]
-    assert _factor._yun(mul(mul(b, b), mul(b, a))) == [(a, 1), ([1], 2), (b, 3)]
+    assert _factor._yun(poly_mul(poly_mul(b, b), poly_mul(b, a))) == [(a, 1), ([1], 2), (b, 3)]
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 101, 401])
@@ -180,7 +181,7 @@ def test_factors_mod_p_match_sympy(p):
 def test_hensel_lift_multiplies_back():
     # (x - 1)(x + 2)(x^2 + 3) mod 5^6, from its factors mod 5
     p, l = 5, 6
-    f = mul(mul([-1, 1], [2, 1]), [3, 0, 1])
+    f = poly_mul(poly_mul([-1, 1], [2, 1]), [3, 0, 1])
     mods = [[4, 1], [2, 1], [3, 0, 1]]
     lifted = _factor._lift(f, mods, p, l)
     M = p ** l
@@ -247,7 +248,7 @@ def test_certificate_sums_and_prime_on_reducible_forms(kind):
 
 def test_gcd_and_squarefree_lists_w_then_x_then_by_multiplicity_degree_and_coefficients():
     # w^2 x^3 (x + 2)^2 (x - 1)^2 (x^2 + 3) (x - 5)
-    dense = mul(mul(mul([2, 1], [2, 1]), mul([-1, 1], [-1, 1])), mul([3, 0, 1], [-5, 1]))
+    dense = poly_mul(poly_mul(poly_mul([2, 1], [2, 1]), poly_mul([-1, 1], [-1, 1])), poly_mul([3, 0, 1], [-5, 1]))
     f = BinaryForm.homogenize([0, 0, 0] + dense, 12, 2)
     unit, factors = gcd_and_squarefree(f)
     assert unit == 1
@@ -261,7 +262,7 @@ def test_every_factor_is_checked_by_exact_division(monkeypatch):
     calls = []
     quotient = _factor.exact_quotient
     monkeypatch.setattr(_factor, "exact_quotient", lambda *a: calls.append(a) or quotient(*a))
-    f = mul(mul([1, 0, 0, 0, 1], [-7, 3, 2]), [5, -1, 0, 4])
+    f = poly_mul(poly_mul([1, 0, 0, 0, 1], [-7, 3, 2]), [5, -1, 0, 4])
     assert sorted(_irreducible_factors(f)) == sympy_factors(f)
     assert any(len(a) == 2 and a[0] == f for a in calls)
 
@@ -277,5 +278,5 @@ def test_negated_inverse_table():
 def test_lc_140_surface_is_certified_and_its_times_a_square_factors():
     h = h_dense(LC_140)
     assert _irreducible_factors(h) == [(h, 1)]
-    f = mul(mul(h, [3, -1]), [3, -1])
+    f = poly_mul(poly_mul(h, [3, -1]), [3, -1])
     assert sorted(_irreducible_factors(f)) == sympy_factors(f)

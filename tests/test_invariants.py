@@ -7,7 +7,7 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from ellk3 import invariants
-from ellk3.binforms import BinaryForm, _convolve
+from ellk3.binforms import BinaryForm
 from ellk3.invariants import (
     DEFAULTS,
     K552_U_DEGREE,
@@ -35,7 +35,7 @@ from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries
 from ellk3.scalars import ModP, reduce_scalar_mod
 from ellk3.weierstrass import FiberReport, PlaceRecord, SurfaceParams, assemble
-from reference import _eval_on_line, newton_interp, slice_reference
+from reference import _eval_on_line, newton_interp, poly_mul, residues, slice_reference
 
 # smallest interesting surface: g2 = x^8 + w^8, g3 = x^12 + w^12
 BASE = SurfaceParams([1] + [0] * 7 + [1], [1] + [0] * 11 + [1])
@@ -182,8 +182,8 @@ def test_k552_raises_on_zero_h_in_every_domain(domain):
     Res(0, J) = 0 would give the zero."""
     rng = random.Random(domain)
     f = [Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in range(5)]
-    f2 = _convolve(f, f)
-    u = SurfaceParams([-3 * c for c in f2], [2 * c for c in _convolve(f2, f)])
+    f2 = poly_mul(f, f)
+    u = SurfaceParams([-3 * c for c in f2], [2 * c for c in poly_mul(f2, f)])
     if domain != "Q":
         u = u.reduce_mod({"139": 139, "P62": P62}[domain])
     assert any(f) and assemble(u)[2].is_zero() and not r96(u).value
@@ -438,6 +438,42 @@ def test_verify_bulk_skips_k552_where_h_vanishes_mod_p(monkeypatch):
     assert verify_bulk(seed=0, trials=0)["failures"] == []
 
 
+def test_verify_bulk_draws_again_where_r96_vanishes(monkeypatch):
+    """A pointwise draw with r96 = 0 has no delta264: it is drawn again,
+    and is neither a trial nor a failure."""
+    assert not r96(H_ZERO).value
+    rng = random.Random(5)
+    draws = [H_ZERO, random_surface(rng), H_ZERO, H_ZERO, random_surface(rng)]
+    seen = []
+
+    def next_draw(rng):
+        seen.append(draws[len(seen)])
+        return seen[-1]
+
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(homogeneity_trials=0, sl2_trials=0, slice_lines=0))
+    monkeypatch.setattr(invariants, "random_surface", next_draw)
+    assert verify_bulk(seed=0, trials=2)["failures"] == []
+    assert seen == draws
+
+
+@pytest.mark.parametrize("label", ["slice", "slice-degenerate"])
+def test_verify_bulk_labels_slice_failures(monkeypatch, label):
+    """A slice whose division fails is a "slice" failure, one that raises
+    ValueError a "slice-degenerate" one, each with the line's two
+    surfaces, the first two draws when no other check runs."""
+    def failing(u0, u1, modulus):
+        if label == "slice-degenerate":
+            raise ValueError("r96 vanishes identically on this line")
+        return SliceWitness(False, modulus, [], [1], [1])
+
+    monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(homogeneity_trials=0, sl2_trials=0, slice_lines=1))
+    monkeypatch.setattr(invariants, "slice_divisibility", failing)
+    rng = random.Random(3)
+    u0, u1 = random_surface(rng), random_surface(rng)
+    want = [[label, {"u0": u0.to_json_dict(), "u1": u1.to_json_dict()}]]
+    assert verify_bulk(seed=3, trials=0)["failures"] == want
+
+
 @pytest.mark.parametrize("check", ["homogeneity", "sl2"])
 def test_verify_bulk_reraises_k552_errors_on_nonzero_h(monkeypatch, check):
     """A ValueError from k552 on a nonzero h mod p is a fault, not a skip: it
@@ -548,10 +584,6 @@ def test_slice_divisibility_matches_reference(kind, modulus):
     check()
 
 
-def residues(p):
-    return st.integers(0, p - 1).map(lambda v: ModP(v, p))
-
-
 RESTRICTION_LINES = {
     "int": surfaces(large),
     "rational": surfaces(st.fractions(-9, 9, max_denominator=7)),
@@ -615,8 +647,8 @@ def test_slice_through_the_h_zero_locus_raises():
     mod p."""
     rng = random.Random(15)
     f = [rng.randint(-3, 3) for _ in range(5)]
-    f2 = _convolve(f, f)
-    u0 = SurfaceParams([-3 * c for c in f2], [2 * c for c in _convolve(f2, f)])
+    f2 = poly_mul(f, f)
+    u0 = SurfaceParams([-3 * c for c in f2], [2 * c for c in poly_mul(f2, f)])
     u1 = random_surface(rng)
     assert any(f) and assemble(u0)[2].is_zero()
     for modulus in (None, 139, P62):
@@ -687,7 +719,7 @@ def test_slice_witness_interpolants_factor_exactly(modulus):
     wit = slice_divisibility(u0, u1, modulus=modulus)
     assert len(wit.K) - 1 == wit.k_degree == R96_U_DEGREE + RES_HJ_LINE_DEGREE
     assert 3 * (len(wit.R) - 1) == wit.r3_degree == 3 * R96_U_DEGREE
-    product = _convolve(_convolve(_convolve(wit.R, wit.R), wit.R), wit.quotient)
+    product = poly_mul(poly_mul(poly_mul(wit.R, wit.R), wit.R), wit.quotient)
     if modulus:
         product = [c % modulus for c in product]
     assert product == wit.K

@@ -2,6 +2,10 @@
 defining module binds, and nothing else resolves."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -47,6 +51,17 @@ def test_star_import_binds_every_public_name():
 def test_submodules_are_attributes():
     for module in list(PUBLIC) + ["cli"]:
         assert getattr(ellk3, module) is importlib.import_module("ellk3." + module)
+
+
+def test_a_submodule_read_first_as_an_attribute_is_imported():
+    # in a new interpreter no submodule is loaded, so ellk3.<submodule>
+    # goes through the package's __getattr__
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ellk3.__file__)))
+    code = ("import json, sys, ellk3; before = [m for m in sys.modules if m.startswith('ellk3.')]; "
+            "print(json.dumps([before, [getattr(ellk3, m).__name__ for m in %r]]))" % (list(PUBLIC) + ["cli"]))
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [[], ["ellk3." + m for m in list(PUBLIC) + ["cli"]]]
 
 
 @pytest.mark.parametrize("name", ["no_such_name", "sympy"])

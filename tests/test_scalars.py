@@ -38,6 +38,13 @@ def test_modp_int_mixing_allowed():
     a = ModP(3, 7)
     assert a + 11 == ModP(0, 7)
     assert 2 * a == ModP(6, 7)
+    assert 2 - a == ModP(6, 7) and (2 - a).p == 7
+
+
+def test_reduced_form_prints_its_residues():
+    assert str(ModP(-1, 7)) == "6"
+    f = BinaryForm(2, [8, Fraction(1, 2), -1]).reduce_mod(7)
+    assert f.to_str() == str(f) == "1 * x^2 + 4 * x * w + 6 * w^2"
 
 
 # residues mod two primes, and ints and Fractions on both sides of [0, p)
@@ -125,6 +132,12 @@ def test_reduce_scalar_mod():
     assert reduce_scalar_mod(Fraction(1, 2), 7) == ModP(4, 7)
     with pytest.raises(ZeroDivisionError):
         reduce_scalar_mod(Fraction(1, 7), 7)
+    a = ModP(3, 7)
+    assert reduce_scalar_mod(a, 7) is a
+    with pytest.raises(DomainError, match="mod 7"):
+        reduce_scalar_mod(a, 11)
+    with pytest.raises(DomainError, match="str"):
+        reduce_scalar_mod("3", 7)
 
 
 @example(Fraction(-3, 7))

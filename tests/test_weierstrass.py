@@ -268,6 +268,26 @@ def test_nonminimal_fixture_not_in_U():
     assert "NON-MINIMAL" in tags
 
 
+# the Kodaira type at x of g2 = 0, g3 = x^k B with B(0) != 0, k = 1..6:
+# m2 is infinite, m3 = k and d = 2k
+G2_ZERO_TYPES = ["II", "IV", "I0*", "IV*", "II*", "NON-MINIMAL"]
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_g2_zero_stratum_profile(k):
+    """On the stratum g2 = 0, the type at x is set by ord_x g3 alone, and
+    every other place, a simple root of B, is II."""
+    rng = random.Random(k)
+    B = [rng.randint(-9, 9) for _ in range(12 - k)] + [rng.choice([-1, 1]) * rng.randint(1, 9)]
+    rep = fiber_profile(SurfaceParams([0] * 9, B + [0] * k))
+    x_rec = place_record(rep, X_PLACE)
+    assert (x_rec.m2, x_rec.m3, x_rec.d, x_rec.kodaira) == (INFINITE_ORDER, k, 2 * k, G2_ZERO_TYPES[k - 1])
+    assert all(r.kodaira == "II" and r.m3 == 1 for r in rep.places if r is not x_rec)
+    d = rep.to_json_dict()
+    assert all(p["m2"] == "inf" for p in d["places"])
+    assert d["euler_sum"] == 24 and d["in_U"] == (k < 6) and not d["h_is_zero"]
+
+
 def test_h_identically_zero():
     # g2 = -3 w^8, g3 = 2 w^12 gives 4 g2^3 + 27 g3^2 = 0
     u = SurfaceParams([0] * 8 + [-3], [0] * 12 + [2])
