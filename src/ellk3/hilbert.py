@@ -1,5 +1,5 @@
 """Hilbert series of the SL2-invariants of the octic-plus-duodecic
-parameter space, three ways:
+parameter space, and the invariants themselves:
 
 * the Molien-Weyl residue formula, expanded t-adically so each t-degree
   carries a finite Laurent polynomial in q and the residue is the q^(-1)
@@ -7,15 +7,18 @@ parameter space, three ways:
   is one nonnegative int with a slot per even q-exponent (Kronecker
   substitution), so a geometric factor costs one big-int shift and add per
   t-degree;
-* an independent oracle computing the exact kernel dimension of the
-  raising operator D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1} from the
-  torus-weight-0 to the weight-2 subspace, its matrix D8 (x) 1 + 1 (x)
-  D12 between the two monomial bases (each form's compositions bucketed
-  by q-weight, ordered to follow D's octic-weight chain) and certified by
-  full row rank mod a single prime (one sparse elimination that visits
-  each row's columns once, right to left, and reduces mod p lazily; over
-  Q it also yields explicit invariants as exponent-tuple -> Fraction
-  dicts);
+* an independent oracle counting the invariants of each split 4a + 6b
+  of the t-degree by Clebsch-Gordan, sum_m h_m(S^a Sym^8) h_m(S^b Sym^12),
+  each multiplicity h_m the kernel of one form's raising operator
+  D(u_{n-i,i}) = (i+1) u_{n-i-1,i+1} from its weight-m to its weight-(m+2)
+  bucket, certified by full row rank mod a single prime (one sparse
+  elimination that visits each row's columns once, right to left, and
+  reduces mod p lazily);
+* explicit invariants as exponent-tuple -> Fraction dicts, the kernel over
+  Q of the joint raising operator D8 (x) 1 + 1 (x) D12 from the
+  torus-weight-0 to the weight-2 subspace, its matrix between the two
+  monomial bases (each form's compositions bucketed by q-weight, ordered
+  to follow D's octic-weight chain);
 * the character-extended series (1 + t^132) H(t) realizing the rank-2
   free extension with its weight-264 relation.
 """
@@ -152,9 +155,10 @@ def _form_buckets(qweights, total):
     q-weights are qweights, as {weight: [e, ...]}, each bucket in
     lexicographic order and the keys in increasing weight.  Parts are
     prepended from the last on, and the first takes what is left.
-    Cached; the memo stays bounded because ``_raising_matrix`` refuses
-    t-degrees above ORACLE_MAX_DEGREE, so the oracle asks for octic
-    degrees 0..7 and duodecic degrees 0..5 only (14 entries, about 20,000
+    Cached, and read directly by the oracle and through ``monomial_basis``
+    by ``_raising_matrix``; the memo stays bounded because both refuse
+    t-degrees above ORACLE_MAX_DEGREE, so they ask for octic degrees 0..7
+    and duodecic degrees 0..5 only (14 entries, about 20,000
     compositions)."""
     level = [[((s,), s * qweights[-1])] for s in range(total + 1)]
     for qw in qweights[-2:0:-1]:
@@ -177,14 +181,15 @@ def monomial_basis(tdegree, qweight):
     degree for all splits, q-weights and t-degrees, and each octic bucket
     q8 is paired with the duodecic bucket qweight - q8.
 
-    The order serves the oracle's elimination.  D = D8 (x) 1 + 1 (x) D12
-    keeps a8, and a weight-2 row at octic weight q8 has its columns at q8
-    (D12) and q8 - 2 (D8) only, so its rightmost column, where ``_echelon``
-    pivots, lies in its own q8 block, and a row's descending pass works
-    down the chain q8, q8 - 2, ... block by block.  In plain lexicographic
-    order the two blocks interleave and the pivots mix the chain's levels:
-    at t-degree 24 the pivot rows then hold 5950 entries, not 4724, and
-    the elimination makes 92411 updates, not 57888."""
+    The order serves the elimination of the joint matrix in
+    ``invariant_basis``.  D = D8 (x) 1 + 1 (x) D12 keeps a8, and a
+    weight-2 row at octic weight q8 has its columns at q8 (D12) and q8 - 2
+    (D8) only, so its rightmost column, where ``_echelon`` pivots, lies
+    in its own q8 block, and a row's descending pass works down the chain
+    q8, q8 - 2, ... block by block.  In plain lexicographic order the two
+    blocks interleave and the pivots mix the chain's levels: at t-degree
+    24 the pivot rows then hold 5950 entries, not 4724, and the
+    elimination makes 92411 updates, not 57888."""
     out = []
     for a8 in range(tdegree // 4 + 1):
         b12, rem = divmod(tdegree - 4 * a8, 6)
@@ -198,6 +203,16 @@ def monomial_basis(tdegree, qweight):
     return out
 
 
+def _check_degree(tdegree):
+    """Refuse t-degrees below 0 or above ORACLE_MAX_DEGREE, before anything
+    is enumerated."""
+    if tdegree < 0:
+        raise ValueError("t-degree must be nonnegative")
+    if tdegree > ORACLE_MAX_DEGREE:
+        raise FeasibilityError("t-degree %d exceeds the oracle feasibility bound %d"
+                               % (tdegree, ORACLE_MAX_DEGREE))
+
+
 def _raising_matrix(tdegree):
     """D from V0 = monomial_basis(tdegree, 0) to V2 = monomial_basis(tdegree,
     2) as (v0, v2, rows), rows[i] mapping each column with a nonzero entry
@@ -205,11 +220,7 @@ def _raising_matrix(tdegree):
     column's octic part beside its duodecic part and vice versa, each
     distinct part once.  Refuses t-degrees below 0 or above
     ORACLE_MAX_DEGREE before enumerating."""
-    if tdegree < 0:
-        raise ValueError("t-degree must be nonnegative")
-    if tdegree > ORACLE_MAX_DEGREE:
-        raise FeasibilityError("t-degree %d exceeds the oracle feasibility bound %d"
-                               % (tdegree, ORACLE_MAX_DEGREE))
+    _check_degree(tdegree)
     v0 = monomial_basis(tdegree, 0)
     v2 = monomial_basis(tdegree, 2)
     pos = {m: i for i, m in enumerate(v2)}
@@ -248,10 +259,10 @@ def _echelon(rows, p):
     zero; a popped entry is reduced once and skipped if it is 0 mod p, and
     a new pivot row keeps only its entries that are nonzero mod p.  An
     entry hit by k updates stays below its input plus k p^2, k being at
-    most the number of pivot rows applied to its row; mod the first oracle
-    prime (p^2 < 2^62) k stays at most 102 and no entry passes 67 bits up
-    to t-degree 30.  Over Q an entry that cancels to 0 is skipped the same
-    way."""
+    most the number of pivot rows applied to its row; on the joint raising
+    matrix mod the first oracle prime (p^2 < 2^62) k stays at most 102 and
+    no entry passes 67 bits up to t-degree 30.  Over Q an entry that
+    cancels to 0 is skipped the same way."""
     pivots = {}
     for row in rows:
         row = dict(row)
@@ -305,24 +316,55 @@ def _kernel(pivots, ncols):
     return list(vecs.values())
 
 
-def invariant_dimension_oracle(d):
-    """Exact dimension of the SL2-invariants at t-degree d, as the kernel
-    of the raising operator D: V0 -> V2 on the torus-weight-0 subspace.
+def _highest_weights(qweights, degree, top):
+    """[h_0, h_2, ..., h_top] for the degree-`degree` compositions over one
+    form's coefficients, whose q-weights are qweights: h_m is the number of
+    copies of the irreducible Sym^m in that symmetric power, certified as
+    the kernel of the raising operator D: W_m -> W_(m+2) between two of its
+    weight buckets.
 
-    The certificate is one rank computation mod a prime: D has integer
-    entries, so rank_p(D) <= rank_Q(D) <= dim V2, and full row rank mod p
-    proves dim ker_Q D = dim V0 - dim V2.  A prime short of full rank is
-    skipped; if every prime falls short the oracle raises ArithmeticError
-    rather than guess.
+    D has integer entries, so rank_p(D) <= rank_Q(D) <= |W_(m+2)|, and full
+    row rank mod a prime proves h_m = |W_m| - |W_(m+2)|.  A prime short of
+    full rank is skipped; if every prime falls short this raises
+    ArithmeticError rather than guess."""
+    buckets = _form_buckets(qweights, degree)
+    counts = []
+    for m in range(0, top + 1, 2):
+        source, target = buckets.get(m, []), buckets.get(m + 2, [])
+        pos = {e: i for i, e in enumerate(target)}
+        rows = [{} for _ in target]
+        for j, e in enumerate(source):
+            for img, c in _raise(e):
+                rows[pos[img]][j] = c
+        if not any(len(_echelon(rows, p)) == len(target) for p in _ORACLE_PRIMES):
+            raise ArithmeticError(
+                "raising operator on degree %d, weight %d lacks full row rank mod all %d oracle primes"
+                % (degree, m, len(_ORACLE_PRIMES)))
+        counts.append(len(source) - len(target))
+    return counts
+
+
+def invariant_dimension_oracle(d):
+    """Exact dimension of the SL2-invariants at t-degree d, counted per
+    split d = 4a + 6b by Clebsch-Gordan.
+
+    The invariants of octic degree a and duodecic degree b are
+    Hom(S^a Sym^8, S^b Sym^12)^SL2, as each Sym^m is self-dual, so by
+    Schur's lemma they number sum_m h_m(S^a Sym^8) h_m(S^b Sym^12) over
+    m = 0, 2, ..., min(8a, 12b), the highest weights the two share.  Each
+    h_m is certified by ``_highest_weights`` from one form's raising
+    matrix on one weight bucket, whose size is that form's alone.  Refuses
+    t-degrees below 0 or above ORACLE_MAX_DEGREE before enumerating.
     """
-    v0, v2, rows = _raising_matrix(d)
-    for p in _ORACLE_PRIMES:
-        if len(_echelon(rows, p)) == len(v2):
-            return len(v0) - len(v2)
-    raise ArithmeticError(
-        "raising operator at t-degree %d lacks full row rank mod all %d oracle primes"
-        % (d, len(_ORACLE_PRIMES))
-    )
+    _check_degree(d)
+    total = 0
+    for a in range(d // 4 + 1):
+        b, rem = divmod(d - 4 * a, 6)
+        if not rem:
+            top = min(8 * a, 12 * b)
+            total += sum(x * y for x, y in zip(_highest_weights(Q_WEIGHTS[:9], a, top),
+                                               _highest_weights(Q_WEIGHTS[9:], b, top)))
+    return total
 
 
 def invariant_basis(d):

@@ -14,6 +14,8 @@ cross-check the fast paths against:
   reduction step and reduces every entry mod p as it goes;
 * for the Molien series, the t-adic expansion with each Laurent
   polynomial in q held as a dict exponent -> count;
+* for the oracle's per-form multiplicities, Cayley-Sylvester's
+  differences of the Gaussian binomial coefficients;
 * for series products, the schoolbook double loop over the two windows;
 * for the Borcherds input, the power-series reciprocal on Fractions;
 * for slice interpolation, Newton divided differences at arbitrary
@@ -287,6 +289,25 @@ def molien_reference(N):
             for qe, c in coeff[d - b].items():
                 dst[qe + a] = dst.get(qe + a, 0) + c
     return [c.get(0, 0) - c.get(-2, 0) for c in coeff]
+
+
+def cayley_sylvester(n, a):
+    """{m: multiplicity of Sym^m in S^a(Sym^n)} for m = na - 2k >= 0, by
+    Cayley-Sylvester: c_k - c_(k-1), where c_k is the q^k coefficient of
+    the Gaussian binomial [a + n choose n]_q = prod_(j=1..n) (1 - q^(a+j))
+    / (1 - q^j), built factor by factor as [a + j choose j]_q, a
+    polynomial of degree a j, by one product and one exact division."""
+    c = [1]
+    for j in range(1, n + 1):
+        num = c + [0] * (a + j)
+        for k, x in enumerate(c):
+            num[k + a + j] -= x
+        # num / (1 - q^j): out_k = num_k + out_(k-j)
+        out = []
+        for k in range(a * j + 1):
+            out.append(num[k] + (out[k - j] if k >= j else 0))
+        c = out
+    return {n * a - 2 * k: c[k] - (c[k - 1] if k else 0) for k in range(n * a // 2 + 1)}
 
 
 def schoolbook_product(f, g):

@@ -16,6 +16,7 @@ from ellk3.hilbert import (
     FeasibilityError,
     HilbertSeries,
     _echelon,
+    _highest_weights,
     _raising_matrix,
     character_series,
     invariant_basis,
@@ -28,6 +29,7 @@ from ellk3.hilbert import (
 from ellk3.invariants import random_sl2, random_surface, sl2_act
 from ellk3.multipoly import MultiPoly
 from reference import (
+    cayley_sylvester,
     dense_kernel,
     det_bareiss,
     echelon_reference,
@@ -210,6 +212,44 @@ def test_echelon_fill_on_raising_matrices_is_pinned():
         pivots = _echelon(rows, _ORACLE_PRIMES[0])
         assert len(pivots) == len(v2)
         assert sum(map(len, pivots.values())) == fill, "degree %d" % d
+
+
+def test_highest_weights_match_cayley_sylvester():
+    # each form at every degree the oracle reaches up to t-degree 30, and
+    # every highest weight m >= 0, past the top one n a too, where both are 0
+    for qweights, n, degrees in ((Q_WEIGHTS[:9], 8, range(8)), (Q_WEIGHTS[9:], 12, range(6))):
+        for a in degrees:
+            want = cayley_sylvester(n, a)
+            got = _highest_weights(qweights, a, n * a + 4)
+            assert got == [want.get(m, 0) for m in range(0, n * a + 5, 2)], "Sym^%d, degree %d" % (n, a)
+
+
+def test_oracle_matches_joint_kernel():
+    # the joint matrix D8 (x) 1 + 1 (x) D12 on the whole weight-0 space,
+    # its rank taken mod the first oracle prime
+    for d in range(27):
+        v0, _, rows = _raising_matrix(d)
+        assert invariant_dimension_oracle(d) == len(v0) - len(_echelon(rows, _ORACLE_PRIMES[0])), "degree %d" % d
+
+
+def test_oracle_work_per_form_is_pinned(monkeypatch):
+    # (rank problems, their rows, entries stored in their pivot rows), all
+    # of full rank mod the first oracle prime: one problem per form, split
+    # and shared highest weight; at t-degrees 24 and 30 the joint matrix
+    # has 1008 and 5396 rows and 4724 and 45484 pivot-row entries
+    echelon, calls = hilbert._echelon, []
+
+    def recorder(rows, p):
+        pivots = echelon(rows, p)
+        calls.append((len(rows), p, sum(map(len, pivots.values()))))
+        return pivots
+
+    monkeypatch.setattr(hilbert, "_echelon", recorder)
+    for d, work in ((24, (30, 348, 1085)), (30, (42, 1443, 5842))):
+        calls.clear()
+        invariant_dimension_oracle(d)
+        assert {p for _, p, _ in calls} == {_ORACLE_PRIMES[0]}
+        assert (len(calls), sum(r for r, _, _ in calls), sum(f for _, _, f in calls)) == work, "degree %d" % d
 
 
 def test_oracle_refuses_negative_degrees():
