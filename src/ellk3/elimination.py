@@ -44,7 +44,7 @@ exact quotient over Z.
 from fractions import Fraction
 from math import gcd
 
-from .binforms import BinaryForm, _convolve
+from .binforms import BinaryForm, _convolve, _partials
 from .scalars import DomainError, clear_denominators, coefficient_domain, is_prime, plain_ints, wrap_ints
 
 # sign/normalization conventions, fixed once and reported with Delta_264
@@ -59,22 +59,37 @@ def resultant(f, g):
     """Res(f, g) of binary forms of declared degrees m and n: the Sylvester
     determinant, as an int, a Fraction or a ModP like the coefficients.
     A zero form gives the zero of that domain; a degree-0 form c gives
-    c^(degree of the other)."""
+    c^(degree of the other).  The forms go to ``resultant_ints`` on plain
+    ints, and the value is wrapped once."""
     p, rational = coefficient_domain(f.coeffs + g.coeffs)
-    if f.is_zero() or g.is_zero():
-        return wrap_ints([0], p, rational)[0]
     (a, da), (b, db) = plain_ints(f.coeffs, p, rational), plain_ints(g.coeffs, p, rational)
     # Res(da f, db g) = da^n db^m Res(f, g)
-    return wrap_ints([_res_dense(a, b, p)], p, rational, da ** g.n * db ** f.n)[0]
+    return wrap_ints([resultant_ints(a, b, p)], p, rational, da ** g.n * db ** f.n)[0]
+
+
+def resultant_ints(a, b, p=0):
+    """The engine's one entry: Res of the forms with high-to-low int
+    coefficient lists a and b of declared degrees len - 1, over Z (p = 0)
+    or mod a prime p, reduced first, as a residue in [0, p); 0 for a zero
+    form."""
+    if p:
+        a, b = [c % p for c in a], [c % p for c in b]
+    if not any(a) or not any(b):
+        return 0
+    return _res_dense(a, b, p)
 
 
 def discriminant_binary(f):
     """disc(f) := Res(df/dx, df/dw), the resultant of the two partials;
     homogeneous of coefficient-degree 2(n-1), vanishing iff f has a
-    repeated root."""
+    repeated root.  The partials are taken on plain ints, and the value is
+    wrapped once."""
     if f.n < 2:
         raise ValueError("discriminant needs degree >= 2")
-    return resultant(*f.partials())
+    p, rational = coefficient_domain(f.coeffs)
+    a, d = plain_ints(f.coeffs, p, rational)
+    # each partial of d f carries d: Res picks up d^(n-1) d^(n-1)
+    return wrap_ints([resultant_ints(*_partials(a), p)], p, rational, d ** (2 * f.n - 2))[0]
 
 
 def _res_dense(a, b, p):

@@ -4,11 +4,14 @@ of h, and their exact quotient Delta264 = k552 / r96^3.
 
 k552 is computed as 2^42 3^70 r96 Res(h, J), with J = (g2, g3)_1 the
 Jacobian covariant of degree 18: one resultant of degrees 24 and 18 on top
-of r96 (the proof is in ``k552``'s docstring).  k552 and Delta264 are
-never expanded symbolically in all 22 variables; the degree and
-divisibility claims are certified by exact pointwise integer factorization
-in bulk, where k552 is also checked against its definition disc(h), and by
-exact polynomial division on random one-parameter slices.
+of r96 (the proof is in ``k552``'s docstring).  Over Z, Q and F_p alike
+the forms are built on plain ints (``on_ints``, mod p on balanced
+representatives) and go to the engine's int entry ``resultant_ints``;
+only a value is wrapped back into the surface's domain, once.  k552 and
+Delta264 are never expanded symbolically in all 22 variables; the degree
+and divisibility claims are certified by exact pointwise integer
+factorization in bulk, where k552 is also checked against its definition
+disc(h), and by exact polynomial division on random one-parameter slices.
 """
 
 import functools
@@ -17,9 +20,9 @@ from fractions import Fraction
 
 from . import Record
 from .binforms import BinaryForm, _convolve, _partials
-from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant
+from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant_ints
 from .scalars import PRIME_BOUND, InexactDivision, ModP, exact_scalar_div, is_prime, plain_ints
-from .weierstrass import G2_WEIGHT, G3_WEIGHT, SurfaceParams, assemble, on_ints
+from .weierstrass import G2_WEIGHT, G3_WEIGHT, SurfaceParams, assemble, h_on_ints, on_ints
 
 DECLARED_WEIGHTS = {"r96": 96, "k552": 552, "delta264": 264}
 
@@ -92,13 +95,14 @@ def r96(u):
     for the last surface asked is remembered and returned when that same
     object is asked again: keyed by identity, since an == surface may hold
     Fractions or residues, whose r96 is one too (``_per_surface``)."""
-    g2 = BinaryForm(8, u.g2_coeffs)
-    g3 = BinaryForm(12, u.g3_coeffs)
-    return InvariantValue("r96", resultant(g2, g3))
+    p, (a, b), wrap = on_ints(u)
+    return InvariantValue("r96", wrap([resultant_ints(a, b, p)], DECLARED_WEIGHTS["r96"])[0])
 
 
-# k552 = JACOBIAN_SCALE r96 Res(h, J), fixed by evaluation (``k552``)
+# k552 = JACOBIAN_SCALE r96 Res(h, J), fixed by evaluation (``k552``); Res(h,
+# J) has Gm-weight 12 * 18 + 10 * 24 = 552 - 96
 JACOBIAN_SCALE = 2**42 * 3**70
+RES_HJ_WEIGHT = DECLARED_WEIGHTS["k552"] - DECLARED_WEIGHTS["r96"]
 
 
 @_per_surface
@@ -140,20 +144,22 @@ def k552(u):
     that same object is asked again: keyed by identity, since an ==
     surface may hold Fractions or residues, whose k552 is one too
     (``_per_surface``).  The ValueError on h = 0 is raised on every
-    call."""
-    h = assemble(u)[2]
-    _require_nonzero(h)
+    call.  h and J are built ``on_ints`` and go to ``resultant_ints`` as
+    they are: only Res(h, J) is wrapped."""
+    p, (a, b), wrap = on_ints(u)
+    h = h_on_ints(a, b)
+    _require_nonzero(h, p)
     r = r96(u).value
     if not r:
         return InvariantValue("k552", r)
-    _, (a, b), wrap = on_ints(u)
-    J = BinaryForm(18, wrap(_jacobian(a, b), G2_WEIGHT + G3_WEIGHT))
-    return InvariantValue("k552", JACOBIAN_SCALE * r * resultant(h, J))
+    res_hj = wrap([resultant_ints(h, _jacobian(a, b), p)], RES_HJ_WEIGHT)[0]
+    return InvariantValue("k552", JACOBIAN_SCALE * r * res_hj)
 
 
-def _require_nonzero(h):
-    """ValueError when the form h is zero, where k552 is undefined."""
-    if h.is_zero():
+def _require_nonzero(h, p):
+    """ValueError when the int coefficients h of a form all vanish (mod p
+    when p > 0), where k552 is undefined."""
+    if not any(c % p if p else c for c in h):
         raise ValueError("degenerate family: h vanishes identically")
 
 
@@ -238,21 +244,25 @@ RES_HJ_LINE_DEGREE = 102
 
 
 def line_restriction(u0, u1):
-    """(g2 and g3, h, J) on the line u(s) = u0 + s u1: three functions of an
-    int s, giving (g2, g3) and h at u(s) as the BinaryForms
-    ``assemble(u(s))`` gives, and the Jacobian covariant J = (g2, g3)_1 of
-    ``k552`` there, on ints and Fractions or on residues of one modulus.
-    g2(s) and g3(s) are built coefficient by coefficient.  With g2 = a + s
-    b and g3 = c + s d, h = 4 g2^3 + 27 g3^2 is the cubic H0 + s H1 + s^2
-    H2 + s^3 H3 in s whose four forms
+    """(pair, h, jacobian, wrap) on the line u(s) = u0 + s u1: three
+    functions of an int s, giving the coefficient lists of (g2, g3), of h
+    and of the Jacobian covariant J = (g2, g3)_1 of ``k552`` at u(s), high-
+    to-low on plain ints, and the ``wrap`` of ``on_ints``: wrap(ints, w)
+    turns a list of Gm-weight w (g2: 4, g3: 6, J: 10, h: 12) into the
+    coefficients ``assemble(u(s))`` gives, on ints and Fractions or on
+    residues of one modulus.  g2(s) and g3(s) are built coefficient by
+    coefficient.  With g2 = a + s b and g3 = c + s d, h = 4 g2^3 + 27 g3^2
+    is the cubic H0 + s H1 + s^2 H2 + s^3 H3 in s whose four forms
 
         H0 = 4 a^3 + 27 c^2,  H1 = 12 a^2 b + 54 c d,
         H2 = 12 a b^2 + 27 d^2,  H3 = 4 b^3,
 
     and J, bilinear in (g2, g3), is the quadratic J0 + s J1 + s^2 J2 with
     J0 = J(a, c), J1 = J(a, d) + J(b, c) and J2 = J(b, d).  These seven
-    forms are convolved once per line ``on_ints`` (reduced once mod p), and
-    h(s) and J(s) are Horner's rule in s on each coefficient."""
+    forms are convolved once per line ``on_ints``, and h(s) and J(s) are
+    Horner's rule in s on each coefficient.  Mod p nothing is reduced
+    here: ``on_ints`` hands out balanced representatives, so a line of
+    small ints stays on small ints, and ``resultant_ints`` reduces."""
     p, (a, c, b, d), wrap = on_ints(u0, u1)
     aa, bb = _convolve(a, a), _convolve(b, b)
     H = [[4 * x + 27 * y for x, y in zip(_convolve(aa, a), _convolve(c, c))],
@@ -260,21 +270,22 @@ def line_restriction(u0, u1):
          [12 * x + 27 * y for x, y in zip(_convolve(bb, a), _convolve(d, d))],
          [4 * x for x in _convolve(bb, b)]]
     J = [_jacobian(a, c), [x + y for x, y in zip(_jacobian(a, d), _jacobian(b, c))], _jacobian(b, d)]
-    if p:
-        H, J = ([[x % p for x in f] for f in F] for F in (H, J))
 
     def pair(s):
-        return (BinaryForm(8, wrap([x + s * y for x, y in zip(a, b)], G2_WEIGHT)),
-                BinaryForm(12, wrap([x + s * y for x, y in zip(c, d)], G3_WEIGHT)))
+        return [x + s * y for x, y in zip(a, b)], [x + s * y for x, y in zip(c, d)]
 
     def h(s):
-        hs = [((h3 * s + h2) * s + h1) * s + h0 for h0, h1, h2, h3 in zip(*H)]
-        return BinaryForm(24, wrap(hs, 3 * G2_WEIGHT))
+        return [((h3 * s + h2) * s + h1) * s + h0 for h0, h1, h2, h3 in zip(*H)]
 
     def jacobian(s):
-        return BinaryForm(18, wrap([(j2 * s + j1) * s + j0 for j0, j1, j2 in zip(*J)], G2_WEIGHT + G3_WEIGHT))
+        return [(j2 * s + j1) * s + j0 for j0, j1, j2 in zip(*J)]
 
-    return pair, h, jacobian
+    return pair, h, jacobian, wrap
+
+
+class R96VanishesOnLine(ValueError):
+    """r96 vanishes identically on a slice line: a property of the line
+    (both ends with u_(0,8) = u_(0,12) = 0, say), not a failed check."""
 
 
 def check_modulus(modulus):
@@ -297,10 +308,13 @@ def slice_divisibility(u0, u1, modulus=None):
     over Q or mod a prime modulus above K552_U_DEGREE (a smaller one raises
     ValueError).  Each restriction is interpolated by ``_interp`` from as
     many points, centred on s = 0, as its degree bound needs, with the
-    forms of ``line_restriction``: R(s) = r96(u(s)) is the resultant of
-    g2(s) and g3(s) at s = -10, ..., 10 (R96_U_DEGREE = 20), and T(s) =
-    Res(h(s), J(s)) at s = -51, ..., 51 (RES_HJ_LINE_DEGREE = 102); an h(s)
-    that vanishes identically there raises ValueError, as k552 does.  Then
+    int lists of ``line_restriction`` fed straight to ``resultant_ints``:
+    R(s) = r96(u(s)) is the resultant of g2(s) and g3(s) at s = -10, ...,
+    10 (R96_U_DEGREE = 20), and T(s) = Res(h(s), J(s)) at s = -51, ..., 51
+    (RES_HJ_LINE_DEGREE = 102); an h(s) that vanishes identically there
+    raises ValueError, as k552 does, and an R that vanishes identically
+    R96VanishesOnLine, a ValueError.  Over Q, wrap scales back R and T of
+    a rational line's lam-scaled ints.  Then
     K = k552(u(s)) = JACOBIAN_SCALE R T, and R^3 divides K exactly when R^2
     divides T.  T is divided by R^2 on ints: mod p on the residues, and
     over Q on the primitive parts, by Gauss's lemma.  There T = t Tp and R
@@ -313,20 +327,22 @@ def slice_divisibility(u0, u1, modulus=None):
     p = modulus or 0
     if p:
         u0, u1 = u0.reduce_mod(p), u1.reduce_mod(p)
-    pair, h, jacobian = line_restriction(u0, u1)
+    pair, h, jacobian, wrap = line_restriction(u0, u1)
 
     def restriction(value, degree):
         return _interp([value(s) for s in _centred(degree + 1)], p)
 
     def res_hj(s):
         hs = h(s)
-        _require_nonzero(hs)
-        return resultant(hs, jacobian(s))
+        _require_nonzero(hs, p)
+        return resultant_ints(hs, jacobian(s), p)
 
-    R = restriction(lambda s: resultant(*pair(s)), R96_U_DEGREE)
+    R = restriction(lambda s: resultant_ints(*pair(s), p), R96_U_DEGREE)
     if not R:
-        raise ValueError("r96 vanishes identically on this line")
+        raise R96VanishesOnLine("r96 vanishes identically on this line")
     T = restriction(res_hj, RES_HJ_LINE_DEGREE)
+    if not p:
+        R, T = wrap(R, DECLARED_WEIGHTS["r96"]), wrap(T, RES_HJ_WEIGHT)
     P, Tp = (R, T) if p else (poly_primitive(R), poly_primitive(T))
     q = exact_quotient(Tp, _convolve(P, P), p)
     if p:
@@ -466,16 +482,20 @@ def verify_bulk(seed, trials=None, modulus=None):
             if k is not None and k552(vp).value != chi552 * k:
                 failures.append((label + "-k552", u.to_json_dict()))
 
-    # (d) one slice division
+    # (d) one slice division; a line on which r96 vanishes identically is
+    # drawn again, as (a) draws again where r96 = 0
     for _ in range(DEFAULTS.slice_lines):
-        u0 = random_surface(rng)
-        u1 = random_surface(rng)
-        try:
-            wit = slice_divisibility(u0, u1, modulus=p)
-            if not wit.success:
-                failures.append(("slice", {"u0": u0.to_json_dict(), "u1": u1.to_json_dict()}))
-        except ValueError:
-            failures.append(("slice-degenerate", {"u0": u0.to_json_dict(), "u1": u1.to_json_dict()}))
+        while True:
+            u0, u1 = random_surface(rng), random_surface(rng)
+            line = {"u0": u0.to_json_dict(), "u1": u1.to_json_dict()}
+            try:
+                if not slice_divisibility(u0, u1, modulus=p).success:
+                    failures.append(("slice", line))
+            except R96VanishesOnLine:
+                continue
+            except ValueError:
+                failures.append(("slice-degenerate", line))
+            break
 
     return {
         "seed": seed,

@@ -135,8 +135,8 @@ def coefficient_domain(coeffs):
     """(p, rational): the modulus of any residue among the coefficients
     (0 if there is none) and whether any is a Fraction.  This and
     ``plain_ints`` and ``wrap_ints`` are the library's one rule for
-    computing on plain ints: residues as their representatives mod p, and
-    over Q the numerators over the lcm of the denominators."""
+    computing on plain ints: residues as their balanced representatives
+    mod p, and over Q the numerators over the lcm of the denominators."""
     p, rational = 0, False
     for c in coeffs:
         if isinstance(c, ModP):
@@ -158,10 +158,12 @@ def coefficient_domain(coeffs):
 
 def plain_ints(coeffs, p, rational):
     """(ints, d): coefficients of the domain (p, rational) as plain ints,
-    times d: residues mod p (d = 1), the numerators over d, the lcm of the
-    denominators, over Q, and an all-int list as it is (d = 1)."""
+    times d: residues as their representatives in (-p/2, p/2] (d = 1), so
+    that a small int reduced mod p stays small, the numerators over d, the
+    lcm of the denominators, over Q, and an all-int list as it is (d = 1)."""
     if p:
-        return [c.v if isinstance(c, ModP) else c % p for c in coeffs], 1
+        reps = (c.v if isinstance(c, ModP) else c % p for c in coeffs)
+        return [r - p if 2 * r > p else r for r in reps], 1
     return clear_denominators(coeffs) if rational else (coeffs, 1)
 
 

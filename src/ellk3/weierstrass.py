@@ -62,12 +62,12 @@ class SurfaceParams(Record):
 
 def on_ints(*surfaces):
     """(p, forms, wrap): the surfaces on plain ints, as the lists g2, g3 of
-    each in turn.  Residues become their representatives mod p; otherwise
-    each u becomes lam u under the Gm-action, lam the lcm of every
-    denominator (1 over Z).  A covariant of Gm-weight w (g2: 4, g3: 6, J:
-    10, h: 12) is its value on these ints over lam^w, which wrap(ints, w)
-    gives in the surfaces' domain (DomainError unless ints and Fractions,
-    or residues of one modulus)."""
+    each in turn.  Residues become their balanced representatives mod p
+    (``plain_ints``); otherwise each u becomes lam u under the Gm-action,
+    lam the lcm of every denominator (1 over Z).  A covariant of Gm-weight
+    w (g2: 4, g3: 6, J: 10, h: 12, r96: 96) is its value on these ints over
+    lam^w, which wrap(ints, w) gives in the surfaces' domain (DomainError
+    unless ints and Fractions, or residues of one modulus)."""
     coeffs = [c for u in surfaces for c in u.g2_coeffs + u.g3_coeffs]
     p, rational = coefficient_domain(coeffs)
     lam = lcm(*(c.denominator for c in coeffs)) if rational else 1
@@ -82,8 +82,13 @@ def assemble(u):
     h is convolved ``on_ints`` and wrapped once: over Q every coefficient
     is a Fraction."""
     _, (a, b), wrap = on_ints(u)
-    h = [4 * s + 27 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]
-    return BinaryForm(8, u.g2_coeffs), BinaryForm(12, u.g3_coeffs), BinaryForm(24, wrap(h, 3 * G2_WEIGHT))
+    return BinaryForm(8, u.g2_coeffs), BinaryForm(12, u.g3_coeffs), BinaryForm(24, wrap(h_on_ints(a, b), 3 * G2_WEIGHT))
+
+
+def h_on_ints(a, b):
+    """h = 4 g2^3 + 27 g3^2 on the int coefficient lists a of g2 and b of
+    g3, high-to-low: ``assemble``'s h, and ``k552``'s, before any wrap."""
+    return [4 * s + 27 * t for s, t in zip(_convolve(_convolve(a, a), a), _convolve(b, b))]
 
 
 def kodaira_type(m2, m3, d):

@@ -22,6 +22,7 @@ from ellk3.elimination import (
     poly_primitive,
     poly_trim,
     resultant,
+    resultant_ints,
     squarefree_decomposition,
 )
 from ellk3.invariants import r96
@@ -546,6 +547,23 @@ def test_zero_resultant_is_the_zero_of_the_coefficient_domain():
     assert resultant(zero2, BinaryForm(1, [ModP(1, 7), ModP(3, 7)])) == ModP(0, 7)
     assert type(resultant(zero2, BinaryForm(1, [Fraction(1, 2), 1]))) is Fraction
     assert type(resultant(zero2, BinaryForm(1, [1, 2]))) is int
+
+
+def test_resultant_ints_is_the_engine_entry_on_plain_ints():
+    """resultant_ints on coefficient lists of declared degrees is the
+    resultant of the int forms over Z, and mod p, on representatives
+    shifted by multiples of p (negative ones too), the residue in [0, p)
+    of the reduced forms' resultant; a form that is zero (mod p) gives 0."""
+    rng = random.Random(17)
+    P = 2**62 + 135
+    for m, n in ((8, 12), (24, 18), (0, 3), (2, 0)):
+        f, g = rand_form(rng, m), rand_form(rng, n)
+        assert resultant_ints(f.coeffs, g.coeffs) == resultant(f, g)
+        for p in (139, P):
+            shifted = [c + rng.randint(-3, 3) * p for c in f.coeffs]
+            got = resultant_ints(shifted, g.coeffs, p)
+            assert type(got) is int and 0 <= got < p and got == resultant(f.reduce_mod(p), g.reduce_mod(p))
+    assert resultant_ints([0, 0], [1, 2]) == 0 == resultant_ints([139, -278], [1, 2], 139)
 
 
 # -- univariate division against schoolbook long division -------------

@@ -14,6 +14,7 @@ from ellk3.invariants import (
     R96_U_DEGREE,
     RES_HJ_LINE_DEGREE,
     InvariantValue,
+    R96VanishesOnLine,
     SliceWitness,
     VerifyDefaults,
     delta264,
@@ -29,7 +30,7 @@ from ellk3.invariants import (
     _interp,
     line_restriction,
 )
-from ellk3.elimination import CONVENTION_TAG, discriminant_binary, poly_trim, resultant
+from ellk3.elimination import CONVENTION_TAG, discriminant_binary, poly_trim, resultant_ints
 from ellk3.hilbert import HilbertSeries
 from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries
@@ -215,17 +216,17 @@ def test_delta264_division_by_zero():
 
 
 def counted_eliminations(monkeypatch):
-    """Live counts of the resultant and discriminant calls made through
-    the invariants module."""
+    """Live counts of the resultant engine's entries (``resultant_ints``)
+    and the discriminant calls made through the invariants module."""
     calls = {"res": 0, "disc": 0}
 
     def counted(name, fn):
-        def wrapper(*forms):
+        def wrapper(*args):
             calls[name] += 1
-            return fn(*forms)
+            return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(invariants, "resultant", counted("res", resultant))
+    monkeypatch.setattr(invariants, "resultant_ints", counted("res", resultant_ints))
     monkeypatch.setattr(invariants, "discriminant_binary", counted("disc", discriminant_binary))
     return calls
 
@@ -265,6 +266,68 @@ def test_equal_surfaces_over_z_q_and_fp_keep_their_domains():
         values = [invariant(u).value for u in (over_z, over_q, over_p)]
         assert [type(v) for v in values] == [int, Fraction, ModP]
         assert values[0] == values[1] and reduce_scalar_mod(values[0], 139) == values[2]
+
+
+def residue_cases(p):
+    """Integer surfaces whose reductions mod p exercise the residue path:
+    a random one; coefficients at and past p/2, where the balanced
+    representatives change sign; w | g2 mod p only (a degree drop at
+    infinity) and w | J over Z (J's x^18-coefficient 8 a0 b1 - 12 a1 b0 is
+    0); and h = 4 g2^3 + 27 g3^2 = 0 mod p only."""
+    rng = random.Random(31)
+    edge = (0, 1, p // 2, p // 2 + 1, p // 2 + 2, p - 1, -(p // 2), -(p // 2) - 1)
+    return {
+        "random": random_surface(rng),
+        "balanced-edge": SurfaceParams([rng.choice(edge) for _ in range(9)], [rng.choice(edge) for _ in range(13)]),
+        "w-divides-g2": SurfaceParams([p] + [rng.randint(-9, 9) for _ in range(8)],
+                                      [rng.randint(1, 9)] + [rng.randint(-9, 9) for _ in range(12)]),
+        "w-divides-J": SurfaceParams([3, 4] + [rng.randint(-9, 9) for _ in range(7)],
+                                     [1, 2] + [rng.randint(-9, 9) for _ in range(11)]),
+        "h-zero-mod-p": SurfaceParams([p] + [0] * 7 + [-3], [0] * 12 + [2]),
+    }
+
+
+@pytest.mark.parametrize("p", [139, P62])
+@pytest.mark.parametrize("case", ["random", "balanced-edge", "w-divides-g2", "w-divides-J", "h-zero-mod-p"])
+def test_residue_invariants_are_the_reductions_of_the_integer_ones(p, case):
+    """r96, k552 and Delta264 of u mod p, computed on plain residues, are
+    residues and equal the reductions of the integer values; where h = 0
+    mod p only, k552 mod p keeps its ValueError and Delta264 mod p its
+    ZeroDivisionError, while over Z both have values."""
+    u = residue_cases(p)[case]
+    up = u.reduce_mod(p)
+    h_zero = assemble(up)[2].is_zero()
+    assert h_zero == (case == "h-zero-mod-p") and not assemble(u)[2].is_zero()
+    if case == "w-divides-J":
+        assert invariants._jacobian(u.g2_coeffs, u.g3_coeffs)[0] == 0
+    r, rp = r96(u).value, r96(up).value
+    assert type(rp) is ModP and rp == reduce_scalar_mod(r, p)
+    k, d = k552(u).value, delta264(u).value
+    if h_zero:
+        with pytest.raises(ValueError, match="h vanishes identically"):
+            k552(up)
+        with pytest.raises(ZeroDivisionError):
+            delta264(up)
+        return
+    kp, dp = k552(up).value, delta264(up).value
+    assert (type(kp), type(dp)) == (ModP, ModP)
+    assert (kp, dp) == (reduce_scalar_mod(k, p), reduce_scalar_mod(d, p))
+
+
+@pytest.mark.parametrize("p", [139, P62])
+@pytest.mark.parametrize("case", ["random", "balanced-edge", "w-divides-g2"])
+def test_residue_slice_is_the_reduction_of_the_rational_one(p, case):
+    """The slice witness mod p, on plain residues from end to end, is the
+    reduction of the witness over Q: R, K and the quotient.  On the
+    w-divides-g2 line, w | g2(s) mod p at every point s."""
+    u0, u1 = residue_cases(p)[case], random_surface(random.Random(32))
+    if case == "w-divides-g2":
+        u1 = SurfaceParams([p] + list(u1.g2_coeffs[1:]), u1.g3_coeffs)
+    wq, wp = slice_divisibility(u0, u1), slice_divisibility(u0, u1, modulus=p)
+    assert wq.success and wp.success
+    for got, want in ((wp.R, wq.R), (wp.K, wq.K), (wp.quotient, wq.quotient)):
+        assert all(type(c) is int and 0 <= c < p for c in got)
+        assert got == poly_trim([reduce_scalar_mod(c, p) for c in want])
 
 
 def test_degenerate_surfaces_raise_on_every_call():
@@ -459,11 +522,12 @@ def test_verify_bulk_draws_again_where_r96_vanishes(monkeypatch):
 @pytest.mark.parametrize("label", ["slice", "slice-degenerate"])
 def test_verify_bulk_labels_slice_failures(monkeypatch, label):
     """A slice whose division fails is a "slice" failure, one that raises
-    ValueError a "slice-degenerate" one, each with the line's two
-    surfaces, the first two draws when no other check runs."""
+    ValueError (an h that vanishes at a slice point) a "slice-degenerate"
+    one, each with the line's two surfaces, the first two draws when no
+    other check runs."""
     def failing(u0, u1, modulus):
         if label == "slice-degenerate":
-            raise ValueError("r96 vanishes identically on this line")
+            raise ValueError("degenerate family: h vanishes identically")
         return SliceWitness(False, modulus, [], [1], [1])
 
     monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(homogeneity_trials=0, sl2_trials=0, slice_lines=1))
@@ -472,6 +536,35 @@ def test_verify_bulk_labels_slice_failures(monkeypatch, label):
     u0, u1 = random_surface(rng), random_surface(rng)
     want = [[label, {"u0": u0.to_json_dict(), "u1": u1.to_json_dict()}]]
     assert verify_bulk(seed=3, trials=0)["failures"] == want
+
+
+# both ends have u_(0,8) = u_(0,12) = 0, so g2 and g3 share the root x = 0
+# all along the line and r96 vanishes identically on it: the first line
+# verify_bulk(R96_LINE_SEED, trials=10) draws for its slice check
+R96_LINE = (SurfaceParams([6, 8, 3, -9, 4, -2, 7, 3, 0], [9, 5, 8, 0, -6, -4, -2, 0, -9, -6, -3, -8, 0]),
+            SurfaceParams([-8, -2, -8, 7, -2, 4, 9, -4, 0], [-7, -2, -2, -5, 7, -3, 1, -9, 7, -9, -8, 7, 0]))
+R96_LINE_SEED = 1072172899
+
+
+def test_slice_on_a_line_in_the_r96_locus_raises():
+    for modulus in (None, 139, P62):
+        with pytest.raises(R96VanishesOnLine, match="r96 vanishes identically on this line"):
+            slice_divisibility(*R96_LINE, modulus=modulus)
+
+
+def test_verify_bulk_draws_a_line_in_the_r96_locus_again(monkeypatch):
+    """A slice line on which r96 vanishes identically is a property of the
+    draw, not a failed check: verify_bulk draws the next line, and reports
+    no failure."""
+    lines = []
+
+    def recording(u0, u1, modulus):
+        lines.append((u0, u1))
+        return slice_divisibility(u0, u1, modulus=modulus)
+
+    monkeypatch.setattr(invariants, "slice_divisibility", recording)
+    assert verify_bulk(R96_LINE_SEED, trials=10)["failures"] == []
+    assert len(lines) == 2 and lines[0] == R96_LINE and lines[1] != R96_LINE
 
 
 @pytest.mark.parametrize("check", ["homogeneity", "sl2"])
@@ -592,6 +685,20 @@ RESTRICTION_LINES = {
 }
 
 
+def wrapped_line_restriction(u0, u1):
+    """The forms g2, g3, h and J at u0 + s u1 as a function of s, built
+    from ``line_restriction``'s int lists through its wrap; every list is
+    checked to hold plain ints."""
+    pair, h, jacobian, wrap = line_restriction(u0, u1)
+
+    def forms(s):
+        lists = pair(s) + (h(s), jacobian(s))
+        assert all(type(c) is int for f in lists for c in f)
+        return tuple(BinaryForm(len(f) - 1, wrap(f, w)) for f, w in zip(lists, (4, 6, 12, 10)))
+
+    return forms
+
+
 @pytest.mark.parametrize("kind", sorted(RESTRICTION_LINES))
 @settings(max_examples=10)
 @given(data=st.data())
@@ -601,13 +708,13 @@ def test_line_restriction_matches_assemble(kind, data):
     forms, for s in [-61, 61]; on ints and residues the coefficients have
     the same types as well, and over Q every one is a Fraction."""
     u0, u1 = data.draw(RESTRICTION_LINES[kind]), data.draw(RESTRICTION_LINES[kind])
-    pair, h, jacobian = line_restriction(u0, u1)
+    forms = wrapped_line_restriction(u0, u1)
     for s in data.draw(st.lists(st.integers(-61, 61), min_size=1, max_size=4)):
         g2, g3, hs = assemble(SurfaceParams([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
                                             [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
         (g2x, g2w), (g3x, g3w) = g2.partials(), g3.partials()
         want = (g2, g3, hs, g2x * g3w + (-1) * (g2w * g3x))
-        got = pair(s) + (h(s), jacobian(s))
+        got = forms(s)
         assert got == want
         if kind == "rational":
             assert all(type(c) is Fraction for f in got for c in f.coeffs)
@@ -633,12 +740,12 @@ def test_rational_line_is_convolved_on_ints(monkeypatch):
               for d2, d3 in ((2, 3), (5, 7)))
     assert [lcm(*(c.denominator for c in f)) for u in (u0, u1)
             for f in (u.g2_coeffs, u.g3_coeffs)] == [2, 3, 5, 7]
-    pair, h, jacobian = line_restriction(u0, u1)
+    forms = wrapped_line_restriction(u0, u1)
     for s in (-3, 0, 2):
         g2, g3, hs = assemble(SurfaceParams([a + s * b for a, b in zip(u0.g2_coeffs, u1.g2_coeffs)],
                                             [a + s * b for a, b in zip(u0.g3_coeffs, u1.g3_coeffs)]))
         (g2x, g2w), (g3x, g3w) = g2.partials(), g3.partials()
-        assert pair(s) + (h(s), jacobian(s)) == (g2, g3, hs, g2x * g3w + (-1) * (g2w * g3x))
+        assert forms(s) == (g2, g3, hs, g2x * g3w + (-1) * (g2w * g3x))
 
 
 def test_slice_through_the_h_zero_locus_raises():
@@ -672,11 +779,11 @@ def test_slice_failed_witness_carries_no_quotient(monkeypatch):
     """With T = Res(h, J) shifted by 1 at every point, R^2 (of degree > 0)
     cannot divide T, nor R^3 divide K = C R T: the witness fails and
     carries the empty quotient, over Q and mod p."""
-    def shifted(f, g):
-        value = resultant(f, g)
-        return value + 1 if f.n == 24 else value
+    def shifted(a, b, p=0):
+        value = resultant_ints(a, b, p)
+        return value + 1 if len(a) == 25 else value
 
-    monkeypatch.setattr(invariants, "resultant", shifted)
+    monkeypatch.setattr(invariants, "resultant_ints", shifted)
     rng = random.Random(12)
     u0, u1 = random_surface(rng), random_surface(rng)
     for modulus in (None, P62):

@@ -15,7 +15,9 @@ from ellk3.scalars import (
     ModP,
     exact_scalar_div,
     is_prime,
+    plain_ints,
     reduce_scalar_mod,
+    wrap_ints,
     scalar_from_str,
     scalar_to_str,
 )
@@ -138,6 +140,18 @@ def test_reduce_scalar_mod():
         reduce_scalar_mod(a, 11)
     with pytest.raises(DomainError, match="str"):
         reduce_scalar_mod("3", 7)
+
+
+def test_plain_ints_hand_out_balanced_residues():
+    """Residues, and ints read mod p, come out as their representatives in
+    (-p/2, p/2]; wrapping them gives the residues back."""
+    for p in (7, 2**62 + 135):
+        ints = [0, 1, p // 2, p // 2 + 1, p - 1, p, -1, 3 * p + 2]
+        want = [0, 1, p // 2, -(p // 2), -1, 0, -1, 2]
+        residues = [ModP(c, p) for c in ints]
+        for coeffs in (ints, residues):
+            assert plain_ints(coeffs, p, False) == (want, 1)
+        assert wrap_ints(want, p, False) == residues
 
 
 @example(Fraction(-3, 7))
