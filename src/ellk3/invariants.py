@@ -6,8 +6,11 @@ k552 is computed as 2^42 3^70 r96 Res(h, J), with J = (g2, g3)_1 the
 Jacobian covariant of degree 18: one resultant of degrees 24 and 18 on top
 of r96 (the proof is in ``k552``'s docstring).  Over Z, Q and F_p alike
 the forms are built on plain ints (``on_ints``, mod p on balanced
-representatives) and go to the engine's int entry ``resultant_ints``;
-only a value is wrapped back into the surface's domain, once.  k552 and
+representatives) and go to the engine's int entry ``resultants_ints``;
+only a value is wrapped back into the surface's domain, once.  r96 and
+k552 have list forms, ``r96_batch`` and ``k552_batch``, which ask the
+engine once for a whole list of surfaces, and the one-surface invariants
+are their one-element case.  k552 and
 Delta264 are never expanded symbolically in all 22 variables; the degree
 and divisibility claims are certified by exact pointwise integer
 factorization in bulk, where k552 is also checked against its definition
@@ -20,8 +23,8 @@ from fractions import Fraction
 
 from . import Record
 from .binforms import BinaryForm, _convolve, _partials
-from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultant_ints
-from .scalars import PRIME_BOUND, InexactDivision, ModP, exact_scalar_div, is_prime, plain_ints
+from .elimination import CONVENTION_TAG, discriminant_binary, exact_quotient, poly_primitive, poly_trim, resultants_ints
+from .scalars import PRIME_BOUND, InexactDivision, ModP, exact_scalar_div, is_prime
 from .weierstrass import G2_WEIGHT, G3_WEIGHT, SurfaceParams, assemble, h_on_ints, on_ints
 
 DECLARED_WEIGHTS = {"r96": 96, "k552": 552, "delta264": 264}
@@ -94,9 +97,19 @@ def r96(u):
     homogeneous of degree 12*4 + 8*6 = 96 and SL2-invariant.  The value
     for the last surface asked is remembered and returned when that same
     object is asked again: keyed by identity, since an == surface may hold
-    Fractions or residues, whose r96 is one too (``_per_surface``)."""
-    p, (a, b), wrap = on_ints(u)
-    return InvariantValue("r96", wrap([resultant_ints(a, b, p)], DECLARED_WEIGHTS["r96"])[0])
+    Fractions or residues, whose r96 is one too (``_per_surface``).  It is
+    ``r96_batch`` of the one surface."""
+    return r96_batch([u])[0]
+
+
+def r96_batch(us):
+    """r96 of each surface of the list us, from one call of the resultant
+    engine: the list form of ``r96``.  The surfaces are taken on ints
+    together (``on_ints``), so they must share a domain (ints and
+    Fractions, or residues of one modulus), and each value is in it."""
+    p, forms, wrap = on_ints(*us)
+    values = wrap(resultants_ints(list(zip(forms[::2], forms[1::2])), p), DECLARED_WEIGHTS["r96"])
+    return [InvariantValue("r96", v) for v in values]
 
 
 # k552 = JACOBIAN_SCALE r96 Res(h, J), fixed by evaluation (``k552``); Res(h,
@@ -115,9 +128,9 @@ def k552(u):
         k552 = 2^42 3^70 r96 Res(h, J),  J = (g2, g3)_1 = g2_x g3_w - g2_w g3_x,
 
     one resultant of degrees 24 and 18 on top of r96, which a surface
-    report has already asked for.  h = 0 raises ValueError first (h = 0
-    forces r96 = 0, and Res(0, J) = 0 would hide it); r96 = 0 gives the
-    zero of r96's domain, as the identity does.
+    report has already asked for.  h = 0 raises ValueError (h = 0 forces
+    r96 = 0, and Res(0, J) = 0 would hide it); r96 = 0 gives the zero of
+    r96's domain, as the identity does.
 
     Proof of the identity (Olver, Classical Invariant Theory; Gelfand,
     Kapranov and Zelevinsky 1994, ch. 12).  Both sides are polynomials in
@@ -144,16 +157,26 @@ def k552(u):
     that same object is asked again: keyed by identity, since an ==
     surface may hold Fractions or residues, whose k552 is one too
     (``_per_surface``).  The ValueError on h = 0 is raised on every
-    call.  h and J are built ``on_ints`` and go to ``resultant_ints`` as
-    they are: only Res(h, J) is wrapped."""
-    p, (a, b), wrap = on_ints(u)
-    h = h_on_ints(a, b)
-    _require_nonzero(h, p)
-    r = r96(u).value
-    if not r:
-        return InvariantValue("k552", r)
-    res_hj = wrap([resultant_ints(h, _jacobian(a, b), p)], RES_HJ_WEIGHT)[0]
-    return InvariantValue("k552", JACOBIAN_SCALE * r * res_hj)
+    call.  It is ``k552_batch`` of the one surface, with its r96."""
+    return k552_batch([u], [r96(u)])[0]
+
+
+def k552_batch(us, r96s):
+    """k552 of each surface of the list us, given r96s, the r96 values
+    (``InvariantValue``) of the same surfaces: the list form of ``k552``.
+    Every h is checked first, so the first surface in order with h = 0
+    raises the ValueError; then Res(h, J) of the surfaces with r96 != 0
+    comes from one call of the resultant engine.  h and J are built
+    ``on_ints``, as in ``r96_batch``, and only Res(h, J) is wrapped."""
+    p, forms, wrap = on_ints(*us)
+    gs = list(zip(forms[::2], forms[1::2]))
+    hs = [h_on_ints(a, b) for a, b in gs]
+    for h in hs:
+        _require_nonzero(h, p)
+    asked = [(h, _jacobian(a, b)) for h, (a, b), r in zip(hs, gs, r96s) if r.value]
+    res_hj = iter(wrap(resultants_ints(asked, p), RES_HJ_WEIGHT))
+    # r96 = 0 gives its zero, in r96's domain
+    return [InvariantValue("k552", r.value and JACOBIAN_SCALE * r.value * next(res_hj)) for r in r96s]
 
 
 def _require_nonzero(h, p):
@@ -262,7 +285,7 @@ def line_restriction(u0, u1):
     forms are convolved once per line ``on_ints``, and h(s) and J(s) are
     Horner's rule in s on each coefficient.  Mod p nothing is reduced
     here: ``on_ints`` hands out balanced representatives, so a line of
-    small ints stays on small ints, and ``resultant_ints`` reduces."""
+    small ints stays on small ints, and ``resultants_ints`` reduces."""
     p, (a, c, b, d), wrap = on_ints(u0, u1)
     aa, bb = _convolve(a, a), _convolve(b, b)
     H = [[4 * x + 27 * y for x, y in zip(_convolve(aa, a), _convolve(c, c))],
@@ -308,12 +331,13 @@ def slice_divisibility(u0, u1, modulus=None):
     over Q or mod a prime modulus above K552_U_DEGREE (a smaller one raises
     ValueError).  Each restriction is interpolated by ``_interp`` from as
     many points, centred on s = 0, as its degree bound needs, with the
-    int lists of ``line_restriction`` fed straight to ``resultant_ints``:
-    R(s) = r96(u(s)) is the resultant of g2(s) and g3(s) at s = -10, ...,
-    10 (R96_U_DEGREE = 20), and T(s) = Res(h(s), J(s)) at s = -51, ..., 51
-    (RES_HJ_LINE_DEGREE = 102); an h(s) that vanishes identically there
-    raises ValueError, as k552 does, and an R that vanishes identically
-    R96VanishesOnLine, a ValueError.  Over Q, wrap scales back R and T of
+    int lists of ``line_restriction`` fed straight to ``resultants_ints``,
+    one call per restriction: R(s) = r96(u(s)) is the resultant of g2(s)
+    and g3(s) at s = -10, ..., 10 (R96_U_DEGREE = 20), and T(s) = Res(h(s),
+    J(s)) at s = -51, ..., 51 (RES_HJ_LINE_DEGREE = 102).  An R that
+    vanishes identically raises R96VanishesOnLine, a ValueError, and then
+    an h(s) that vanishes identically at one of T's points ValueError, as
+    k552 does.  Over Q, wrap scales back R and T of
     a rational line's lam-scaled ints.  Then
     K = k552(u(s)) = JACOBIAN_SCALE R T, and R^3 divides K exactly when R^2
     divides T.  T is divided by R^2 on ints: mod p on the residues, and
@@ -328,19 +352,13 @@ def slice_divisibility(u0, u1, modulus=None):
     if p:
         u0, u1 = u0.reduce_mod(p), u1.reduce_mod(p)
     pair, h, jacobian, wrap = line_restriction(u0, u1)
-
-    def restriction(value, degree):
-        return _interp([value(s) for s in _centred(degree + 1)], p)
-
-    def res_hj(s):
-        hs = h(s)
-        _require_nonzero(hs, p)
-        return resultant_ints(hs, jacobian(s), p)
-
-    R = restriction(lambda s: resultant_ints(*pair(s), p), R96_U_DEGREE)
+    R = _interp(resultants_ints([pair(s) for s in _centred(R96_U_DEGREE + 1)], p), p)
     if not R:
         raise R96VanishesOnLine("r96 vanishes identically on this line")
-    T = restriction(res_hj, RES_HJ_LINE_DEGREE)
+    hjs = [(h(s), jacobian(s)) for s in _centred(RES_HJ_LINE_DEGREE + 1)]
+    for hs, _ in hjs:
+        _require_nonzero(hs, p)
+    T = _interp(resultants_ints(hjs, p), p)
     if not p:
         R, T = wrap(R, DECLARED_WEIGHTS["r96"]), wrap(T, RES_HJ_WEIGHT)
     P, Tp = (R, T) if p else (poly_primitive(R), poly_primitive(T))
@@ -365,14 +383,13 @@ def _centred(n):
 
 
 def _interp(ys, p):
-    """Interpolant of the values ys at the n = len(ys) points ``_centred(n)``,
-    low-to-high and trimmed: over Q on ints or Fractions (p = 0,
-    Fraction coefficients) or mod a prime p >= n on residues or ints.  Over Q
-    the values' common denominator den is cleared first, so all the work is
-    on ints.  The forward differences d_j give den (n-1)! times it as
-    sum_j d_j ((n-1)!/j!) (s-s0)(s-s0-1)...(s-s0-j+1), expanded exactly;
-    den (n-1)! is divided out once at the end."""
-    d, den = plain_ints(ys, p, True)  # a copy: the differences overwrite it
+    """Interpolant of the int values ys at the n = len(ys) points
+    ``_centred(n)``, low-to-high and trimmed: over Q (p = 0, Fraction
+    coefficients) or mod a prime p >= n (residues).  The forward
+    differences d_j give (n-1)! times it as sum_j d_j ((n-1)!/j!)
+    (s-s0)(s-s0-1)...(s-s0-j+1), expanded exactly on ints; (n-1)! is
+    divided out once at the end."""
+    d = list(ys)  # a copy: the differences overwrite it
     n = len(ys)
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
@@ -386,7 +403,7 @@ def _interp(ys, p):
         if p:
             poly = [c % p for c in poly]
     inv = pow(scale, -1, p) if p else None
-    return poly_trim([c * inv % p if p else Fraction(c, scale * den) for c in poly])
+    return poly_trim([c * inv % p if p else Fraction(c, scale) for c in poly])
 
 
 # -- reproducible verification harness -------------------------------
@@ -460,10 +477,12 @@ def verify_bulk(seed, trials=None, modulus=None):
 
     # (b) weighted homogeneity and (c) SL2-invariance mod p: act(u) gives u
     # and g.u mod p and the factors chi96, chi552 that r96 and k552 pick up,
-    # lambda^96 and lambda^552 for lambda in Gm, 1 and 1 for SL2.  Where h =
-    # 0 mod p, k552 is undefined (its one ValueError) and r96 is compared
-    # alone; only draws with r96 = 0 can assemble h = 0.  Each k552 is asked
-    # right after the r96 of the same surface, which it then reuses.
+    # lambda^96 and lambda^552 for lambda in Gm, 1 and 1 for SL2.  Every
+    # trial is drawn first, in the order of one trial at a time, and then
+    # r96 and k552 of all the surfaces come from the list forms, each one
+    # call of the resultant engine.  Where h = 0 mod p, k552 is undefined
+    # (its one ValueError) and r96 is compared alone; only draws with r96 =
+    # 0 can assemble h = 0.
     def gm(u):
         lam = ModP(rng.choice([2, 3, 5]), p)
         return u.reduce_mod(p), gm_act(lam, u), lam ** 96, lam ** 552
@@ -471,16 +490,23 @@ def verify_bulk(seed, trials=None, modulus=None):
     def sl2(u):
         return u.reduce_mod(p), sl2_act(random_sl2(rng), u).reduce_mod(p), 1, 1
 
+    acts = []
     for label, count, act in (("homogeneity", DEFAULTS.homogeneity_trials, gm), ("sl2", DEFAULTS.sl2_trials, sl2)):
         for _ in range(count):
             u = random_surface(rng)
-            up, vp, chi96, chi552 = act(u)
-            r = r96(up).value
-            k = k552(up).value if r or not assemble(up)[2].is_zero() else None
-            if r96(vp).value != chi96 * r:
-                failures.append((label + "-r96", u.to_json_dict()))
-            if k is not None and k552(vp).value != chi552 * k:
-                failures.append((label + "-k552", u.to_json_dict()))
+            acts.append((label, u) + act(u))
+    surfaces = [s for _, _, up, vp, _, _ in acts for s in (up, vp)]
+    r = r96_batch(surfaces)
+    # surfaces 2t and 2t + 1 are trial t's u mod p and its image; k552 is
+    # asked of both where h(u) != 0 mod p
+    asked = [j for t in range(len(acts)) if r[2 * t].value or not assemble(surfaces[2 * t])[2].is_zero()
+             for j in (2 * t, 2 * t + 1)]
+    k = dict(zip(asked, k552_batch([surfaces[j] for j in asked], [r[j] for j in asked])))
+    for t, (label, u, _, _, chi96, chi552) in enumerate(acts):
+        if r[2 * t + 1].value != chi96 * r[2 * t].value:
+            failures.append((label + "-r96", u.to_json_dict()))
+        if 2 * t in k and k[2 * t + 1].value != chi552 * k[2 * t].value:
+            failures.append((label + "-k552", u.to_json_dict()))
 
     # (d) one slice division; a line on which r96 vanishes identically is
     # drawn again, as (a) draws again where r96 = 0

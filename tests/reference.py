@@ -27,7 +27,9 @@ cross-check the fast paths against:
 * for the degree patterns behind the irreducibility certificate, sympy's
   factorization over GF(p);
 * for assembly over Q, h = 4 g2^3 + 27 g3^2 by the schoolbook double
-  loop on the coefficients as given, ints and Fractions.
+  loop on the coefficients as given, ints and Fractions;
+* for ``verify_bulk``'s homogeneity and SL2 checks, one trial at a time
+  on the public r96 and k552.
 """
 
 from fractions import Fraction
@@ -35,6 +37,7 @@ from fractions import Fraction
 import sympy
 from hypothesis import strategies as st
 
+from ellk3 import invariants
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import discriminant_binary, poly_trim
 from ellk3.hilbert import Q_WEIGHTS, U8_VARS, U12_VARS, U_VARS, U_WEIGHTS, raising_operator
@@ -464,3 +467,30 @@ def slice_reference(u0, u1, modulus=None):
     assert len(R3) - 1 == 3 * (len(R) - 1)
     q, rem = field_divmod(K, R3, p)
     return SliceWitness(not rem, modulus, q, K, R)
+
+
+def action_checks_reference(rng, p, homogeneity_trials, sl2_trials):
+    """verify_bulk's parts (b) and (c) one trial at a time, each draw
+    followed by its r96 and k552 through the public one-surface invariants
+    (read from the invariants module, so a test's patch there applies):
+    the failures, as (label, surface dict) in the order found, with rng
+    left where verify_bulk leaves it."""
+    def gm(u):
+        lam = ModP(rng.choice([2, 3, 5]), p)
+        return u.reduce_mod(p), invariants.gm_act(lam, u), lam ** 96, lam ** 552
+
+    def sl2(u):
+        return u.reduce_mod(p), invariants.sl2_act(invariants.random_sl2(rng), u).reduce_mod(p), 1, 1
+
+    failures = []
+    for label, count, act in (("homogeneity", homogeneity_trials, gm), ("sl2", sl2_trials, sl2)):
+        for _ in range(count):
+            u = invariants.random_surface(rng)
+            up, vp, chi96, chi552 = act(u)
+            r = invariants.r96(up).value
+            k = invariants.k552(up).value if r or not assemble(up)[2].is_zero() else None
+            if invariants.r96(vp).value != chi96 * r:
+                failures.append((label + "-r96", u.to_json_dict()))
+            if k is not None and invariants.k552(vp).value != chi552 * k:
+                failures.append((label + "-k552", u.to_json_dict()))
+    return failures

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from ellk3.binforms import BinaryForm
 from ellk3.elimination import (
     CONVENTION_TAG,
+    INVERSE_TABLE_BOUND,
     _euclid_mod,
+    _negated_inverses,
     _pack,
     _slot_bits,
     _unpack,
@@ -22,7 +24,7 @@ from ellk3.elimination import (
     poly_primitive,
     poly_trim,
     resultant,
-    resultant_ints,
+    resultants_ints,
     squarefree_decomposition,
 )
 from ellk3.invariants import r96
@@ -549,21 +551,93 @@ def test_zero_resultant_is_the_zero_of_the_coefficient_domain():
     assert type(resultant(zero2, BinaryForm(1, [1, 2]))) is int
 
 
-def test_resultant_ints_is_the_engine_entry_on_plain_ints():
-    """resultant_ints on coefficient lists of declared degrees is the
-    resultant of the int forms over Z, and mod p, on representatives
-    shifted by multiples of p (negative ones too), the residue in [0, p)
-    of the reduced forms' resultant; a form that is zero (mod p) gives 0."""
+def test_resultants_ints_is_the_engine_entry_on_plain_ints():
+    """resultants_ints on coefficient lists of declared degrees gives the
+    resultants of the int forms over Z, and mod p, on representatives
+    shifted by multiples of p (negative ones too), the residues in [0, p)
+    of the reduced forms' resultants; a form that is zero (mod p) gives 0."""
     rng = random.Random(17)
     P = 2**62 + 135
     for m, n in ((8, 12), (24, 18), (0, 3), (2, 0)):
         f, g = rand_form(rng, m), rand_form(rng, n)
-        assert resultant_ints(f.coeffs, g.coeffs) == resultant(f, g)
+        assert resultants_ints([(f.coeffs, g.coeffs)]) == [resultant(f, g)]
         for p in (139, P):
             shifted = [c + rng.randint(-3, 3) * p for c in f.coeffs]
-            got = resultant_ints(shifted, g.coeffs, p)
+            [got] = resultants_ints([(shifted, g.coeffs)], p)
             assert type(got) is int and 0 <= got < p and got == resultant(f.reduce_mod(p), g.reduce_mod(p))
-    assert resultant_ints([0, 0], [1, 2]) == 0 == resultant_ints([139, -278], [1, 2], 139)
+    assert resultants_ints([([0, 0], [1, 2])]) == [0] == resultants_ints([([139, -278], [1, 2])], 139)
+
+
+# 4099 is the first prime above INVERSE_TABLE_BOUND: below it a round's
+# inverses are table reads, from it on Montgomery's trick
+ENTRY_MODULI = (0, 139, 4099, P62)
+
+
+def batch_pairs(rng):
+    """High-to-low int coefficient lists (a, b) for one engine call, one of
+    each kind the entry and the kernel tell apart: the invariants' (8, 12)
+    and (24, 18) pairs, w dividing one form or both, a zero form, a degree-0
+    form, a shared factor, and a remainder two or more degrees below its
+    divisor; each pair also swapped."""
+    def form(n, lead=True):
+        return [rng.randint(1, 9)] * lead + [rng.randint(-9, 9) for _ in range(n + 1 - lead)]
+
+    common = form(2)
+    divisor, quotient, rest = form(6), form(2), form(3)  # deg rest = deg divisor - 3
+    dividend = poly_mul(divisor, quotient)
+    dividend[-len(rest):] = [x + y for x, y in zip(dividend[-len(rest):], rest)]
+    pairs = [
+        (form(8), form(12)),
+        (form(24), form(18)),
+        ([0, 0] + form(6), form(5)),  # w^2 divides a
+        (form(4), [0] + form(6)),  # w divides b
+        ([0] + form(3), [0, 0] + form(2)),  # w divides both: 0
+        ([0] * 5, form(3)),  # a zero form: 0
+        ([rng.randint(1, 9)], form(3)),  # degree 0
+        (form(5), [rng.randint(1, 9)]),
+        (poly_mul(common, form(3)), poly_mul(common, form(4))),  # a shared factor: 0
+        (dividend, divisor),
+    ]
+    return pairs + [(b, a) for a, b in pairs]
+
+
+@pytest.mark.parametrize("p", ENTRY_MODULI)
+def test_a_batch_is_its_pairs_one_at_a_time_and_sylvester(p):
+    """One engine call on a batch that mixes every kind of pair gives, pair
+    by pair, the value of a one-pair call and of the Sylvester determinant
+    (reduced mod p); the mod-p pairs run Euclid in lock-step, and their
+    sequences end at different rounds."""
+    for seed in range(3):
+        pairs = batch_pairs(random.Random(seed))
+        got = resultants_ints(pairs, p)
+        assert got == [resultants_ints([pair], p)[0] for pair in pairs]
+        want = [sylvester_resultant(BinaryForm(len(a) - 1, a), BinaryForm(len(b) - 1, b)) for a, b in pairs]
+        assert got == [v % p if p else v for v in want]
+        assert got[4] == got[5] == got[8] == 0 != got[0] * got[1] * got[9]
+
+
+@pytest.mark.parametrize("p", ENTRY_MODULI)
+def test_an_empty_batch_gives_no_values(p):
+    assert resultants_ints([], p) == []
+
+
+@settings(max_examples=40)
+@given(st.sampled_from((3, 7) + ENTRY_MODULI[1:]).flatmap(lambda p: st.tuples(st.just(p), st.lists(
+    st.tuples(forms(sparse_residues(p), max_degree=9), forms(sparse_residues(p), max_degree=9)), max_size=6))))
+def test_a_batch_of_sparse_residue_forms_matches_sylvester(case):
+    # sparse forms over small fields: degree drops and zero remainders at
+    # every round of the lock-step
+    p, fgs = case
+    got = resultants_ints([([c.v for c in f.coeffs], [c.v for c in g.coeffs]) for f, g in fgs], p)
+    assert got == [sylvester_resultant(f, g).v if not (f.is_zero() or g.is_zero()) else 0 for f, g in fgs]
+
+
+@pytest.mark.parametrize("p", [139, INVERSE_TABLE_BOUND + 3, P62])
+def test_negated_inverses_of_a_round(p):
+    rng = random.Random(p)
+    xs = [rng.randint(1, p - 1) for _ in range(20)] + [1, p - 1]
+    assert [x * y % p for x, y in zip(xs, _negated_inverses(xs, p))] == [p - 1] * len(xs)
+    assert _negated_inverses([], p) == []
 
 
 # -- univariate division against schoolbook long division -------------

@@ -30,13 +30,13 @@ from ellk3.invariants import (
     _interp,
     line_restriction,
 )
-from ellk3.elimination import CONVENTION_TAG, discriminant_binary, poly_trim, resultant_ints
+from ellk3.elimination import CONVENTION_TAG, discriminant_binary, poly_trim, resultants_ints
 from ellk3.hilbert import HilbertSeries
 from ellk3.multipoly import MultiPoly
 from ellk3.qseries import QSeries
-from ellk3.scalars import ModP, reduce_scalar_mod
+from ellk3.scalars import DomainError, ModP, reduce_scalar_mod
 from ellk3.weierstrass import FiberReport, PlaceRecord, SurfaceParams, assemble
-from reference import _eval_on_line, newton_interp, poly_mul, residues, slice_reference
+from reference import _eval_on_line, action_checks_reference, newton_interp, poly_mul, residues, slice_reference
 
 # smallest interesting surface: g2 = x^8 + w^8, g3 = x^12 + w^12
 BASE = SurfaceParams([1] + [0] * 7 + [1], [1] + [0] * 11 + [1])
@@ -216,18 +216,21 @@ def test_delta264_division_by_zero():
 
 
 def counted_eliminations(monkeypatch):
-    """Live counts of the resultant engine's entries (``resultant_ints``)
-    and the discriminant calls made through the invariants module."""
-    calls = {"res": 0, "disc": 0}
+    """Live counts of the calls to the resultant engine's entry
+    (``resultants_ints``), as the number of pairs in each call in turn, and
+    of the discriminant calls made through the invariants module."""
+    calls = {"res": [], "disc": 0}
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    def counted_resultants(pairs, p=0):
+        calls["res"].append(len(pairs))
+        return resultants_ints(pairs, p)
 
-    monkeypatch.setattr(invariants, "resultant_ints", counted("res", resultant_ints))
-    monkeypatch.setattr(invariants, "discriminant_binary", counted("disc", discriminant_binary))
+    def counted_discriminant(f):
+        calls["disc"] += 1
+        return discriminant_binary(f)
+
+    monkeypatch.setattr(invariants, "resultants_ints", counted_resultants)
+    monkeypatch.setattr(invariants, "discriminant_binary", counted_discriminant)
     return calls
 
 
@@ -237,7 +240,7 @@ def test_a_surface_report_computes_r96_and_k552_once(monkeypatch):
     calls = counted_eliminations(monkeypatch)
     u = random_surface(random.Random(21))
     r, k, d = r96(u).value, k552(u).value, delta264(u).value
-    assert calls == {"res": 2, "disc": 0} and k == d * r**3
+    assert calls == {"res": [1, 1], "disc": 0} and k == d * r**3
 
 
 def test_an_equal_surface_built_apart_is_computed_again(monkeypatch):
@@ -249,7 +252,7 @@ def test_an_equal_surface_built_apart_is_computed_again(monkeypatch):
     # k552(u) and k552(twin) each compute the r96 of their own surface and
     # Res(h, J); r96 remembers one surface, so r96(u) and r96(twin) after
     # them are computed again
-    assert calls == {"res": 6, "disc": 0}
+    assert calls == {"res": [1] * 6, "disc": 0}
 
 
 def test_equal_surfaces_over_z_q_and_fp_keep_their_domains():
@@ -328,6 +331,26 @@ def test_residue_slice_is_the_reduction_of_the_rational_one(p, case):
     for got, want in ((wp.R, wq.R), (wp.K, wq.K), (wp.quotient, wq.quotient)):
         assert all(type(c) is int and 0 <= c < p for c in got)
         assert got == poly_trim([reduce_scalar_mod(c, p) for c in want])
+
+
+@pytest.mark.parametrize("p", [0, 139, P62])
+def test_list_forms_are_the_one_surface_invariants(p):
+    """r96_batch and k552_batch give, surface by surface, what r96 and k552
+    give, on a list that mixes r96 != 0 with r96 = 0 (a shared root) and
+    w dividing both forms; a surface with h = 0 makes k552_batch raise.
+    Surfaces of two moduli cannot share a call."""
+    rng = random.Random(40)
+    us = [stratum(rng, kind) for kind in ("small", "shared-root", "small", "w-divides-both", "w-divides-h")]
+    us = [u.reduce_mod(p) if p else u for u in us]
+    rs = invariants.r96_batch(us)
+    assert rs == [r96(u) for u in us] and not rs[1].value and rs[0].value
+    assert invariants.k552_batch(us, rs) == [k552(u) for u in us]
+    h_zero = H_ZERO.reduce_mod(p) if p else H_ZERO
+    with pytest.raises(ValueError, match="h vanishes identically"):
+        invariants.k552_batch(us + [h_zero], rs + [r96(h_zero)])
+    assert invariants.r96_batch([]) == [] == invariants.k552_batch([], [])
+    with pytest.raises(DomainError):
+        invariants.r96_batch([us[0].reduce_mod(139), us[0].reduce_mod(P62)])
 
 
 def test_degenerate_surfaces_raise_on_every_call():
@@ -468,28 +491,75 @@ def test_verify_bulk_checks_k552_against_its_definition(monkeypatch):
     assert sorted(repr(u) for _, u in failures) == sorted(repr(u.to_json_dict()) for u in draws)
 
 
+def shifted_on_residues(batch, odd_only=False):
+    """The list form batch of an invariant with each value shifted by its
+    surface's x^8-coefficient of g2, on residues only (with odd_only, only
+    where that residue is odd): neither Gm-homogeneous nor SL2-invariant."""
+    def wrapper(us, *args):
+        values = batch(us, *args)
+        for i, (u, v) in enumerate(zip(us, values)):
+            a0 = u.g2_coeffs[0]
+            if isinstance(a0, ModP) and (a0.v % 2 or not odd_only):
+                values[i] = InvariantValue(v.name, v.value + a0)
+        return values
+    return wrapper
+
+
 def test_verify_bulk_flags_both_actions_on_corrupted_residues(monkeypatch):
     """r96 and k552 shifted by the x^8-coefficient of g2, on residues only:
     the shift is neither Gm-homogeneous nor SL2-invariant, so the one check
     of both actions flags each invariant under each action, and the
     pointwise check over Z stays clean."""
-    def shifted(invariant):
-        def wrapper(u):
-            v = invariant(u)
-            a0 = u.g2_coeffs[0]
-            return InvariantValue(v.name, v.value + a0) if isinstance(a0, ModP) else v
-        return wrapper
-
     monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
         homogeneity_trials=3, sl2_trials=3, slice_lines=0))
-    monkeypatch.setattr(invariants, "r96", shifted(r96))
-    monkeypatch.setattr(invariants, "k552", shifted(k552))
+    monkeypatch.setattr(invariants, "r96_batch", shifted_on_residues(invariants.r96_batch))
+    monkeypatch.setattr(invariants, "k552_batch", shifted_on_residues(invariants.k552_batch))
     kinds = {kind for kind, _ in verify_bulk(seed=0, trials=2)["failures"]}
     assert kinds == {"homogeneity-r96", "homogeneity-k552", "sl2-r96", "sl2-k552"}
 
 
 # g2 = -3 w^8, g3 = 2 w^12: h = 4 g2^3 + 27 g3^2 is the zero form, mod every p
 H_ZERO = SurfaceParams([0] * 8 + [-3], [0] * 12 + [2])
+
+
+def pinned_to_the_per_trial_reference(monkeypatch, seed, modulus):
+    """verify_bulk's homogeneity and SL2 failures, with every trial drawn
+    first and asked through the list forms, against the per-trial loop of
+    ``action_checks_reference`` on the same seed; the slice line drawn next
+    must be the same too, so the draws were made in the same order.
+    Returns the reference's failures."""
+    trials = VerifyDefaults(homogeneity_trials=8, sl2_trials=8, slice_lines=1)
+    lines = []
+
+    def recording(u0, u1, modulus):
+        lines.append((u0, u1))
+        return SliceWitness(True, modulus, [], [], [1])
+
+    monkeypatch.setattr(invariants, "DEFAULTS", trials)
+    monkeypatch.setattr(invariants, "slice_divisibility", recording)
+    got = verify_bulk(seed, trials=0, modulus=modulus)["failures"]
+    rng = random.Random(seed)
+    want = action_checks_reference(rng, modulus, trials.homogeneity_trials, trials.sl2_trials)
+    assert got == [list(f) for f in sorted(want, key=repr)]
+    assert lines == [(invariants.random_surface(rng), invariants.random_surface(rng))]
+    return want
+
+
+@pytest.mark.parametrize("modulus", [P62, 139])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_verify_bulk_actions_match_the_per_trial_reference(monkeypatch, seed, modulus):
+    """With r96 and k552 shifted where the x^8-coefficient of g2 is an odd
+    residue, some trials fail and some pass, and verify_bulk flags the
+    same ones as the per-trial reference."""
+    monkeypatch.setattr(invariants, "r96_batch", shifted_on_residues(invariants.r96_batch, odd_only=True))
+    monkeypatch.setattr(invariants, "k552_batch", shifted_on_residues(invariants.k552_batch, odd_only=True))
+    failures = pinned_to_the_per_trial_reference(monkeypatch, seed, modulus)
+    assert 0 < len(failures) < 2 * 16 and {kind for kind, _ in failures} > {"homogeneity-r96", "sl2-r96"}
+
+
+def test_verify_bulk_actions_match_the_per_trial_reference_where_h_vanishes(monkeypatch):
+    monkeypatch.setattr(invariants, "random_surface", lambda rng: H_ZERO)
+    assert pinned_to_the_per_trial_reference(monkeypatch, 0, P62) == []
 
 
 def test_verify_bulk_skips_k552_where_h_vanishes_mod_p(monkeypatch):
@@ -571,14 +641,16 @@ def test_verify_bulk_draws_a_line_in_the_r96_locus_again(monkeypatch):
 def test_verify_bulk_reraises_k552_errors_on_nonzero_h(monkeypatch, check):
     """A ValueError from k552 on a nonzero h mod p is a fault, not a skip: it
     leaves the homogeneity check and the SL2 check, each run alone."""
-    def failing(u):
-        if isinstance(u.g2_coeffs[0], ModP):
+    k552_batch = invariants.k552_batch
+
+    def failing(us, r96s):
+        if any(isinstance(u.g2_coeffs[0], ModP) for u in us):
             raise ValueError("k552 failed on a nonzero h")
-        return k552(u)
+        return k552_batch(us, r96s)
 
     monkeypatch.setattr(invariants, "DEFAULTS", VerifyDefaults(
         homogeneity_trials=int(check == "homogeneity"), sl2_trials=int(check == "sl2"), slice_lines=0))
-    monkeypatch.setattr(invariants, "k552", failing)
+    monkeypatch.setattr(invariants, "k552_batch", failing)
     with pytest.raises(ValueError, match="nonzero h"):
         verify_bulk(seed=0, trials=1)
 
@@ -615,7 +687,6 @@ def test_modulus_139_certifies_the_reduced_rational_quotient(monkeypatch):
 
 INTERP_VALUES = {
     "Z": (0, st.integers(-10**40, 10**40)),
-    "Q": (0, st.fractions(-10**6, 10**6, max_denominator=100)),
     "P62": (DEFAULTS.homogeneity_prime, st.integers(0, DEFAULTS.homogeneity_prime - 1)),
     "139": (139, st.integers(-10**6, 10**6)),
 }
@@ -628,7 +699,7 @@ def test_interp_matches_divided_differences(domain, data):
     p, values = INTERP_VALUES[domain]
     n = data.draw(st.sampled_from([1, 2, K552_U_DEGREE + 1]) | st.integers(1, K552_U_DEGREE + 1))
     ys = data.draw(st.lists(values, min_size=n, max_size=n))
-    # bit-identical: same values and same types (Fractions over Q, ints mod p)
+    # bit-identical: same values and same types (Fractions over Z, ints mod p)
     assert repr(_interp(ys, p)) == repr(newton_interp(list(range(-(n // 2), n - n // 2)), ys, p))
 
 
@@ -779,11 +850,11 @@ def test_slice_failed_witness_carries_no_quotient(monkeypatch):
     """With T = Res(h, J) shifted by 1 at every point, R^2 (of degree > 0)
     cannot divide T, nor R^3 divide K = C R T: the witness fails and
     carries the empty quotient, over Q and mod p."""
-    def shifted(a, b, p=0):
-        value = resultant_ints(a, b, p)
-        return value + 1 if len(a) == 25 else value
+    def shifted(pairs, p=0):
+        values = resultants_ints(pairs, p)
+        return [v + 1 for v in values] if len(pairs[0][0]) == 25 else values
 
-    monkeypatch.setattr(invariants, "resultant_ints", shifted)
+    monkeypatch.setattr(invariants, "resultants_ints", shifted)
     rng = random.Random(12)
     u0, u1 = random_surface(rng), random_surface(rng)
     for modulus in (None, P62):
@@ -805,16 +876,17 @@ def test_slice_witness_degrees_derive_from_polynomials():
 
 
 def test_slice_line_evaluation_budget(monkeypatch):
-    """One line costs RES_HJ_LINE_DEGREE + 1 = 103 resultants of (h, J) and
-    R96_U_DEGREE + 1 = 21 of (g2, g3), and no discriminant, over Q and mod
-    p; K = k552 on the line has degree up to 20 + 102 = 122."""
+    """One line costs R96_U_DEGREE + 1 = 21 resultants of (g2, g3) in one
+    engine call and RES_HJ_LINE_DEGREE + 1 = 103 of (h, J) in another, and
+    no discriminant, over Q and mod p; K = k552 on the line has degree up
+    to 20 + 102 = 122."""
     calls = counted_eliminations(monkeypatch)
     rng = random.Random(12)
     u0, u1 = random_surface(rng), random_surface(rng)
     for modulus in (None, P62):
-        calls.update(disc=0, res=0)
+        calls.update(disc=0, res=[])
         assert slice_divisibility(u0, u1, modulus=modulus).success
-        assert calls == {"disc": 0, "res": 103 + 21}
+        assert calls == {"disc": 0, "res": [21, 103]}
     assert (RES_HJ_LINE_DEGREE, R96_U_DEGREE) == (102, 20)
 
 
