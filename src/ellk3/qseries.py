@@ -1,7 +1,9 @@
 """Truncated Laurent series in q with exact rational coefficients, the
 Eisenstein series E4 and E6 from their divisor-sum expansions, and the
 nearly holomorphic form E4 / Delta = 1/q + 264 + 8244 q + 139520 q^2 +
-... whose Borcherds lift is the weight-132 cusp form.
+... whose Borcherds lift is the weight-132 cusp form.  Since Delta = q
+prod (1 - q^n)^24, E4 / Delta is E4 divided eight times by prod (1 -
+q^n)^3, which Jacobi's identity makes sparse; all of it on ints.
 
 A product of two series is one big-int product (Kronecker substitution):
 each factor's window, cleared of denominators, is packed into an int with
@@ -32,10 +34,9 @@ class QSeries(Record):
         coeffs = list(coeffs)
         if e0 + len(coeffs) - 1 != N:
             raise ValueError("coefficient window does not end at the truncation order")
-        # normalize the leading exponent
-        while coeffs and not coeffs[0]:
-            coeffs.pop(0)
-            e0 += 1
+        if coeffs and not coeffs[0]:  # normalize the leading exponent
+            k = next((i for i, c in enumerate(coeffs) if c), len(coeffs))
+            coeffs, e0 = coeffs[k:], e0 + k
         super().__init__(e0, coeffs, N)
 
     @classmethod
@@ -222,16 +223,38 @@ def eisenstein(k, N):
     return QSeries(0, [1] + [c * s for s in sigma[1:]], N)
 
 
+def _phi_cubed(N):
+    """The terms (e, c) of phi^3 = prod_(n >= 1) (1 - q^n)^3 through q^N,
+    by Jacobi's identity: phi^3 = sum_(k >= 0) (-1)^k (2k + 1) q^(k(k+1)/2),
+    so about sqrt(2N) terms, starting with (0, 1)."""
+    terms, k = [], 0
+    while k * (k + 1) // 2 <= N:
+        terms.append((k * (k + 1) // 2, (-1) ** k * (2 * k + 1)))
+        k += 1
+    return terms
+
+
 def borcherds_input(N):
     """E4 / Delta = 1728 E4 / (E4^3 - E6^2), a Laurent series with leading
     term 1/q, truncated at q^N.
 
-    Delta is E4^3 - E6^2 divided by 1728, exactly; its leading coefficient
-    is 1, so its reciprocal, and the product with E4, stay on ints."""
+    Delta = q phi^24 = q (phi^3)^8 with phi = prod (1 - q^n), so E4 /
+    Delta = q^-1 E4 / (phi^3)^8, and phi^3 = sum c_k q^(e_k) is sparse by
+    Jacobi's identity (_phi_cubed).  E4 through q^(N+1) is divided by
+    phi^3 eight times; each pass turns a into a / phi^3 in place, g[n] =
+    a[n] - sum_(k >= 1) c_k g[n - e_k] for ascending n.  phi^3 has
+    constant term 1, so the route stays on ints and never divides."""
     if N < 0:
         raise ValueError("truncation order must be nonnegative")
-    M = N + 2
-    e4 = eisenstein(4, M)
-    disc = e4 ** 3 - eisenstein(6, M) ** 2  # = 1728 q - 41472 q^2 + ...
-    delta = QSeries(disc.e0, [a // 1728 for a in disc.coeffs], M)
-    return (e4 * delta.reciprocal()).truncate(N)
+    M = N + 2  # the coefficients of q^-1 ... q^N
+    terms = _phi_cubed(N + 1)[1:]
+    g = eisenstein(4, N + 1).coeffs
+    for _ in range(8):
+        for n in range(1, M):
+            s = g[n]
+            for e, c in terms:
+                if e > n:
+                    break
+                s -= c * g[n - e]
+            g[n] = s
+    return QSeries(-1, g, N)

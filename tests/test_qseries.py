@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ellk3.qseries import QSeries, borcherds_input, eisenstein
+from ellk3.qseries import QSeries, _phi_cubed, borcherds_input, eisenstein
 from reference import borcherds_reference, fraction_reciprocal, schoolbook_product
 
 # 1728 E4 / (E4^3 - E6^2) = q^-1 + 264 + 8244 q + 139520 q^2 + ... (frozen)
@@ -54,7 +54,15 @@ def test_qseries_indexing_and_truncation_guard():
 
 def test_leading_zero_normalization():
     f = QSeries(-2, [0, 0, 5, 7], 1)
-    assert f.e0 == 0 and f.coeffs == [5, 7]
+    assert (f.e0, f.coeffs, f.N) == (0, [5, 7], 1)
+    f = QSeries(0, [0] * 80000 + [1, 0, 2], 80002)
+    assert (f.e0, f.coeffs, f.N) == (80000, [1, 0, 2], 80002)
+    for e0, n in ((0, 1), (-3, 5), (2, 80000)):
+        f = QSeries(e0, [0] * n, e0 + n - 1)
+        assert (f.e0, f.coeffs, f.N) == (e0 + n, [], e0 + n - 1)
+        assert f == QSeries.zero(e0 + n - 1)
+    g = QSeries(0, list(range(1, 80001)), 79999)
+    assert g - g == QSeries.zero(79999)
 
 
 def test_window_consistency_enforced():
@@ -211,21 +219,46 @@ def test_borcherds_input_truncation_consistency():
     assert borcherds_input(2) == borcherds_input(10).truncate(2)
 
 
+def test_borcherds_input_rejects_negative_order():
+    with pytest.raises(ValueError, match="truncation order must be nonnegative"):
+        borcherds_input(-1)
+
+
 def test_borcherds_input_satisfies_defining_equation():
-    N = 12
+    # b (E4^3 - E6^2) = 1728 E4, through the packed product
+    N = 1000
     b = borcherds_input(N)
     e4 = eisenstein(4, N + 2)
     e6 = eisenstein(6, N + 2)
     lhs = b * (e4**3 - e6**2)
     rhs = 1728 * e4
-    upto = lhs.N
-    assert all(lhs[k] == rhs[k] for k in range(0, upto + 1))
+    assert lhs.N == N + 1
+    assert all(lhs[k] == rhs[k] for k in range(0, lhs.N + 1))
 
 
 def test_borcherds_input_matches_fraction_reference():
-    b = borcherds_input(150)
-    ref = borcherds_reference(150)
-    assert (b.e0, b.N) == (ref.e0, ref.N) == (-1, 150)
-    assert len(b.coeffs) == len(ref.coeffs)
-    assert all(x == y for x, y in zip(b.coeffs, ref.coeffs))
-    assert all(type(c) is int for c in b.coeffs)
+    for N in (0, 1, 2, 300):
+        b = borcherds_input(N)
+        ref = borcherds_reference(N)
+        assert (b.e0, b.N) == (ref.e0, ref.N) == (-1, N)
+        assert len(b.coeffs) == len(ref.coeffs) == N + 2
+        assert all(x == y for x, y in zip(b.coeffs, ref.coeffs))
+        assert all(type(c) is int for c in b.coeffs)
+
+
+def test_phi_cubed_is_the_product_and_gives_delta():
+    """Jacobi's terms are prod (1 - q^n)^3, multiplied out by the
+    schoolbook loop through q^300, and q (phi^3)^8, by the packed product,
+    is Delta = (E4^3 - E6^2) / 1728."""
+    N = 300
+    dense = [0] * (N + 1)
+    for e, c in _phi_cubed(N):
+        dense[e] = c
+    phi3 = QSeries(0, dense, N)
+    phi = QSeries.one(N)
+    for n in range(1, N + 1):
+        phi = schoolbook_product(phi, QSeries(0, [1] + [0] * (n - 1) + [-1] + [0] * (N - n), N))
+    assert schoolbook_product(schoolbook_product(phi, phi), phi) == phi3
+    delta = phi3.truncate(N - 1) ** 8
+    disc = eisenstein(4, N) ** 3 - eisenstein(6, N) ** 2
+    assert 1728 * QSeries(delta.e0 + 1, delta.coeffs, delta.N + 1) == disc
